@@ -1,12 +1,11 @@
 """Drive-loop throughput: records simulated per second, by protocol.
 
 Not a paper figure — this benchmark tracks the simulator's own speed,
-which bounds every sweep above it. ``legacy`` regenerates the merged
-trace and walks per-record tuples through the compatibility path;
-``fast`` uses the cached record arrays and the batched drive loop;
-``traced`` is the fast path with the observability tracer enabled
-(events discarded), tracking instrumentation overhead. All paths must
-agree bit-for-bit on every statistic; only wall-clock may differ.
+which bounds every sweep above it. ``fast`` uses the cached record
+arrays and the batched drive loop; ``traced`` is the fast path with the
+observability tracer enabled (events discarded), tracking
+instrumentation overhead. Both must agree bit-for-bit on every
+statistic; only wall-clock may differ.
 """
 
 from repro.harness.perfbench import measure_drive_throughput
@@ -21,22 +20,19 @@ def test_perf_drive_throughput(benchmark, report):
             measure_drive_throughput(
                 scheme="bimodal", mix="Q1", setup=setup, mode=mode, repeats=2
             )
-            for mode in ("legacy", "fast", "traced")
+            for mode in ("fast", "traced")
         )
 
-    legacy, fast, traced = benchmark.pedantic(measure, rounds=1, iterations=1)
+    fast, traced = benchmark.pedantic(measure, rounds=1, iterations=1)
     report(
-        [legacy.row(), fast.row(), traced.row()],
+        [fast.row(), traced.row()],
         title="Drive-loop throughput (records/sec)",
     )
-    # Identical simulations: the fast path is an optimization and the
-    # tracer taps are pull-based, not model changes. Throughput
-    # assertions stay loose — wall-clock on shared CI machines is noisy
-    # — the hard ratio targets are checked offline via
-    # scripts/bench_perf.sh history (fast_over_legacy, traced_over_fast).
-    assert fast.stats == legacy.stats
-    assert traced.stats == legacy.stats
-    assert fast.records == legacy.records == traced.records
-    assert legacy.records_per_second > 0
+    # Identical simulations: the tracer taps are pull-based, not model
+    # changes. Throughput assertions stay loose — wall-clock on shared
+    # CI machines is noisy — the hard ratio targets are checked offline
+    # via scripts/bench_perf.sh history (traced_over_fast).
+    assert traced.stats == fast.stats
+    assert fast.records == traced.records
     assert fast.records_per_second > 0
     assert traced.records_per_second > 0

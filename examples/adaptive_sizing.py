@@ -13,6 +13,7 @@ import sys
 
 from repro.harness import ExperimentSetup, build_cache, print_table
 from repro.harness.runner import drive_cache
+from repro.workloads.generator import TraceChunk
 
 
 def main() -> None:
@@ -25,7 +26,7 @@ def main() -> None:
         scale=setup.scale,
         adaptation_interval=max(1_000, total // 150),
     )
-    trace = setup.trace(mix_name)
+    trace = setup.trace_records(mix_name)
 
     checkpoints = []
     sample_every = total // 10
@@ -42,13 +43,20 @@ def main() -> None:
             }
         )
 
-    def records():
-        for i, rec in enumerate(trace):
-            if i and i % sample_every == 0:
-                record_checkpoint(i)
-            yield rec.address, rec.is_write, rec.icount
+    def slices():
+        # The drive loop finishes one chunk before it asks for the
+        # next, so a checkpoint taken here sees exactly `start` records.
+        for start in range(0, total, sample_every):
+            if start:
+                record_checkpoint(start)
+            stop = min(start + sample_every, total)
+            yield TraceChunk(
+                trace.addresses[start:stop],
+                trace.is_write[start:stop],
+                trace.icount[start:stop],
+            )
 
-    drive_cache(cache, records(), streams=setup.num_cores)
+    drive_cache(cache, slices(), streams=setup.num_cores)
     record_checkpoint(total)
 
     print_table(

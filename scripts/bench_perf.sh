@@ -1,9 +1,8 @@
 #!/bin/sh
-# Measure drive-loop throughput (legacy vs fast protocol, plus the fast
-# protocol with the observability tracer enabled) and append a
-# timestamped entry to BENCH_perf.json at the repo root. The entry's
-# fast_over_legacy and traced_over_fast ratios track batching speedup
-# and tracer overhead across PRs.
+# Measure drive-loop throughput (the fast protocol, with and without
+# the observability tracer enabled) and append a timestamped entry to
+# BENCH_perf.json at the repo root. The entry's traced_over_fast ratio
+# tracks tracer overhead across PRs.
 #
 # Usage: scripts/bench_perf.sh [extra perfbench args...]
 #   e.g. scripts/bench_perf.sh --repeats 5 --mix Q7

@@ -116,16 +116,15 @@ fi
 
 echo "== perf gate =="
 # Fast-path throughput vs the last committed BENCH_perf.json entry for
-# the same mode/scheme/mix/backend; exits 4 when the measured rate
-# drops below 0.7x the committed one. Both drive engines are gated —
-# the scalar reference kernel and the vectorized SoA backend — so a
-# regression in either is caught. The gate prints the ratio either way
-# so every CI log carries the current numbers; gated runs take
-# best-of-3 regardless of --repeats.
+# the same mode/scheme/mix; exits 4 when the measured rate drops below
+# 0.7x the committed one. The bimodal cell and the alloy baseline cell
+# are gated. The gate prints the ratio either way so every CI log
+# carries the current numbers; gated runs take best-of-3 regardless of
+# --repeats.
 python -m repro.harness.perfbench --modes fast --repeats 3 \
     --gate BENCH_perf.json
-python -m repro.harness.perfbench --schemes bimodal,alloy --mixes Q1 \
-    --backends scalar,vectorized --repeats 3 --gate BENCH_perf.json
+python -m repro.harness.perfbench --schemes alloy --mixes Q1 \
+    --repeats 3 --gate BENCH_perf.json
 # The MRC ghost pass is gated too: the dse driver's estimation phase
 # must stay fast enough to be worth the pruning it buys.
 python -m repro.harness.perfbench --modes mrc --repeats 3 \

@@ -102,7 +102,7 @@ dump(E.space_utilization_comparison(setup=QUAD_LONG, mix_names=["Q2", "Q7", "Q23
 
 section("bench-perf")
 _bench = [
-    measure_drive_throughput(mode=mode, repeats=3) for mode in ("legacy", "fast")
+    measure_drive_throughput(mode=mode, repeats=3) for mode in ("fast", "traced")
 ]
 dump([r.row() for r in _bench])
 _bench_path = pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf.json"

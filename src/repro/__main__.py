@@ -13,15 +13,11 @@ Examples::
 
 Every subcommand builds a typed request through :mod:`repro.api` and
 executes it through the same facade the ``repro serve`` daemon uses, so
-validation, defaulting and backend resolution happen in exactly one
-place and a CLI run is byte-identical to the same request answered by a
-warm server (``scripts/serve_smoke.py`` asserts this in CI).
-
-The pre-subcommand invocation (``python -m repro fig1 ...``) keeps
-working with a deprecation note; it forwards to ``repro run``. So does
-configuring ``REPRO_JOBS``/``REPRO_BACKEND`` through the environment
-alone — the facade absorbs them into the request with a one-line
-DeprecationWarning (migration notes in docs/development.md).
+validation and defaulting happen in exactly one place and a CLI run
+is byte-identical to the same request answered by a warm server
+(``scripts/serve_smoke.py`` asserts this in CI). An experiment id is
+always spelled after ``run`` (``python -m repro run fig1``); a bare
+``python -m repro fig1`` is a usage error (exit code 2).
 
 Exit codes (shared by run/bench/serve and the perfbench gate — see
 :mod:`repro.api.errors`): 0 success; 2 bad request/configuration (one
@@ -52,8 +48,6 @@ _EXPERIMENTS: dict[str, tuple[str, bool, int, str]] = {
     for spec in api.experiment_catalog().values()
 }
 
-_SUBCOMMANDS = ("run", "dse", "list", "list-schemes", "bench", "lint", "serve")
-
 
 def _shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -63,13 +57,6 @@ def _shared_flags(parser: argparse.ArgumentParser) -> None:
         help="worker processes for grid cells (a number or 'auto')",
     )
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="drive engine: 'scalar' (default) or 'vectorized' "
-        "(recorded in run manifests)",
-    )
     parser.add_argument(
         "--trace-out",
         default=None,
@@ -268,8 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument(
         "--modes",
-        default="legacy,fast,traced",
-        help="comma-separated subset of {legacy,fast,traced,mrc}",
+        default="fast,traced",
+        help="comma-separated subset of {fast,traced,mrc}",
     )
     bench.add_argument(
         "--output", default=None, help="append the entry to this JSON history"
@@ -349,7 +336,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             cores=args.cores,
             accesses_per_core=args.accesses_per_core,
             seed=args.seed,
-            backend=args.backend,
         )
     except api.RequestError as exc:
         return _usage_error(str(exc))
@@ -361,7 +347,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "--accesses-per-core", str(request.accesses_per_core),
         "--repeats", str(args.repeats),
         "--modes", args.modes,
-        "--backend", request.backend,
     ]
     if args.output:
         forwarded += ["--output", args.output]
@@ -400,7 +385,6 @@ def _cmd_run(args: argparse.Namespace, argv: list[str]) -> int:
             accesses_per_core=args.accesses,
             seed=args.seed,
             scale=args.scale,
-            backend=args.backend,
             jobs=args.jobs,
             deadline_s=args.deadline,
         )
@@ -483,7 +467,6 @@ def _cmd_dse(args: argparse.Namespace, argv: list[str]) -> int:
             accesses_per_core=args.accesses,
             seed=args.seed,
             scale=args.scale,
-            backend=args.backend,
             jobs=args.jobs,
             sample_rate=args.sample_rate,
             max_frontier=args.max_frontier,
@@ -557,7 +540,6 @@ def _cmd_dse(args: argparse.Namespace, argv: list[str]) -> int:
         scale=request.scale,
         accesses_per_core=request.accesses_per_core,
         seed=request.seed,
-        backend=request.backend,
     )
     _write_manifests(args, argv, setup, list(result.failures))
     if result.failures:
@@ -627,14 +609,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.analysis.cli import main as lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] not in _SUBCOMMANDS and not argv[0].startswith("-"):
-        # Legacy invocation: `python -m repro fig1 ...`.
-        print(
-            f"note: `python -m repro {argv[0]}` is deprecated; "
-            f"use `python -m repro run {argv[0]}`",
-            file=sys.stderr,
-        )
-        argv = ["run", *argv]
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()

@@ -77,7 +77,6 @@ def all_rules(select: Iterable[str] = ()) -> dict[str, Rule]:
 from repro.analysis.rules import (  # noqa: E402
     api_stability,
     async_safety,
-    backend_parity,
     determinism,
     determinism_flow,
     fork_safety,
@@ -91,7 +90,6 @@ from repro.analysis.rules import (  # noqa: E402
 _ = (
     api_stability,
     async_safety,
-    backend_parity,
     determinism,
     determinism_flow,
     fork_safety,

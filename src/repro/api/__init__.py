@@ -8,7 +8,7 @@ for the socket protocol built on top.
 
     from repro import api
 
-    request = api.sim_request("bimodal-cache", "MIX1", backend="numpy")
+    request = api.sim_request("bimodal", "Q1")
     result = api.run_sim(request)          # locally, or
     result = api.ServiceClient().run_sim(request)   # on a warm daemon
 """

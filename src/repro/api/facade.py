@@ -2,8 +2,8 @@
 
 Every entry point — ``repro run``/``repro bench`` on the command line,
 the ``repro serve`` daemon, library callers — goes through this module,
-so backend/scheme/mix/experiment resolution, parameter validation and
-the legacy-environment deprecation shim live exactly once:
+so scheme/mix/experiment resolution and parameter validation live
+exactly once:
 
 * :func:`sim_request` / :func:`grid_request` build validated request
   objects (rejecting bad ones with :class:`~repro.api.errors.RequestError`,
@@ -13,21 +13,17 @@ the legacy-environment deprecation shim live exactly once:
 * :func:`stats_result` snapshots live telemetry (the ``stats``
   protocol verb).
 
-Legacy configuration shim: ``REPRO_BACKEND`` / ``REPRO_JOBS`` set in
-the environment *without* the corresponding request field still work —
-the constructors absorb them into the request object and emit a
-one-line :class:`DeprecationWarning` (migration notes in
-``docs/development.md``). During execution the request is authoritative:
-``run_grid`` scopes the environment to the request's values (so worker
-processes inherit them) and restores it afterwards — the facade never
-leaks configuration into the calling process.
+The request is the whole configuration: an unset ``jobs`` means one
+worker, whatever the environment says. During execution ``run_grid``
+scopes ``REPRO_JOBS`` to the request's value (so worker processes
+inherit it) and restores it afterwards — the facade never leaks
+configuration into the calling process.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import warnings
 from contextlib import ExitStack, contextmanager
 
 from repro.api import catalog
@@ -66,33 +62,25 @@ _VALID_CORES = (4, 8, 16)
 
 
 # ----------------------------------------------------------------------
-# construction (defaulting + legacy environment shim)
+# construction (defaulting)
 # ----------------------------------------------------------------------
-def _legacy_env(name: str, what: str) -> str | None:
-    """Absorb a legacy env-only knob into the request, with a warning."""
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return None
-    warnings.warn(
-        f"configuring {what} through {name} alone is deprecated; set it on "
-        "the repro.api request (or the CLI flag) — see docs/development.md",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return value
+def _reject_backend(backend: str | None) -> None:
+    """Refuse a stale caller that still asks for a drive engine.
 
-
-def _resolve_backend(backend: str | None) -> str:
-    if backend:
-        return backend
-    return _legacy_env("REPRO_BACKEND", "the drive backend") or "scalar"
+    The ``backend`` keyword survives only so such callers fail loudly:
+    ``None`` and ``"scalar"`` (the one engine left) are ignored.
+    """
+    if backend not in (None, "scalar"):
+        raise RequestError(
+            f"backend {backend!r} is not available: the vectorized drive "
+            "backend was removed in API schema 4 and every run uses the "
+            "scalar engine; drop the backend argument"
+        )
 
 
 def _resolve_jobs(jobs: int | str | None) -> int:
     if jobs is None:
-        jobs = _legacy_env("REPRO_JOBS", "the grid worker count")
-        if jobs is None:
-            return 1
+        return 1
     if isinstance(jobs, str):
         if jobs.lower() == "auto":
             return 0
@@ -117,6 +105,7 @@ def sim_request(
     deadline_s: float = 0.0,
 ) -> SimRequest:
     """A validated :class:`SimRequest` (the only sanctioned constructor)."""
+    _reject_backend(backend)
     request = SimRequest(
         scheme=scheme,
         mix=mix,
@@ -124,7 +113,6 @@ def sim_request(
         accesses_per_core=accesses_per_core,
         seed=seed,
         scale=scale,
-        backend=_resolve_backend(backend),
         window=window,
         warmup_fraction=warmup_fraction,
         deadline_s=deadline_s,
@@ -146,6 +134,7 @@ def grid_request(
     deadline_s: float = 0.0,
 ) -> GridRequest:
     """A validated :class:`GridRequest` (the only sanctioned constructor)."""
+    _reject_backend(backend)
     request = GridRequest(
         experiment=experiment,
         mixes=tuple(mixes or ()),
@@ -153,7 +142,6 @@ def grid_request(
         accesses_per_core=accesses_per_core,
         seed=seed,
         scale=scale,
-        backend=_resolve_backend(backend),
         jobs=_resolve_jobs(jobs),
         deadline_s=deadline_s,
     )
@@ -175,13 +163,13 @@ def dse_request(
     deadline_s: float = 0.0,
 ) -> DseRequest:
     """A validated :class:`DseRequest` (the only sanctioned constructor)."""
+    _reject_backend(backend)
     request = DseRequest(
         mixes=tuple(mixes or ()),
         cores=cores,
         accesses_per_core=accesses_per_core,
         seed=seed,
         scale=scale,
-        backend=_resolve_backend(backend),
         jobs=_resolve_jobs(jobs),
         sample_rate=sample_rate,
         max_frontier=max_frontier,
@@ -194,19 +182,6 @@ def dse_request(
 # ----------------------------------------------------------------------
 # validation (shared by constructors, server decode path and the CLI)
 # ----------------------------------------------------------------------
-def _check_backend(backend: str) -> None:
-    from repro.harness.backends import (
-        BackendUnavailableError,
-        UnknownBackendError,
-        require_backend,
-    )
-
-    try:
-        require_backend(backend)
-    except (UnknownBackendError, BackendUnavailableError) as exc:
-        raise RequestError(str(exc)) from None
-
-
 def _check_common(request) -> None:
     if request.accesses_per_core <= 0:
         raise RequestError(
@@ -219,7 +194,6 @@ def _check_common(request) -> None:
             f"deadline_s must be >= 0 (got {request.deadline_s}); "
             "0 means no deadline"
         )
-    _check_backend(request.backend)
 
 
 def validate_sim(request: SimRequest) -> None:
@@ -311,7 +285,7 @@ def _scoped_env(**values: str):
     Worker processes and nested drives resolve configuration from the
     environment; scoping it to the request keeps the facade free of
     permanent process-state mutation (unlike the pre-API CLI, which
-    leaked ``REPRO_JOBS``/``REPRO_BACKEND`` into the process).
+    leaked ``REPRO_JOBS`` into the process).
     """
     saved = {name: os.environ.get(name) for name in values}
     os.environ.update(values)
@@ -353,7 +327,6 @@ def run_sim(request: SimRequest) -> SimResult:
                 setup=setup,
                 window=request.window,
                 warmup_fraction=request.warmup_fraction,
-                backend=request.backend,
             )
     except faults.CellTimeoutError:
         raise RequestError(
@@ -366,7 +339,6 @@ def run_sim(request: SimRequest) -> SimResult:
         mix=request.mix,
         cores=request.cores,
         seed=request.seed,
-        backend=result.backend,
         records=result.accesses,
         end_time=result.end_time,
         stats=dict(result.stats),
@@ -386,7 +358,6 @@ def grid_setup(request: GridRequest):
         scale=request.scale,
         accesses_per_core=request.accesses_per_core,
         seed=request.seed,
-        backend=request.backend,
     )
 
 
@@ -428,10 +399,8 @@ def run_grid(
     resumed = 0
     try:
         with ExitStack() as stack:
-            # The request's backend rides on the ExperimentSetup (every
-            # cell resolves setup.backend); only the worker count still
-            # travels via the environment, because pool sizing happens
-            # before any cell exists.
+            # The worker count travels via the environment, because
+            # pool sizing happens before any cell exists.
             stack.enter_context(_scoped_env(REPRO_JOBS=str(request.jobs)))
             stack.enter_context(
                 faults.deadline_scope(request.deadline_s or None)
@@ -499,7 +468,6 @@ def run_dse(
         scale=request.scale,
         accesses_per_core=request.accesses_per_core,
         seed=request.seed,
-        backend=request.backend,
     )
     tracer = get_tracer()
     start = time.perf_counter()

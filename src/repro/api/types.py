@@ -48,7 +48,12 @@ __all__ = [
 #:
 #: v3 (additive over v2): the ``DseRequest``/``DseResult`` types and
 #: the ``dse`` protocol verb (MRC-guided design-space exploration).
-API_SCHEMA = 3
+#:
+#: v4 (removal): the ``backend`` field of SimRequest/GridRequest/
+#: DseRequest/SimResult is gone with the vectorized drive engine; an
+#: older payload carrying ``backend: "scalar"`` decodes with the field
+#: dropped, any other value is refused (see :mod:`repro.api.wire`).
+API_SCHEMA = 4
 
 #: Oldest wire schema this build still decodes. Every field added
 #: since it has a default, so a v1 payload decodes into the current
@@ -75,7 +80,6 @@ class SimRequest:
     accesses_per_core: int = 20_000
     seed: int = 1
     scale: int = 16
-    backend: str = "scalar"
     window: int = 16
     warmup_fraction: float = 0.5
     deadline_s: float = 0.0
@@ -100,7 +104,6 @@ class GridRequest:
     accesses_per_core: int = 20_000
     seed: int = 1
     scale: int = 16
-    backend: str = "scalar"
     jobs: int = 1
     deadline_s: float = 0.0
     schema: int = API_SCHEMA
@@ -124,7 +127,6 @@ class DseRequest:
     accesses_per_core: int = 20_000
     seed: int = 1
     scale: int = 16
-    backend: str = "scalar"
     jobs: int = 1
     sample_rate: float = 1.0
     max_frontier: int = 8
@@ -184,7 +186,6 @@ class SimResult:
     mix: str
     cores: int
     seed: int
-    backend: str
     records: int
     end_time: int
     stats: dict

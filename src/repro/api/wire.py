@@ -2,7 +2,7 @@
 
 One dict shape per type::
 
-    {"type": "SimRequest", "schema": 2, "scheme": "bimodal", ...}
+    {"type": "SimRequest", "schema": 4, "scheme": "bimodal", ...}
 
 ``to_wire``/``from_wire`` convert between instances and those dicts;
 ``encode_line``/``decode_line`` add the JSON + newline framing the
@@ -18,6 +18,11 @@ socket protocol uses (``docs/service.md``). Decoding is strict:
   with the new fields defaulted and its ``schema`` normalized to the
   current version (re-encoding, content-addressing and equality all
   see one canonical form);
+* the ``backend`` field that schemas 1-3 carried on the request types
+  and :class:`~repro.api.types.SimResult` was removed in schema 4. An
+  older payload's ``backend: "scalar"`` (the only engine left) is
+  dropped; any other value, or the field in a v4 payload, is a
+  :class:`WireError` naming the removal;
 * non-finite floats (NaN/Infinity) are rejected in both directions —
   they are not representable in interoperable JSON, so a stats payload
   carrying one fails with a typed error instead of emitting a frame
@@ -85,6 +90,9 @@ WIRE_TYPES: dict[str, type] = {
         ApiError,
     )
 }
+
+# Types whose pre-v4 payloads may carry the removed ``backend`` field.
+_BACKEND_TYPES = frozenset({"SimRequest", "GridRequest", "DseRequest", "SimResult"})
 
 # Fields revived tuple-wise on decode (annotation says tuple).
 _TUPLE_FIELDS: dict[str, set[str]] = {
@@ -196,6 +204,9 @@ def from_wire(payload: dict):
     for key, value in payload.items():
         if key == "type":
             continue
+        if key == "backend" and name in _BACKEND_TYPES:
+            _check_removed_backend(name, schema, value)
+            continue
         if key not in spec:
             raise WireError(f"unexpected field {key!r} for {name}")
         if key in _TUPLE_FIELDS[name] or key in _DICT_FIELDS[name]:
@@ -208,6 +219,15 @@ def from_wire(payload: dict):
         return cls(**kwargs)
     except TypeError as exc:  # missing required field
         raise WireError(f"bad {name} payload: {exc}") from None
+
+
+def _check_removed_backend(name: str, schema: int, backend) -> None:
+    """Accept, to be dropped, only a pre-v4 ``backend: "scalar"``."""
+    if schema >= 4 or backend != "scalar":
+        raise WireError(
+            f"{name} field 'backend' ({backend!r}) was removed in API "
+            "schema 4 together with the vectorized drive engine; drop the field"
+        )
 
 
 def encode_line(obj) -> bytes:

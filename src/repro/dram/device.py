@@ -190,41 +190,6 @@ class DRAMDevice:
             channel %= self._nch
         return channel
 
-    def decode_fields(self) -> dict[str, int]:
-        """Decode tables as plain ints, for array-friendly consumers.
-
-        The vectorized drive backend builds whole-chunk (channel, bank,
-        row) columns from these widths/masks instead of calling
-        :meth:`decode` per record; values mirror the ``__init__``
-        precomputation exactly.
-        """
-        return {
-            "channels": self._nch,
-            "banks_per_channel": self._nbk,
-            "column_bits": self._column_bits,
-            "channel_bits": self._channel_bits,
-            "bank_bits": self._bank_bits,
-            "column_mask": self._column_mask,
-            "channel_mask": self._channel_mask,
-            "bank_mask": self._bank_mask,
-            "cbr_shift": self._cbr_shift,
-            "mod_channels": int(self._mod_channels),
-            "mod_banks": int(self._mod_banks),
-        }
-
-    def timing_constants(self) -> dict[str, int]:
-        """Flattened timing constants (plain ints) for fused kernels."""
-        return {
-            "trcd": self._trcd,
-            "trp": self._trp,
-            "trp_trcd": self._trp_trcd,
-            "cl": self._cl,
-            "tccd": self._tccd,
-            "burst_cycles": self._burst_cycles,
-            "trefi": self._trefi,
-            "trfc": self._trfc,
-        }
-
     # ------------------------------------------------------------------
     # the flat timing kernel
     # ------------------------------------------------------------------

@@ -100,12 +100,7 @@ class _Fig2Cell:
 def _fig2_row(cell: _Fig2Cell) -> dict:
     setup = cell.setup
     cache = build_cache("fixed512", setup.system, scale=setup.scale)
-    drive_cache(
-        cache,
-        setup.trace_records(cell.mix),
-        streams=setup.num_cores,
-        backend=setup.backend or None,
-    )
+    drive_cache(cache, setup.trace_records(cell.mix), streams=setup.num_cores)
     hist = Histogram()
     hist.buckets.update(cache.utilization_hist.buckets)
     for entry in cache._sets.values():

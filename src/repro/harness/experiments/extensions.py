@@ -37,11 +37,6 @@ __all__ = [
 ]
 
 
-def _records(setup: ExperimentSetup, mix_name: str):
-    trace = setup.trace(mix_name)
-    return ((r.address, r.is_write, r.icount) for r in trace)
-
-
 @dataclass(frozen=True)
 class _VictimCell:
     mix: str
@@ -53,7 +48,7 @@ def _victim_row(cell: _VictimCell) -> dict:
     cache = build_cache("bimodal", cell.setup.system, scale=cell.setup.scale)
     wrapper = VictimProbeWrapper(cache, entries=cell.entries)
     drive_cache(
-        wrapper, _records(cell.setup, cell.mix), streams=cell.setup.num_cores
+        wrapper, cell.setup.trace_records(cell.mix), streams=cell.setup.num_cores
     )
     return {
         "mix": cell.mix,

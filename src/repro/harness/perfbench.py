@@ -4,13 +4,9 @@ The simulator's capacity for paper-scale sweeps is set by one number:
 merged-trace records simulated per second. This module measures it on
 the standard 4-core bimodal drive in three modes —
 
-* ``legacy`` — the pre-batching protocol: regenerate the merged trace
-  and feed :func:`drive_cache` one ``(address, is_write, icount)`` tuple
-  at a time (the compatibility path kept in the runner),
-* ``fast`` — the current protocol: cached record arrays through the
-  batched drive loop, and
+* ``fast`` — cached record arrays through the batched drive loop,
 * ``traced`` — the fast protocol with the observability tracer enabled
-  (events discarded), so tracer overhead is tracked across PRs,
+  (events discarded), so tracer overhead is tracked across PRs, and
 * ``mrc`` — the ghost estimation pass of the design-space driver
   (``repro.mrc``, docs/dse.md): trace records/sec through one
   all-points ghost pass, plus the driver's cost accounting
@@ -22,13 +18,12 @@ produce bit-identical statistics (asserted on every measurement);
 wall-clock is the only difference. ``mrc`` is a different estimator,
 not a drive protocol, so it is exempt from that identity check.
 
-Every cell also carries a ``backend`` dimension (``scalar`` |
-``vectorized``, see :mod:`repro.harness.backends`): the drive engine is
-part of the cell identity, so the regression gate compares
-(mode, scheme, mix, backend) cells only against their own history and
-both engines stay protected independently. Gated runs always use at
-least 3 repeats (best-of is what lands in the history, so a single
-noisy sample must never set or trip a baseline).
+The regression gate compares each (mode, scheme, mix) cell against its
+own history. Older history rows carry a ``backend`` column from when a
+second, vectorized drive engine existed; the gate only compares against
+rows without it or with ``scalar``. Gated runs always use at least 3
+repeats (best-of is what lands in the history, so a single noisy sample
+must never set or trip a baseline).
 """
 
 from __future__ import annotations
@@ -79,7 +74,6 @@ class ThroughputResult:
     # cell: tracemalloc peak and the number of gc collections it caused.
     alloc_peak_bytes: int = 0
     gc_collections: int = 0
-    backend: str = "scalar"
     #: Mode-specific history columns (the ``mrc`` mode records its
     #: cost accounting here); merged verbatim into :meth:`row`.
     extra: dict = field(default_factory=dict)
@@ -89,7 +83,6 @@ class ThroughputResult:
             "mode": self.mode,
             "scheme": self.scheme,
             "mix": self.mix,
-            "backend": self.backend,
             "records": self.records,
             "best_seconds": round(self.best_seconds, 4),
             "records_per_second": round(self.records_per_second, 1),
@@ -105,15 +98,15 @@ def _run_once(
     mix: str,
     setup: ExperimentSetup,
     mode: str,
-    backend: str = "scalar",
 ) -> tuple[float, dict]:
     """One timed drive; returns (seconds, stats snapshot).
 
     The timed region covers the full experiment cell — cache build,
     trace acquisition and the drive — because that is the unit the
-    figure grids repeat. ``legacy`` regenerates the trace and walks
-    per-record tuples; ``fast`` takes the cached batched path.
+    figure grids repeat.
     """
+    if mode not in ("fast", "traced"):
+        raise ValueError(f"unknown mode {mode!r} (use 'fast' or 'traced')")
     total = setup.accesses_per_core * setup.num_cores
     warmup = total // 2
     sink = None
@@ -126,22 +119,12 @@ def _run_once(
     try:
         start = time.perf_counter()
         cache = build_cache(scheme, setup.system, scale=setup.scale)
-        if mode == "legacy":
-            trace = setup.trace(mix)
-            records = ((r.address, r.is_write, r.icount) for r in trace)
-        elif mode in ("fast", "traced"):
-            records = setup.trace_records(mix)
-        else:
-            raise ValueError(
-                f"unknown mode {mode!r} (use 'legacy', 'fast' or 'traced')"
-            )
         result = drive_cache(
             cache,
-            records,
+            setup.trace_records(mix),
             window=16,
             streams=setup.num_cores,
             warmup=warmup,
-            backend=backend,
         )
         elapsed = time.perf_counter() - start
     finally:
@@ -161,7 +144,6 @@ def _measure_allocations(
     mix: str,
     setup: ExperimentSetup,
     mode: str,
-    backend: str = "scalar",
 ) -> tuple[int, int]:
     """(tracemalloc peak bytes, gc collections) of one untimed run.
 
@@ -173,7 +155,7 @@ def _measure_allocations(
     before = sum(s["collections"] for s in gc.get_stats())
     tracemalloc.start()
     try:
-        _run_once(scheme, mix, setup, mode, backend)
+        _run_once(scheme, mix, setup, mode)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -189,28 +171,23 @@ def measure_drive_throughput(
     mode: str = "fast",
     repeats: int = 3,
     allocations: bool = True,
-    backend: str = "scalar",
 ) -> ThroughputResult:
-    """Best-of-``repeats`` records/sec for one (scheme, mix, mode,
-    backend) cell."""
+    """Best-of-``repeats`` records/sec for one (scheme, mix, mode) cell."""
     setup = setup or ExperimentSetup(num_cores=4, accesses_per_core=15_000)
     total = setup.accesses_per_core * setup.num_cores
     best = float("inf")
     stats: dict = {}
     for _ in range(max(1, repeats)):
-        elapsed, stats = _run_once(scheme, mix, setup, mode, backend)
+        elapsed, stats = _run_once(scheme, mix, setup, mode)
         if elapsed < best:
             best = elapsed
     peak = collections = 0
     if allocations:
-        peak, collections = _measure_allocations(
-            scheme, mix, setup, mode, backend
-        )
+        peak, collections = _measure_allocations(scheme, mix, setup, mode)
     return ThroughputResult(
         mode=mode,
         scheme=scheme,
         mix=mix,
-        backend=backend,
         records=total,
         best_seconds=best,
         records_per_second=total / best if best else 0.0,
@@ -269,7 +246,6 @@ def measure_mrc_throughput(
         mode="mrc",
         scheme="ghost",
         mix=mix,
-        backend="scalar",
         records=total,
         best_seconds=best,
         records_per_second=total / best if best else 0.0,
@@ -309,12 +285,7 @@ def append_bench_record(results: list[ThroughputResult], path: str | Path) -> di
         "measurements": [r.row() for r in results],
     }
     fast = next((r for r in results if r.mode == "fast"), None)
-    legacy = next((r for r in results if r.mode == "legacy"), None)
     traced = next((r for r in results if r.mode == "traced"), None)
-    if fast and legacy and legacy.records_per_second:
-        entry["fast_over_legacy"] = round(
-            fast.records_per_second / legacy.records_per_second, 3
-        )
     if fast and traced and fast.records_per_second:
         # Observability overhead: 1.0 means tracer-on costs nothing.
         entry["traced_over_fast"] = round(
@@ -334,10 +305,9 @@ def gate_against_history(
 ) -> int:
     """Regression gate: compare measurements to the committed history.
 
-    For every measured cell, find the most recent entry in ``path``
-    with the same (mode, scheme, mix, backend) — history rows written
-    before the backend dimension existed count as ``scalar`` — and
-    require
+    For every measured cell, find the most recent row in ``path`` with
+    the same (mode, scheme, mix), skipping rows recorded on a backend
+    other than ``scalar`` (the removed vectorized engine), and require
     ``measured >= threshold * committed`` records/sec. Prints the ratio
     either way; returns 4 (the CI perf-regression exit code) if any
     cell falls below, 0 otherwise. A cell with no committed baseline is
@@ -362,15 +332,13 @@ def gate_against_history(
                     row.get("mode") == result.mode
                     and row.get("scheme") == result.scheme
                     and row.get("mix") == result.mix
-                    and row.get("backend", "scalar") == result.backend
+                    and row.get("backend", "scalar") == "scalar"
                 ):
                     baseline = row
                     break
             if baseline is not None:
                 break
-        cell = (
-            f"{result.mode}/{result.scheme}/{result.mix}/{result.backend}"
-        )
+        cell = f"{result.mode}/{result.scheme}/{result.mix}"
         committed = (baseline or {}).get("records_per_second") or 0.0
         if not committed:
             if allow_missing:
@@ -422,21 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         "(best-of-repeats is what the gate compares)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        help="drive engine for every cell: 'scalar' (default) or "
-        "'vectorized' (see repro.harness.backends)",
-    )
-    parser.add_argument(
-        "--backends",
-        default=None,
-        help="matrix mode: comma-separated drive engines, or 'all'; "
-        "each (scheme, mix) cell is measured once per backend",
-    )
-    parser.add_argument(
         "--modes",
-        default="legacy,fast,traced",
-        help="comma-separated subset of {legacy,fast,traced,mrc}",
+        default="fast,traced",
+        help="comma-separated subset of {fast,traced,mrc}",
     )
     parser.add_argument(
         "--output",
@@ -496,34 +452,12 @@ def main(argv: list[str] | None = None) -> int:
             f" available mixes: {', '.join(valid_mixes)}"
         )
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    bad_modes = [m for m in modes if m not in ("legacy", "fast", "traced", "mrc")]
+    bad_modes = [m for m in modes if m not in ("fast", "traced", "mrc")]
     if bad_modes:
         return usage_error(
             f"unknown mode(s): {', '.join(bad_modes)}"
-            " (use 'legacy', 'fast', 'traced' or 'mrc')"
+            " (use 'fast', 'traced' or 'mrc')"
         )
-    from repro.harness.backends import (
-        BACKENDS,
-        NUMPY_MISSING_MESSAGE,
-        backend_available,
-    )
-
-    if args.backends in ("all",):
-        backends = list(BACKENDS)
-    elif args.backends:
-        backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    else:
-        backends = [args.backend or "scalar"]
-    bad_backends = [b for b in backends if b not in BACKENDS]
-    if bad_backends:
-        return usage_error(
-            f"unknown backend(s): {', '.join(bad_backends)};"
-            f" available backends: {', '.join(BACKENDS)}"
-        )
-    for b in backends:
-        if not backend_available(b):
-            print(f"perfbench: error: {NUMPY_MISSING_MESSAGE}", file=sys.stderr)
-            return EXIT_USAGE
     # A gate comparison must never be set or tripped by a single noisy
     # sample: gated cells always take best-of-3 or better.
     repeats = max(3, args.repeats) if args.gate else args.repeats
@@ -531,30 +465,27 @@ def main(argv: list[str] | None = None) -> int:
     setup = ExperimentSetup(
         num_cores=args.cores, accesses_per_core=args.accesses_per_core
     )
-    if args.schemes or args.mixes or args.backends:
+    if args.schemes or args.mixes:
         # Matrix mode: fast-path throughput + allocation profile for
-        # every (scheme, mix, backend) cell; one history entry for the
-        # grid.
+        # every (scheme, mix) cell; one history entry for the grid.
         results = []
         for scheme in schemes:
             for mix in mixes:
-                for backend in backends:
-                    result = measure_drive_throughput(
-                        scheme=scheme,
-                        mix=mix,
-                        setup=setup,
-                        mode="fast",
-                        repeats=repeats,
-                        backend=backend,
-                    )
-                    results.append(result)
-                    print(
-                        f"{scheme:>10}/{mix}/{backend}:"
-                        f" {result.records_per_second:10.0f}"
-                        f" records/sec  (alloc peak"
-                        f" {result.alloc_peak_bytes / 1024:.0f} KiB,"
-                        f" {result.gc_collections} gc collections)"
-                    )
+                result = measure_drive_throughput(
+                    scheme=scheme,
+                    mix=mix,
+                    setup=setup,
+                    mode="fast",
+                    repeats=repeats,
+                )
+                results.append(result)
+                print(
+                    f"{scheme:>10}/{mix}:"
+                    f" {result.records_per_second:10.0f}"
+                    f" records/sec  (alloc peak"
+                    f" {result.alloc_peak_bytes / 1024:.0f} KiB,"
+                    f" {result.gc_collections} gc collections)"
+                )
         if args.output:
             append_bench_record(results, args.output)
             print(f"appended entry to {args.output}")
@@ -568,7 +499,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     results = []
     reference: dict | None = None
-    backend = backends[0]
     for mode in modes:
         if mode == "mrc":
             # A ghost pass estimates hit rates, it does not drive the
@@ -591,7 +521,6 @@ def main(argv: list[str] | None = None) -> int:
             setup=setup,
             mode=mode,
             repeats=repeats,
-            backend=backend,
         )
         if reference is None:
             reference = result.stats
@@ -600,8 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         results.append(result)
         print(
             f"{result.mode:>6}: {result.records_per_second:10.0f} records/sec"
-            f"  ({result.records} records, best of {result.repeats},"
-            f" backend {result.backend})"
+            f"  ({result.records} records, best of {result.repeats})"
         )
     if len(results) >= 2 and results[0].records_per_second:
         for later in results[1:]:

@@ -11,7 +11,6 @@ realistic without simulating the cores.
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -59,13 +58,6 @@ class ExperimentSetup:
     ``intensity_scale`` reduces per-core offered load for larger
     systems so the per-channel utilization matches the operating point
     the paper's workloads produced (8/16-core benches use 0.5).
-
-    ``backend`` names the drive engine for every cell run under this
-    setup (``scalar`` | ``vectorized``). The empty default means
-    "unspecified": drives then fall back to ``REPRO_BACKEND``/scalar
-    exactly as before, so direct callers keep the legacy behaviour
-    while the facade threads a request's backend through the setup
-    instead of mutating the process environment.
     """
 
     num_cores: int = 4
@@ -73,7 +65,6 @@ class ExperimentSetup:
     accesses_per_core: int = 60_000
     seed: int = 1
     intensity_scale: float = 1.0
-    backend: str = ""
 
     @property
     def system(self) -> SystemConfig:
@@ -160,26 +151,16 @@ class DriveResult:
     accesses: int
     end_time: int
     stats: dict = field(default_factory=dict)
-    # Which engine produced the result, and whether a non-default
-    # backend had to fall back to the scalar reference path (schemes
-    # without a vectorized kernel, tuple-iterable records).
-    backend: str = "scalar"
-    backend_fallbacks: int = 0
 
     def to_dict(self) -> dict:
         """Flat-key export (shared stats protocol; see harness.export).
 
         Drive-level totals use ``records``/``end_time`` so they cannot
         collide with the cache snapshot's ``accesses`` (which counts
-        only the measured, post-warmup region). Backend bookkeeping is
-        exported only for non-default backends, keeping scalar exports
-        byte-identical to pre-seam output.
+        only the measured, post-warmup region).
         """
         out: dict = {"records": self.accesses, "end_time": self.end_time}
         out.update(self.stats)
-        if self.backend != "scalar":
-            out["backend"] = self.backend
-            out["backend_fallbacks"] = self.backend_fallbacks
         return out
 
 
@@ -267,11 +248,16 @@ def _drive_fast(
     mlp: float,
     warmup: int,
 ) -> DriveResult:
-    """Drive :class:`TraceChunk` batches through the cache (fast path)."""
+    """Drive :class:`TraceChunk` batches through the cache."""
     pace = cycles_per_instruction / max(1, streams)
     stall_scale = 1.0 / (mlp * max(1, streams))
     state = _DriveState()
     for chunk in chunks:
+        if not isinstance(chunk, TraceChunk):
+            raise TypeError(
+                "drive_cache takes a TraceChunk, a MultiProgramTrace or an "
+                f"iterable of TraceChunks, not an iterable of {type(chunk).__name__}"
+            )
         addresses = chunk.addresses.tolist()
         is_writes = chunk.is_write.tolist()
         icounts = chunk.icount.tolist()
@@ -310,15 +296,14 @@ def drive_cache(
     streams: int = 4,
     mlp: float = 2.2,
     warmup: int = 0,
-    backend: str | None = None,
 ) -> DriveResult:
     """Feed (address, is_write, icount) records with bounded outstanding.
 
-    ``records`` may be a :class:`~repro.workloads.generator.TraceChunk`,
-    an iterable of chunks, a :class:`~repro.workloads.trace.MultiProgramTrace`
-    (both take the batched fast path), or any iterable of per-record
-    tuples (compatibility path). All forms produce identical results for
-    the same record stream.
+    ``records`` is a :class:`~repro.workloads.generator.TraceChunk`, a
+    :class:`~repro.workloads.trace.MultiProgramTrace` or an iterable of
+    chunks; every form is driven by the same batched loop, and splitting
+    a record stream into chunks never changes the result. Anything else
+    raises :class:`TypeError`.
 
     ``warmup`` > 0 drops all statistics gathered during the first that
     many records (cache contents and predictor training are kept).
@@ -338,11 +323,11 @@ def drive_cache(
     beyond what its cores could generate once they start missing, and
     every scheme would drown in queueing that the paper's closed-loop
     GEM5 cores never produce.
-
-    ``backend`` selects the drive engine (``scalar`` | ``vectorized``);
-    None resolves ``REPRO_BACKEND`` and defaults to the scalar
-    reference kernel. See :mod:`repro.harness.backends`.
     """
+    if isinstance(records, TraceChunk):
+        records = (records,)
+    elif isinstance(records, MultiProgramTrace):
+        records = records.merged_chunks()
     kwargs = dict(
         window=window,
         min_gap=min_gap,
@@ -351,67 +336,16 @@ def drive_cache(
         mlp=mlp,
         warmup=warmup,
     )
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or "scalar"
     # Observability tap: one guard per *drive* (tens of thousands of
     # records), never per record — the disabled path is the exact
     # pre-instrumentation code, so results and throughput are untouched.
     tracer = get_tracer()
     if tracer.enabled:
         start = time.perf_counter()
-        result = _dispatch_drive(cache, records, kwargs, backend)
+        result = _drive_fast(cache, records, **kwargs)
         _tap_drive(tracer, cache, result, time.perf_counter() - start)
         return result
-    return _dispatch_drive(cache, records, kwargs, backend)
-
-
-def _dispatch_drive(
-    cache: DRAMCacheBase, records, kwargs: dict, backend: str = "scalar"
-) -> DriveResult:
-    """Route records to the batched fast path or the tuple loop."""
-    if backend != "scalar":
-        from repro.harness.backends import drive_with_backend
-
-        return drive_with_backend(backend, cache, records, kwargs)
-    window = kwargs["window"]
-    min_gap = kwargs["min_gap"]
-    cycles_per_instruction = kwargs["cycles_per_instruction"]
-    streams = kwargs["streams"]
-    mlp = kwargs["mlp"]
-    warmup = kwargs["warmup"]
-    if isinstance(records, TraceChunk):
-        return _drive_fast(cache, (records,), **kwargs)
-    if isinstance(records, MultiProgramTrace):
-        return _drive_fast(cache, records.merged_chunks(), **kwargs)
-
-    inflight: list[int] = []
-    now = 0.0
-    count = 0
-    pace = cycles_per_instruction / max(1, streams)
-    stall_scale = 1.0 / (mlp * max(1, streams))
-    end = 0
-    issued = 0
-    for address, is_write, icount in records:
-        issued += 1
-        if warmup and issued == warmup:
-            # End of warm-up: discard statistics, keep contents/training
-            # (the paper fast-forwards 10B instructions before timing).
-            cache.reset_stats()
-        now += max(min_gap, icount * pace)
-        if len(inflight) >= window:
-            earliest = heapq.heappop(inflight)
-            if earliest > now:
-                now = float(earliest)
-        result = cache.access(int(address), int(now), is_write=bool(is_write))
-        if not is_write:
-            now += result.latency * stall_scale
-        heapq.heappush(inflight, result.complete)
-        if result.complete > end:
-            end = result.complete
-        count += 1
-    return DriveResult(
-        cache=cache, accesses=count, end_time=end, stats=cache.stats_snapshot()
-    )
+    return _drive_fast(cache, records, **kwargs)
 
 
 def _tap_drive(tracer, cache: DRAMCacheBase, result: DriveResult, wall: float) -> None:
@@ -449,19 +383,9 @@ def run_scheme_on_mix(
     bimodal_config: BiModalConfig | None = None,
     window: int = 16,
     warmup_fraction: float = 0.5,
-    backend: str | None = None,
 ) -> DriveResult:
-    """Build scheme + mix trace, drive to completion, return the result.
-
-    ``backend`` selects the drive engine explicitly (``scalar`` |
-    ``vectorized``); ``None`` defers to ``setup.backend``, then to
-    ``REPRO_BACKEND``/scalar, same as :func:`drive_cache`. The API
-    facade sets the setup's backend from the request, so a request's
-    backend never depends on ambient process state.
-    """
+    """Build scheme + mix trace, drive to completion, return the result."""
     setup = setup or ExperimentSetup()
-    if backend is None:
-        backend = setup.backend or None
     if mix_name not in setup.mixes():
         raise ValueError(
             f"unknown mix {mix_name!r} for {setup.num_cores} cores"
@@ -491,7 +415,6 @@ def run_scheme_on_mix(
                 window=window,
                 streams=setup.num_cores,
                 warmup=int(total * warmup_fraction),
-                backend=backend,
             )
         if tracer.enabled:
             span.update(timer.as_attrs())

@@ -78,13 +78,6 @@ GhostAdapter = Callable[[int], object]
 class SchemeSpec:
     """A registered scheme: its builder plus display metadata.
 
-    ``backends`` declares which drive engines have a kernel for the
-    scheme (see :mod:`repro.harness.backends`); every scheme supports
-    the scalar reference path, and declaring ``"vectorized"`` requires
-    a registered chunk kernel (enforced by the ``backend-parity``
-    simlint rule and tests/harness/test_backends.py). Undeclared
-    backends fall back to scalar transparently at drive time.
-
     ``ghost`` maps a capacity in bytes to the scheme's tag-only
     hit-rate model for the MRC engine (:mod:`repro.mrc`); ``None``
     means the scheme has no ghost estimate. Adapters are declared
@@ -95,11 +88,7 @@ class SchemeSpec:
     name: str
     builder: SchemeBuilder
     description: str = ""
-    backends: tuple[str, ...] = ("scalar",)
     ghost: GhostAdapter | None = None
-
-    def supports_backend(self, backend: str) -> bool:
-        return backend in self.backends
 
 
 class UnknownSchemeError(ValueError):
@@ -121,7 +110,6 @@ def register_scheme(
     builder: SchemeBuilder,
     *,
     description: str = "",
-    backends: tuple[str, ...] = ("scalar",),
     ghost: GhostAdapter | None = None,
     overwrite: bool = False,
 ) -> SchemeSpec:
@@ -133,7 +121,6 @@ def register_scheme(
         name=name,
         builder=builder,
         description=description,
-        backends=backends,
         ghost=ghost,
     )
     _REGISTRY[name] = spec
@@ -218,7 +205,6 @@ register_scheme(
     "alloy",
     lambda ctx: AlloyCache(ctx.system.dram_cache, ctx.offchip),
     description="AlloyCache: direct-mapped, 64 B TAD units (baseline)",
-    backends=("scalar", "vectorized"),
     ghost=_ghost_lru(1, 64),
 )
 register_scheme(
@@ -243,27 +229,23 @@ register_scheme(
     "bimodal",
     _bimodal_variant(),
     description="Bi-Modal cache: adaptive big/small blocks + way locator",
-    backends=("scalar", "vectorized"),
     ghost=_ghost_bimodal,
 )
 register_scheme(
     "wayloc-only",
     _bimodal_variant(enable_bimodal=False),
     description="Bi-Modal with only the way locator (fixed 512 B blocks)",
-    backends=("scalar", "vectorized"),
     ghost=_ghost_lru(4, 512),
 )
 register_scheme(
     "bimodal-only",
     _bimodal_variant(enable_way_locator=False),
     description="Bi-Modal block sizing without the way locator",
-    backends=("scalar", "vectorized"),
     ghost=_ghost_bimodal,
 )
 register_scheme(
     "fixed512",
     _bimodal_variant(enable_bimodal=False, enable_way_locator=False),
     description="Fixed 512 B blocks, no locator (Figure 9a/8b baseline)",
-    backends=("scalar", "vectorized"),
     ghost=_ghost_lru(4, 512),
 )

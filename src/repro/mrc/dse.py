@@ -208,7 +208,6 @@ def dse_sim_cell(cell: DseSimCell) -> dict:
         window=cell.window,
         streams=setup.num_cores,
         warmup=int(total * cell.warmup_fraction),
-        backend=getattr(setup, "backend", "") or None,
     )
     return {
         "hit_rate": result.stats.get("hit_rate", 0.0),

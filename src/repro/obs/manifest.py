@@ -84,7 +84,6 @@ class RunManifest:
     config_hash: str
     seed: int | None = None
     scheme: str | None = None
-    backend: str = "scalar"
     config: dict = field(default_factory=dict)
     argv: list[str] = field(default_factory=list)
     git_rev: str | None = None
@@ -104,35 +103,20 @@ class RunManifest:
         config=None,
         seed: int | None = None,
         scheme: str | None = None,
-        backend: str | None = None,
         argv: list[str] | None = None,
         failures: list | None = None,
     ) -> "RunManifest":
-        """Build a manifest from the current process state.
-
-        ``backend`` defaults to the drive engine recorded on ``config``
-        (the request's ``ExperimentSetup.backend``), falling back to the
-        legacy ``REPRO_BACKEND`` environment knob, so the engine that
-        produced an artifact is always on record even when the caller
-        doesn't pass it explicitly.
-        """
+        """Build a manifest from the current process state."""
         from repro import __version__
 
         config_dict = _canonical(config) if config is not None else {}
         if not isinstance(config_dict, dict):
             config_dict = {"config": config_dict}
-        if backend is None:
-            backend = (
-                getattr(config, "backend", "")
-                or os.environ.get("REPRO_BACKEND")
-                or "scalar"
-            )
         return cls(
             experiment=experiment,
             config_hash=config_hash(config_dict),
             seed=seed,
             scheme=scheme,
-            backend=backend,
             config=config_dict,
             argv=list(argv or []),
             git_rev=git_revision(),

@@ -292,8 +292,8 @@ def materialized_columns(
     """SoA column views of a materialized trace, without copying.
 
     Returns the cached ``(addresses, is_write, icount)`` arrays directly
-    (read-only, shared across callers) — the form the vectorized drive
-    backend consumes. Same memoization as :func:`materialized_trace`.
+    (read-only, shared across callers) — the form the :mod:`repro.mrc`
+    ghost pass walks. Same memoization as :func:`materialized_trace`.
     """
     return materialized_trace(
         mix,

@@ -7,8 +7,8 @@ one workload, record the merged stream once and replay it:
     from repro.workloads.tracefile import save_trace, load_trace, replay
 
     save_trace(setup.trace("Q7"), "q7.npz")
-    records = replay(load_trace("q7.npz"))
-    drive_cache(cache, records, streams=4)
+    chunk = replay(load_trace("q7.npz"))
+    drive_cache(cache, chunk, streams=4)
 
 The format is a compressed ``.npz`` with parallel arrays plus a JSON
 metadata blob (mix name, seeds, scales, record count) so files are
@@ -20,10 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Iterator
 
 import numpy as np
 
+from repro.workloads.generator import TraceChunk
 from repro.workloads.trace import MultiProgramTrace
 
 __all__ = ["SavedTrace", "save_trace", "load_trace", "replay"]
@@ -105,10 +105,10 @@ def load_trace(path: str | Path) -> SavedTrace:
     return saved
 
 
-def replay(saved: SavedTrace) -> Iterator[tuple[int, bool, int]]:
-    """Yield (address, is_write, icount) records for drive_cache()."""
-    return zip(
-        saved.addresses.tolist(),
-        saved.is_write.tolist(),
-        saved.icount.tolist(),
-    )
+def replay(saved: SavedTrace) -> TraceChunk:
+    """The saved records as one :class:`TraceChunk` for ``drive_cache()``.
+
+    Iterating the chunk yields the ``(address, is_write, icount)``
+    tuples in recorded order.
+    """
+    return TraceChunk(saved.addresses, saved.is_write, saved.icount)

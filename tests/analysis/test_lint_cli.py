@@ -77,16 +77,6 @@ INJECTED = {
             def __init__(self):
                 self.tag = 0
         """,
-    "backend-parity": """
-        def register_kernel(name, prep):
-            def deco(fn):
-                return fn
-            return deco
-
-        @register_kernel("ToyCache", None)
-        def _run_toy(cache, columns, state, *, window, stall_scale):
-            pass
-        """,
 }
 
 CLEAN = """

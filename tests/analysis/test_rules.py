@@ -647,120 +647,3 @@ def test_strict_fixture_config_is_strict():
     # The fixtures above rely on these two properties; pin them.
     assert STRICT.determinism_allow == ()
     assert STRICT.slots_modules == ("*.py",)
-
-
-class TestBackendParity:
-    GOOD_KERNEL = """
-        def register_kernel(name, prep):
-            def deco(fn):
-                return fn
-            return deco
-
-        def _flush_stats(cache, **kw):
-            pass
-
-        def _prep(cache, chunk, lo, hi, pace, min_gap):
-            return ()
-
-        @register_kernel("ToyCache", _prep)
-        def _run_toy(cache, columns, state, *, window, stall_scale):
-            n_hits = 1
-            _flush_stats(cache, hits=n_hits, misses=0)
-        """
-
-    def test_good_kernel_clean(self, lint):
-        result = lint(self.GOOD_KERNEL, rules=["backend-parity"])
-        assert result.ok
-
-    def test_kernel_without_flush_flagged(self, lint):
-        result = lint(
-            """
-            def register_kernel(name, prep):
-                def deco(fn):
-                    return fn
-                return deco
-
-            @register_kernel("ToyCache", None)
-            def _run_toy(cache, columns, state, *, window, stall_scale):
-                pass
-            """,
-            rules=["backend-parity"],
-        )
-        assert rules_of(result) == ["backend-parity"]
-        assert "_flush_stats" in result.violations[0].message
-
-    def test_inline_stat_accumulation_flagged(self, lint):
-        result = lint(
-            """
-            def register_kernel(name, prep):
-                def deco(fn):
-                    return fn
-                return deco
-
-            def _flush_stats(cache, **kw):
-                pass
-
-            @register_kernel("ToyCache", None)
-            def _run_toy(cache, columns, state, *, window, stall_scale):
-                cache.hit_stat.hits += 1
-                _flush_stats(cache)
-            """,
-            rules=["backend-parity"],
-        )
-        assert rules_of(result) == ["backend-parity"]
-        assert "inline" in result.violations[0].message
-
-    def test_undecorated_helper_may_accumulate(self, lint):
-        # The flush helpers themselves bump stat attributes; only
-        # register_kernel-decorated functions are constrained.
-        result = lint(
-            """
-            def _flush_rate(stat, hits, misses):
-                stat.hits += hits
-                stat.misses += misses
-            """,
-            rules=["backend-parity"],
-        )
-        assert result.ok
-
-    REGISTRY = """
-        def register_scheme(name, builder, *, description="", backends=("scalar",)):
-            pass
-
-        register_scheme("toy", None, backends=("scalar", "vectorized"))
-        register_scheme("plain", None)
-        """
-
-    def test_matching_declarations_clean(self, lint):
-        result = lint(
-            'VECTORIZED_SCHEMES = frozenset({"toy"})\n',
-            rules=["backend-parity"],
-            extra={"registry.py": self.REGISTRY},
-        )
-        assert result.ok
-
-    def test_registry_flag_without_kernel_set_entry_flagged(self, lint):
-        result = lint(
-            "VECTORIZED_SCHEMES = frozenset(())\n",
-            rules=["backend-parity"],
-            extra={"registry.py": self.REGISTRY},
-        )
-        assert rules_of(result) == ["backend-parity"]
-        assert "'toy'" in result.violations[0].message
-        assert "missing from VECTORIZED_SCHEMES" in result.violations[0].message
-
-    def test_kernel_set_entry_without_registry_flag_flagged(self, lint):
-        result = lint(
-            'VECTORIZED_SCHEMES = frozenset({"toy", "ghost"})\n',
-            rules=["backend-parity"],
-            extra={"registry.py": self.REGISTRY},
-        )
-        assert rules_of(result) == ["backend-parity"]
-        assert "'ghost'" in result.violations[0].message
-
-    def test_no_vectorized_module_in_scope_is_quiet(self, lint):
-        result = lint(
-            self.REGISTRY,
-            rules=["backend-parity"],
-        )
-        assert result.ok

@@ -21,14 +21,13 @@ def test_committed_tree_is_clean(capsys):
     assert "0 finding(s)" in out
 
 
-def test_all_eleven_rules_ran():
+def test_all_ten_rules_ran():
     root = find_repo_root(PACKAGE)
     result = run_lint([PACKAGE], config=load_config(root), root=root)
     assert result.ok
     assert set(result.rules_run) == {
         "api-stability",
         "async-safety",
-        "backend-parity",
         "determinism",
         "determinism-flow",
         "fork-safety",

@@ -1,4 +1,4 @@
-"""The repro.api facade: validation, execution, env scoping, legacy shim."""
+"""The repro.api facade: validation, execution, env scoping."""
 
 import os
 import warnings
@@ -26,7 +26,7 @@ class TestValidation:
             api.sim_request("alloy", "Q1", accesses_per_core=0)
 
     def test_bad_backend(self):
-        with pytest.raises(api.RequestError, match="backend"):
+        with pytest.raises(api.RequestError, match="removed in API schema 4"):
             api.sim_request("alloy", "Q1", backend="turbo")
 
     def test_bad_warmup_fraction(self):
@@ -85,44 +85,37 @@ class TestDseValidation:
 
     def test_defaults_validate(self):
         request = api.dse_request()
-        assert request.backend == "scalar"
+        assert request.jobs == 1
         assert request.sample_rate == 1.0
 
 
-class TestLegacyEnvShim:
-    def test_env_only_backend_warns_and_applies(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "scalar")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            request = api.sim_request("alloy", "Q1")
-        assert request.backend == "scalar"
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "REPRO_BACKEND" in str(w.message)
-            for w in caught
-        )
-
-    def test_env_only_jobs_warns_and_applies(self, monkeypatch):
+class TestRequestIsTheConfiguration:
+    def test_env_jobs_is_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "3")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             request = api.grid_request("fig10")
-        assert request.jobs == 3
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "REPRO_JOBS" in str(w.message)
-            for w in caught
-        )
+        assert request.jobs == 1
 
-    def test_explicit_argument_wins_without_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            request = api.sim_request("alloy", "Q1", backend="scalar")
-        assert request.backend == "scalar"
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda **kw: api.sim_request("alloy", "Q1", **kw),
+            lambda **kw: api.grid_request("fig10", **kw),
+            lambda **kw: api.dse_request(**kw),
+        ],
+        ids=["sim", "grid", "dse"],
+    )
+    def test_stale_backend_is_refused(self, build):
+        with pytest.raises(api.RequestError, match="vectorized drive backend was removed"):
+            build(backend="vectorized")
+
+    def test_scalar_backend_is_accepted_and_ignored(self):
+        default = api.sim_request("alloy", "Q1")
+        assert api.sim_request("alloy", "Q1", backend="scalar") == default
+        assert api.sim_request("alloy", "Q1", backend=None) == default
+        assert api.grid_request("fig10", backend="scalar") == api.grid_request("fig10")
+        assert api.dse_request(backend="scalar") == api.dse_request()
 
 
 class TestExecution:
@@ -139,7 +132,6 @@ class TestExecution:
         assert result.records == direct.accesses
         assert result.end_time == direct.end_time
         assert result.stats == dict(direct.stats)
-        assert result.backend == "scalar"
 
     def test_run_sim_is_deterministic(self):
         request = api.sim_request("bimodal", "Q1", accesses_per_core=1200)
@@ -158,11 +150,9 @@ class TestExecution:
 
     def test_run_grid_scopes_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         request = api.grid_request("fig10", mixes=("Q1",), accesses_per_core=600)
         api.run_grid(request)
         assert "REPRO_JOBS" not in os.environ
-        assert "REPRO_BACKEND" not in os.environ
 
     def test_run_grid_checkpoint_resume(self, tmp_path):
         path = str(tmp_path / "grid.ckpt.jsonl")

@@ -61,7 +61,6 @@ sim_requests = st.builds(
     accesses_per_core=st.integers(-10, 10**6),
     seed=st.integers(-(2**31), 2**31),
     scale=st.integers(0, 64),
-    backend=_names,
     window=st.integers(0, 256),
     warmup_fraction=st.floats(0, 1, allow_nan=False),
     deadline_s=st.floats(0, 10**6, allow_nan=False),
@@ -74,7 +73,6 @@ grid_requests = st.builds(
     accesses_per_core=st.integers(-10, 10**6),
     seed=st.integers(-(2**31), 2**31),
     scale=st.integers(0, 64),
-    backend=_names,
     jobs=st.integers(0, 64),
     deadline_s=st.floats(0, 10**6, allow_nan=False),
 )
@@ -92,7 +90,6 @@ sim_results = st.builds(
     mix=_names,
     cores=st.integers(0, 64),
     seed=st.integers(-(2**31), 2**31),
-    backend=_names,
     records=st.integers(0, 10**9),
     end_time=st.integers(0, 10**12),
     stats=_dicts,
@@ -114,7 +111,6 @@ dse_requests = st.builds(
     accesses_per_core=st.integers(-10, 10**6),
     seed=st.integers(-(2**31), 2**31),
     scale=st.integers(0, 64),
-    backend=_names,
     jobs=st.integers(0, 64),
     sample_rate=st.floats(0, 1, allow_nan=False),
     max_frontier=st.integers(0, 64),
@@ -241,10 +237,9 @@ class TestSchemaSkew:
     """Old-schema payloads (>= API_SCHEMA_MIN) still decode."""
 
     def test_v1_sim_request_decodes_with_defaults(self):
-        payload = to_wire(
-            SimRequest(scheme="alloy", mix="Q1", backend="scalar")
-        )
+        payload = to_wire(SimRequest(scheme="alloy", mix="Q1"))
         del payload["deadline_s"]  # field did not exist in v1
+        payload["backend"] = "scalar"  # v1-v3 requests carried it
         payload["schema"] = API_SCHEMA_MIN
         decoded = from_wire(payload)
         assert decoded.deadline_s == 0.0
@@ -253,17 +248,55 @@ class TestSchemaSkew:
     def test_v1_grid_request_matches_v2_equivalent(self):
         # Content-addressing relies on this: an old client's request
         # and a new client's defaulted request are the same object.
-        payload = to_wire(GridRequest(experiment="fig10", backend="scalar"))
+        payload = to_wire(GridRequest(experiment="fig10"))
         del payload["deadline_s"]
+        payload["backend"] = "scalar"
         payload["schema"] = API_SCHEMA_MIN
-        assert from_wire(payload) == GridRequest(
-            experiment="fig10", backend="scalar"
-        )
+        assert from_wire(payload) == GridRequest(experiment="fig10")
 
     def test_below_min_schema_rejected(self):
         payload = to_wire(ApiError(code="x", message="y"))
         payload["schema"] = API_SCHEMA_MIN - 1
         with pytest.raises(WireError, match="schema"):
+            from_wire(payload)
+
+
+# One instance of every type whose v1-v3 payloads carried ``backend``.
+_BACKEND_CARRIERS = {
+    "SimRequest": SimRequest(scheme="alloy", mix="Q1"),
+    "GridRequest": GridRequest(experiment="fig10"),
+    "DseRequest": DseRequest(mixes=("Q1",)),
+    "SimResult": SimResult(
+        scheme="alloy", mix="Q1", cores=4, seed=1, records=8, end_time=9, stats={}
+    ),
+}
+
+
+class TestRemovedBackendField:
+    """Schema 4 dropped ``backend``; old scalar payloads still decode."""
+
+    @pytest.mark.parametrize("schema", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(_BACKEND_CARRIERS))
+    def test_pre_v4_scalar_backend_is_dropped(self, name, schema):
+        obj = _BACKEND_CARRIERS[name]
+        payload = {**to_wire(obj), "backend": "scalar", "schema": schema}
+        assert from_wire(payload) == obj
+
+    @pytest.mark.parametrize(
+        "schema, backend",
+        [(3, "vectorized"), (1, "turbo"), (API_SCHEMA, "scalar"), (API_SCHEMA, "vectorized")],
+    )
+    @pytest.mark.parametrize("name", sorted(_BACKEND_CARRIERS))
+    def test_other_backend_or_v4_field_is_refused(self, name, schema, backend):
+        payload = {
+            **to_wire(_BACKEND_CARRIERS[name]), "backend": backend, "schema": schema
+        }
+        with pytest.raises(WireError, match="removed in API schema 4"):
+            from_wire(payload)
+
+    def test_backend_on_other_types_is_an_unexpected_field(self):
+        payload = {**to_wire(ApiError(code="x", message="y")), "backend": "scalar"}
+        with pytest.raises(WireError, match="unexpected field 'backend'"):
             from_wire(payload)
 
 

@@ -1,4 +1,4 @@
-"""Batched drive fast path: bit-identical to the per-record loop."""
+"""Batched drive loop: every accepted record form drives identically."""
 
 import pytest
 
@@ -8,30 +8,14 @@ from repro.workloads.generator import TraceChunk
 
 SETUP = ExperimentSetup(num_cores=4, accesses_per_core=2_000)
 TOTAL = SETUP.num_cores * SETUP.accesses_per_core
+HALF = TOTAL // 2
 
 
-def _legacy_records(mix):
-    trace = SETUP.trace(mix)
-    return ((r.address, r.is_write, r.icount) for r in trace)
-
-
-@pytest.mark.parametrize("scheme", ["bimodal", "alloy", "fixed512"])
-def test_fast_path_identical_to_legacy(scheme):
-    legacy_cache = build_cache(scheme, SETUP.system)
-    legacy = drive_cache(
-        legacy_cache, _legacy_records("Q1"), window=16, streams=4, warmup=TOTAL // 2
-    )
-    fast_cache = build_cache(scheme, SETUP.system)
-    fast = drive_cache(
-        fast_cache,
-        SETUP.trace_records("Q1"),
-        window=16,
-        streams=4,
-        warmup=TOTAL // 2,
-    )
-    assert fast.stats == legacy.stats
-    assert fast.end_time == legacy.end_time
-    assert fast.accesses == legacy.accesses == TOTAL
+def _halves(chunk):
+    return [
+        TraceChunk(chunk.addresses[:HALF], chunk.is_write[:HALF], chunk.icount[:HALF]),
+        TraceChunk(chunk.addresses[HALF:], chunk.is_write[HALF:], chunk.icount[HALF:]),
+    ]
 
 
 def test_fast_path_accepts_multiprogram_trace():
@@ -49,24 +33,33 @@ def test_fast_path_accepts_multiprogram_trace():
     assert via_trace.stats == via_chunk.stats
 
 
-def test_warmup_boundary_matches_legacy():
-    """reset_stats must fire at the same record index in both paths."""
-    for warmup in (1, 7, TOTAL // 3, TOTAL - 1):
-        legacy = drive_cache(
-            build_cache("bimodal", SETUP.system),
-            _legacy_records("Q1"),
-            window=16,
-            streams=4,
-            warmup=warmup,
-        )
-        fast = drive_cache(
-            build_cache("bimodal", SETUP.system),
-            SETUP.trace_records("Q1"),
-            window=16,
-            streams=4,
-            warmup=warmup,
-        )
-        assert fast.stats == legacy.stats, f"warmup={warmup}"
+@pytest.mark.parametrize("warmup", [0, 1, HALF, HALF + 1, HALF + 2, TOTAL])
+@pytest.mark.parametrize("scheme", ["bimodal", "alloy"])
+def test_chunk_iterable_identical_to_whole_chunk(scheme, warmup):
+    """Splitting the stream never moves the warm-up reset or any stat."""
+    records = SETUP.trace_records("Q1")
+    whole = drive_cache(
+        build_cache(scheme, SETUP.system), records, streams=4, warmup=warmup
+    )
+    split = drive_cache(
+        build_cache(scheme, SETUP.system), _halves(records), streams=4, warmup=warmup
+    )
+    assert split.stats == whole.stats, f"warmup={warmup}"
+    assert split.end_time == whole.end_time
+    assert split.accesses == whole.accesses == TOTAL
+
+
+def test_tuple_records_are_refused_per_chunk():
+    records = SETUP.trace_records("Q1")
+    with pytest.raises(TypeError, match="iterable of tuple"):
+        drive_cache(build_cache("alloy", SETUP.system), iter(records), streams=4)
+
+
+def test_non_chunk_after_a_chunk_is_refused():
+    first, second = _halves(SETUP.trace_records("Q1"))
+    cache = build_cache("alloy", SETUP.system)
+    with pytest.raises(TypeError, match="iterable of list"):
+        drive_cache(cache, [first, list(second)], streams=4)
 
 
 def test_merged_chunks_cover_trace():
@@ -83,9 +76,9 @@ def test_perfbench_smoke():
     """Throughput measurement runs and both modes agree (no timing asserts:
     wall-clock ratios are checked offline, not in tier-1)."""
     setup = ExperimentSetup(num_cores=4, accesses_per_core=1_000)
-    legacy = measure_drive_throughput(setup=setup, mode="legacy", repeats=1)
     fast = measure_drive_throughput(setup=setup, mode="fast", repeats=1)
-    assert legacy.records == fast.records == 4_000
-    assert legacy.stats == fast.stats
-    assert legacy.records_per_second > 0
+    traced = measure_drive_throughput(setup=setup, mode="traced", repeats=1)
+    assert fast.records == traced.records == 4_000
+    assert fast.stats == traced.stats
     assert fast.records_per_second > 0
+    assert traced.records_per_second > 0

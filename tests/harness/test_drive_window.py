@@ -4,8 +4,9 @@
 (``heapq.heappush``/``heapreplace``). Only the *minimum* in-flight
 completion time is ever consumed, so a plain list with a ``min()`` +
 ``list.index`` scan — the original implementation — is semantically
-identical. This test keeps that equivalence pinned across window sizes:
-the reference implementation below is the old list-scan loop, and every
+identical. This test keeps that equivalence pinned across window sizes,
+schemes and warm-up boundaries: the reference implementation below is
+the old list-scan loop over the rich ``access()`` path, and every
 ``DriveResult`` field it produces must match the production loop
 byte for byte.
 """
@@ -114,3 +115,29 @@ def test_heap_window_identical_for_alloy(window):
     )
     assert production.stats == reference.stats
     assert production.end_time == reference.end_time
+
+
+@pytest.mark.parametrize("warmup", [1, 7, TOTAL // 3, TOTAL // 2, TOTAL - 1])
+@pytest.mark.parametrize("scheme", ["bimodal", "alloy", "fixed512"])
+def test_drive_identical_to_list_scan(scheme, warmup):
+    """Every warm-up boundary resets stats before the same record."""
+    records = SETUP.trace_records("Q1")
+    reference = _drive_listmin(
+        build_cache(scheme, SETUP.system),
+        (records,),
+        window=16,
+        min_gap=1,
+        pace=0.6 / 4,
+        stall_scale=1.0 / (2.2 * 4),
+        warmup=warmup,
+    )
+    production = drive_cache(
+        build_cache(scheme, SETUP.system),
+        records,
+        window=16,
+        streams=SETUP.num_cores,
+        warmup=warmup,
+    )
+    assert production.stats == reference.stats, f"warmup={warmup}"
+    assert production.end_time == reference.end_time
+    assert production.accesses == reference.accesses == TOTAL

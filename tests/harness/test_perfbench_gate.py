@@ -24,7 +24,7 @@ def _result(scheme="bimodal", mix="Q1", mode="fast", rps=1000.0):
     )
 
 
-def _history(tmp_path, rps=1000.0):
+def _history(tmp_path, rps=1000.0, later=()):
     path = tmp_path / "BENCH_perf.json"
     path.write_text(json.dumps([
         {
@@ -33,9 +33,21 @@ def _history(tmp_path, rps=1000.0):
                 {"mode": "fast", "scheme": "bimodal", "mix": "Q1",
                  "records_per_second": rps},
             ],
-        }
+        },
+        *later,
     ]))
     return path
+
+
+def _entry(backend, rps):
+    """A later history entry recorded with an explicit ``backend``."""
+    return {
+        "timestamp": "2026-02-01T00:00:00",
+        "measurements": [
+            {"mode": "fast", "scheme": "bimodal", "mix": "Q1",
+             "backend": backend, "records_per_second": rps},
+        ],
+    }
 
 
 class TestGate:
@@ -60,6 +72,18 @@ class TestGate:
     def test_missing_history_file_is_an_error(self, tmp_path, capsys):
         assert gate_against_history([_result()], tmp_path / "none.json") == 2
         assert "no committed baseline" in capsys.readouterr().err
+
+    def test_later_vectorized_row_is_not_a_baseline(self, tmp_path, capsys):
+        # Rows of the removed vectorized engine would trip a scalar cell.
+        path = _history(tmp_path, rps=1000.0, later=[_entry("vectorized", 174_600.0)])
+        assert gate_against_history([_result(rps=950.0)], path) == 0
+        out = capsys.readouterr().out
+        assert "committed 1000 records/sec" in out and "ok" in out
+
+    def test_later_scalar_row_is_the_baseline(self, tmp_path, capsys):
+        path = _history(tmp_path, rps=1000.0, later=[_entry("scalar", 2000.0)])
+        assert gate_against_history([_result(rps=950.0)], path) == 4
+        assert "committed 2000 records/sec" in capsys.readouterr().out
 
     def test_allow_missing_restores_skip(self, tmp_path, capsys):
         path = _history(tmp_path)

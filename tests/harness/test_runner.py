@@ -1,5 +1,6 @@
 """Harness construction and closed-loop drive tests."""
 
+import numpy as np
 import pytest
 
 from repro.bimodal.cache import BiModalCache
@@ -14,6 +15,15 @@ from repro.harness.runner import (
     run_scheme_on_mix,
     scaled_locator_bits,
 )
+from repro.workloads.generator import TraceChunk
+
+
+def _chunk(addresses, is_writes, icount=20):
+    return TraceChunk(
+        np.asarray(addresses, dtype=np.uint64),
+        np.asarray(is_writes, dtype=bool),
+        np.full(len(addresses), icount, dtype=np.uint32),
+    )
 
 
 class TestSetup:
@@ -71,8 +81,9 @@ class TestBuildCache:
 
 class TestDriveCache:
     def _records(self, n=400):
-        for i in range(n):
-            yield (i * 64) % 8192, i % 4 == 0, 20
+        return _chunk(
+            [(i * 64) % 8192 for i in range(n)], [i % 4 == 0 for i in range(n)]
+        )
 
     def test_drive_counts_accesses(self):
         setup = ExperimentSetup()
@@ -101,9 +112,9 @@ class TestDriveCache:
         fast = build_cache("alloy", setup.system, scale=setup.scale)
         slow = build_cache("fixed512", setup.system, scale=setup.scale)
         # conflicting stream -> misses dominate
-        records = [((i * 977 * 64) % (1 << 22), False, 20) for i in range(500)]
-        r_fast = drive_cache(fast, iter(records), streams=4)
-        r_slow = drive_cache(slow, iter(records), streams=4)
+        records = _chunk([(i * 977 * 64) % (1 << 22) for i in range(500)], [False] * 500)
+        r_fast = drive_cache(fast, records, streams=4)
+        r_slow = drive_cache(slow, records, streams=4)
         assert r_slow.end_time > r_fast.end_time * 0.8
 
 

@@ -1,5 +1,6 @@
 """CLI front-end tests (python -m repro)."""
 
+import pytest
 
 from repro.__main__ import _EXPERIMENTS, main
 
@@ -18,19 +19,27 @@ def test_every_listed_experiment_exists():
         assert cores in (4, 8, 16)
 
 
+def _usage_exit(capsys, argv) -> str:
+    """Run an argv argparse must refuse; return its stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_unknown_experiment(capsys):
-    assert main(["figure99"]) == 2
+    assert main(["run", "figure99"]) == 2
     assert "unknown experiment" in capsys.readouterr().err
 
 
 def test_static_experiment_prints_table(capsys):
-    assert main(["table1"]) == 0
+    assert main(["run", "table1"]) == 0
     out = capsys.readouterr().out
     assert "bimodal" in out
 
 
 def test_dynamic_experiment_with_mixes(capsys):
-    assert main(["fig2", "--mixes", "Q2", "--accesses", "1500"]) == 0
+    assert main(["run", "fig2", "--mixes", "Q2", "--accesses", "1500"]) == 0
     out = capsys.readouterr().out
     assert "Q2" in out and "u8" in out
 
@@ -42,12 +51,10 @@ class TestSubcommands:
         assert "bimodal" in captured.out
         assert "deprecated" not in captured.err
 
-    def test_legacy_invocation_notes_deprecation(self, capsys):
-        assert main(["table1"]) == 0
-        captured = capsys.readouterr()
-        assert "bimodal" in captured.out
-        assert "deprecated" in captured.err
-        assert "repro run table1" in captured.err
+    def test_positional_experiment_is_a_usage_error(self, capsys):
+        # The experiment id is spelled after `run`; a bare id is refused.
+        err = _usage_exit(capsys, ["table1"])
+        assert "invalid choice: 'table1'" in err
 
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "figure99"]) == 2
@@ -108,27 +115,13 @@ class TestSubcommands:
         assert main(["dse", "--sample-rate", "0"]) == 2
         assert "sample_rate" in capsys.readouterr().err
 
-    def test_explicit_backend_flag_does_not_warn(self, monkeypatch, capsys):
-        # Satellite contract: threading the backend through the request
-        # (--backend) must not trip the legacy REPRO_BACKEND shim even
-        # when the deprecated variable is also set.
-        import warnings
-
-        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main([
-                "run", "fig2", "--mixes", "Q2", "--accesses", "800",
-                "--backend", "scalar",
-            ]) == 0
-        capsys.readouterr()
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
+    def test_backend_flag_is_gone(self, capsys):
+        err = _usage_exit(capsys, ["run", "fig2", "--backend", "scalar"])
+        assert "unrecognized arguments: --backend" in err
 
     def test_jobs_flag_does_not_leak_env(self, monkeypatch, capsys):
-        # The api facade scopes REPRO_JOBS/REPRO_BACKEND to the request
-        # (workers inherit them) and restores the environment after.
+        # The api facade scopes REPRO_JOBS to the request (workers
+        # inherit it) and restores the environment after.
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         import os
 
