@@ -58,6 +58,13 @@ fi
 echo "== tier-1 test suite =="
 python -m pytest -x -q
 
+echo "== benchmark smoke (repobench) =="
+# Every repobench workload at a tiny size, untraced and traced. The
+# benchmark wraps names in src (repro.mrc.dse.sample_addresses,
+# materialized_columns, build_cache, drive_cache); a refactor that
+# breaks one fails here instead of at the next benchmark run.
+python3 -m pytest repobench/test_smoke.py -q
+
 echo "== fault-tolerance smoke =="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SMOKE_DIR}"' EXIT

@@ -34,7 +34,7 @@ from repro.mrc.dse import (  # noqa: E402
     dse_sim_cell,
     run_design_space,
 )
-from repro.mrc.ghost import GhostCache  # noqa: E402
+from repro.mrc.ghost import LRUGhost, ghost_pass  # noqa: E402
 from repro.sram.cache import SetAssociativeCache  # noqa: E402
 from repro.workloads.trace_cache import materialized_columns  # noqa: E402
 
@@ -64,9 +64,11 @@ def check_exactness(setup: ExperimentSetup) -> None:
     capacity = setup.system.dram_cache.capacity
     for mix in MIXES:
         stream = addresses_for(setup, mix).tolist()
-        for block_size in (64, 512):
-            ghost = GhostCache(capacity, 8, block_size)
-            ghost.consume(stream)
+        block_sizes = (64, 512)
+        counts = ghost_pass(
+            stream, [LRUGhost(capacity, 8, block_size) for block_size in block_sizes]
+        ).counts
+        for block_size, ghost in zip(block_sizes, counts):
             reference = SetAssociativeCache(capacity, 8, block_size, policy="lru")
             for address in stream:
                 reference.access(address)
@@ -90,11 +92,11 @@ def check_accuracy(setup: ExperimentSetup) -> None:
     warmup_fraction = 0.5
     for mix in MIXES:
         stream = addresses_for(setup, mix).tolist()
-        ghost = GhostCache(
-            point.cache_mb << 20, point.associativity, point.block_size
-        )
-        ghost.consume(stream, int(len(stream) * warmup_fraction))
-        estimated = ghost.hit_rate
+        ghost = LRUGhost(point.cache_mb << 20, point.associativity, point.block_size)
+        [count] = ghost_pass(
+            stream, [ghost], warmup=int(len(stream) * warmup_fraction)
+        ).counts
+        estimated = count.hit_rate
         timed = dse_sim_cell(
             DseSimCell(
                 point=point,

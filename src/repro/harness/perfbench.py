@@ -43,7 +43,7 @@ from repro.api.errors import EXIT_OK, EXIT_PERF_GATE, EXIT_USAGE
 
 from repro.harness.runner import ExperimentSetup, build_cache, drive_cache
 from repro.harness.schemes import available_schemes
-from repro.obs import Tracer, install
+from repro.obs import Tracer, get_metrics, install
 from repro.workloads.mixes import mixes_for_cores
 
 __all__ = [
@@ -209,12 +209,13 @@ def measure_mrc_throughput(
 
     The timed unit is :func:`repro.mrc.dse.dse_estimate_cell` — the
     estimation phase of ``repro dse``: every default design point's
-    ghost driven over the mix's materialized address column in one
-    O(trace) walk. ``extra`` records the driver's cost accounting for
-    the pass: frontier size, full simulations avoided and the resulting
-    speedup over the exhaustive grid (same formulas as
-    ``run_design_space``), so both acceptance numbers land in the
-    committed history.
+    ghost resolved over the mix's materialized address column in one
+    shared ghost pass. ``extra`` records the design points, the
+    distinct ghost walks the pass ran (the ``mrc.ghosts`` counter) and
+    the driver's cost accounting for the pass: frontier size, full
+    simulations avoided and the resulting speedup over the exhaustive
+    grid (same formulas as ``run_design_space``), so both acceptance
+    numbers land in the committed history.
     """
     from repro.mrc.dse import (
         DseEstimateCell,
@@ -231,12 +232,15 @@ def measure_mrc_throughput(
     total = setup.accesses_per_core * setup.num_cores
     best = float("inf")
     rows: list = []
+    metrics = get_metrics()
+    walks = metrics.counters().get("mrc.ghosts", 0)
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
         rows = dse_estimate_cell(cell)
         elapsed = time.perf_counter() - start
         if elapsed < best:
             best = elapsed
+    walks = (metrics.counters().get("mrc.ghosts", 0) - walks) // max(1, repeats)
     rates = [h / a if a else 0.0 for h, a, _, _ in rows]
     frontier = pareto_frontier(list(space), rates)
     survivors = max(1, (len(frontier) + 1) // 2)
@@ -251,11 +255,12 @@ def measure_mrc_throughput(
         records_per_second=total / best if best else 0.0,
         repeats=max(1, repeats),
         stats={
-            "ghosts": len(space),
+            "ghosts": walks,
             "best_est_hit_rate": round(max(rates), 6) if rates else 0.0,
         },
         extra={
-            "ghosts": len(space),
+            "points": len(space),
+            "ghosts": walks,
             "frontier_size": len(frontier),
             "full_sims_avoided": round(exhaustive - spent, 2),
             "dse_speedup": round(exhaustive / spent, 2) if spent else 0.0,
@@ -510,7 +515,8 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"{result.mode:>6}: {result.records_per_second:10.0f}"
                 f" records/sec  ({result.records} records,"
-                f" {result.extra['ghosts']} ghosts, best of {result.repeats};"
+                f" {result.extra['points']} points, {result.extra['ghosts']} ghost"
+                f" walks, best of {result.repeats};"
                 f" {result.extra['full_sims_avoided']:g} full sims avoided,"
                 f" {result.extra['dse_speedup']:g}x dse speedup)"
             )

@@ -70,25 +70,14 @@ class SchemeBuildContext:
 
 SchemeBuilder = Callable[[SchemeBuildContext], DRAMCacheBase]
 
-# capacity (bytes) -> tag-only hit-rate model (see repro.mrc.ghost)
-GhostAdapter = Callable[[int], object]
-
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """A registered scheme: its builder plus display metadata.
-
-    ``ghost`` maps a capacity in bytes to the scheme's tag-only
-    hit-rate model for the MRC engine (:mod:`repro.mrc`); ``None``
-    means the scheme has no ghost estimate. Adapters are declared
-    approximations — each one's fidelity is stated where it is
-    registered and measured in ``docs/dse.md``.
-    """
+    """A registered scheme: its builder plus display metadata."""
 
     name: str
     builder: SchemeBuilder
     description: str = ""
-    ghost: GhostAdapter | None = None
 
 
 class UnknownSchemeError(ValueError):
@@ -110,19 +99,13 @@ def register_scheme(
     builder: SchemeBuilder,
     *,
     description: str = "",
-    ghost: GhostAdapter | None = None,
     overwrite: bool = False,
 ) -> SchemeSpec:
     """Register ``builder`` under ``name`` (idempotent re-registration
     requires ``overwrite=True``)."""
     if name in _REGISTRY and not overwrite:
         raise ValueError(f"scheme {name!r} already registered")
-    spec = SchemeSpec(
-        name=name,
-        builder=builder,
-        description=description,
-        ghost=ghost,
-    )
+    spec = SchemeSpec(name=name, builder=builder, description=description)
     _REGISTRY[name] = spec
     return spec
 
@@ -176,76 +159,43 @@ def _bimodal_variant(**overrides) -> SchemeBuilder:
     return build
 
 
-# Ghost adapters (lazy imports keep scheme registration numpy/mrc-free
-# for callers that never estimate). Fidelity notes:
-# * set-associative LRU ghosts are exact for fixed-geometry schemes
-#   whose hit rate ignores timing (alloy, fixed512/wayloc-only);
-# * lohhill/atcache share a 29-way geometry — the ghost rounds the set
-#   count to a power of two (approximate; GhostCache.approximate);
-# * footprint's page-grain residency bounds its hit rate from above
-#   (footprint misses fetch-on-demand inside a resident page);
-# * bimodal adaptives report the best fixed (X, Y) state — an
-#   optimistic bracket of the re-partitioning dynamics (docs/dse.md).
-def _ghost_lru(associativity: int, block_size: int) -> GhostAdapter:
-    def make(capacity: int):
-        from repro.mrc.ghost import GhostCache
-
-        return GhostCache(capacity, associativity, block_size)
-
-    return make
-
-
-def _ghost_bimodal(capacity: int):
-    from repro.mrc.ghost import AdaptiveGhost
-
-    return AdaptiveGhost(capacity)
-
-
 register_scheme(
     "alloy",
     lambda ctx: AlloyCache(ctx.system.dram_cache, ctx.offchip),
     description="AlloyCache: direct-mapped, 64 B TAD units (baseline)",
-    ghost=_ghost_lru(1, 64),
 )
 register_scheme(
     "lohhill",
     lambda ctx: LohHillCache(ctx.system.dram_cache, ctx.offchip),
     description="Loh-Hill: 29-way set-associative, tags-in-DRAM",
-    ghost=_ghost_lru(29, 64),
 )
 register_scheme(
     "atcache",
     lambda ctx: ATCache(ctx.system.dram_cache, ctx.offchip),
     description="ATCache: SRAM tag cache over a set-associative DRAM cache",
-    ghost=_ghost_lru(29, 64),
 )
 register_scheme(
     "footprint",
     lambda ctx: FootprintCache(ctx.system.dram_cache, ctx.offchip),
     description="Footprint Cache: 2 KB pages, predicted-block fetch",
-    ghost=_ghost_lru(8, 2048),
 )
 register_scheme(
     "bimodal",
     _bimodal_variant(),
     description="Bi-Modal cache: adaptive big/small blocks + way locator",
-    ghost=_ghost_bimodal,
 )
 register_scheme(
     "wayloc-only",
     _bimodal_variant(enable_bimodal=False),
     description="Bi-Modal with only the way locator (fixed 512 B blocks)",
-    ghost=_ghost_lru(4, 512),
 )
 register_scheme(
     "bimodal-only",
     _bimodal_variant(enable_way_locator=False),
     description="Bi-Modal block sizing without the way locator",
-    ghost=_ghost_bimodal,
 )
 register_scheme(
     "fixed512",
     _bimodal_variant(enable_bimodal=False, enable_way_locator=False),
     description="Fixed 512 B blocks, no locator (Figure 9a/8b baseline)",
-    ghost=_ghost_lru(4, 512),
 )

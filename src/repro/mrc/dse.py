@@ -6,8 +6,8 @@ policy) point per mix. This driver spends that budget only where it
 matters:
 
 1. **Estimate** — one ghost pass per mix ranks every design point by
-   estimated post-warmup hit rate (a few dict probes per record; see
-   :mod:`repro.mrc.engine`).
+   estimated post-warmup hit rate (a few dict probes per record per
+   distinct walk; see :mod:`repro.mrc.ghost`).
 2. **Prune** — only the estimated Pareto frontier (maximize hit rate,
    minimize capacity) graduates to timing simulation, capped at
    ``max_frontier`` points.
@@ -39,8 +39,8 @@ from repro.harness.runner import (
     drive_cache,
     scaled_locator_bits,
 )
-from repro.mrc.engine import MRCSpec, mrc_pass, sample_addresses
-from repro.mrc.ghost import AdaptiveGhost, GhostCache
+from repro.mrc.engine import MRCSpec, mrc_pass, record_pass_metrics, sample_addresses
+from repro.mrc.ghost import AdaptiveGhost, LRUGhost, ghost_pass
 from repro.workloads.trace_cache import materialized_columns
 
 __all__ = [
@@ -96,15 +96,16 @@ def default_space() -> tuple[DesignPoint, ...]:
     )
 
 
-def _point_ghost(point: DesignPoint, capacity: int):
+def _point_ghost(point: DesignPoint) -> AdaptiveGhost | LRUGhost:
     """The tag-only model estimating ``point``'s hit rate."""
+    capacity = point.cache_mb << 20
     if point.policy == "adaptive":
         return AdaptiveGhost(
             capacity,
             set_size=point.block_size * point.associativity,
             big_block_size=point.block_size,
         )
-    return GhostCache(capacity, point.associativity, point.block_size)
+    return LRUGhost(capacity, point.associativity, point.block_size)
 
 
 # ----------------------------------------------------------------------
@@ -124,9 +125,10 @@ class DseEstimateCell:
 def dse_estimate_cell(cell: DseEstimateCell) -> list:
     """Worker: per-point ``[hits, accesses, best_x, best_y]`` rows.
 
-    Consumes the shared materialized address column once (sampled by
-    the seeded frame hash), driving every point's ghost over the same
-    sub-stream with the timing drive's warm-up boundary.
+    Samples the shared materialized address column once (seeded frame
+    hash) and resolves every point's ghost in one shared
+    :func:`~repro.mrc.ghost.ghost_pass` over that sub-stream, with the
+    timing drive's warm-up boundary and the pass's capacity scaling.
     """
     setup = cell.setup
     addresses, _, _ = materialized_columns(
@@ -139,20 +141,14 @@ def dse_estimate_cell(cell: DseEstimateCell) -> list:
     stream = sample_addresses(addresses, cell.sample_rate, setup.seed)
     n = len(stream)
     warmup = int(n * cell.warmup_fraction) if cell.warmup_fraction else 0
-    rows = []
-    for point in cell.space:
-        ghost = _point_ghost(point, point.cache_mb << 20)
-        ghost.consume(stream, warmup)
-        best = ghost.best_state if isinstance(ghost, AdaptiveGhost) else (0, 0)
-        rows.append([ghost.hits, ghost.accesses, best[0], best[1]])
-    from repro.obs import get_metrics
-
-    metrics = get_metrics()
-    metrics.add("mrc.passes")
-    metrics.add("mrc.records", len(addresses))
-    metrics.add("mrc.sampled_records", n)
-    metrics.add("mrc.ghosts", len(cell.space))
-    return rows
+    result = ghost_pass(
+        stream,
+        [_point_ghost(point) for point in cell.space],
+        warmup=warmup,
+        sample_rate=cell.sample_rate,
+    )
+    record_pass_metrics(len(addresses), n, result.walks)
+    return [[c.hits, c.accesses, *c.best_state] for c in result.counts]
 
 
 # ----------------------------------------------------------------------

@@ -3,12 +3,12 @@
 The grid experiments pay one full timing simulation per design point —
 O(configs × trace). This engine answers the *hit-rate* part of every
 sweep in a single O(trace) pass: the materialized address column (the
-zero-copy SoA view from ``trace_cache.materialized_columns()``) is
-walked once per ghost, and each tag-only ghost cache costs a couple of
-dict probes per record, so the whole capacity × block-size ×
-associativity × (X, Y) family resolves for less than one timing cell
-(measured in ``BENCH_perf.json`` under the ``mrc`` perfbench mode;
-analysis in ``docs/dse.md``).
+zero-copy SoA view from ``trace_cache.materialized_columns()``) goes
+through :func:`repro.mrc.ghost.ghost_pass`, which decodes it once per
+geometry and runs each distinct tag-only walk once, so the whole
+capacity × block-size × associativity × (X, Y) family resolves for less
+than one timing cell (measured in ``BENCH_perf.json`` under the ``mrc``
+perfbench mode; analysis in ``docs/dse.md``).
 
 Sampling
 --------
@@ -19,11 +19,11 @@ geometry sees a consistent sub-stream and reuse distances inside kept
 frames survive intact. The hash is a seed-salted splitmix64 finalizer
 over the frame number — never ``hash()`` or ambient entropy, so a
 (seed, rate) pair always selects the same records (the ``determinism``
-simlint rule enforces this for the whole package). Ghost capacities are
-scaled by the sampling rate (rounded to the nearest power of two) so a
-sampled pass estimates the *full-trace* curve; each curve point carries
-a binomial standard error ``sqrt(p(1-p)/n)`` over its sampled access
-count. Bounds and methodology: ``docs/dse.md``.
+simlint rule enforces this for the whole package). The ghost pass
+scales ghost capacities by the sampling rate (rounded to the nearest
+power of two) so a sampled pass estimates the *full-trace* curve; each
+curve point carries a binomial standard error ``sqrt(p(1-p)/n)`` over
+its sampled access count. Bounds and methodology: ``docs/dse.md``.
 """
 
 from __future__ import annotations
@@ -31,12 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.mrc.ghost import AdaptiveGhost, GhostCache
+import numpy as np
 
-try:  # numpy accelerates sampling; the scalar path is identical.
-    import numpy as np
-except ImportError:  # pragma: no cover - baked into the image
-    np = None
+from repro.mrc.ghost import AdaptiveGhost, GhostCount, LRUGhost, ghost_pass
 
 __all__ = [
     "CurvePoint",
@@ -153,7 +150,7 @@ def sample_addresses(addresses, rate: float, seed: int) -> list[int]:
         return addresses.tolist() if hasattr(addresses, "tolist") else list(addresses)
     threshold = int(rate * (1 << 24))
     salt = (seed * _SEED_MIX) & _MASK64
-    if np is not None and isinstance(addresses, np.ndarray):
+    if isinstance(addresses, np.ndarray):
         a = addresses.astype(np.uint64, copy=False)
         h = (a >> np.uint64(_FRAME_BITS)) ^ np.uint64(salt)
         h = (h ^ (h >> np.uint64(30))) * np.uint64(_MIX_A)
@@ -173,25 +170,24 @@ def sample_addresses(addresses, rate: float, seed: int) -> list[int]:
     return kept
 
 
-def _pow2_scale(value: int, rate: float, minimum: int) -> int:
-    """``value·rate`` rounded to the nearest power of two, floored.
-
-    Sampled passes shrink ghost capacity in proportion to the kept
-    fraction of the address space (the SHARDS capacity correction);
-    exact for rates that are powers of 1/2, nearest-pow2 otherwise.
-    """
-    target = max(minimum, value * rate)
-    exponent = round(math.log2(target))
-    return max(minimum, 1 << exponent)
-
-
-def _point(param, ghost, *, sampled: bool) -> CurvePoint:
-    n = ghost.accesses
-    p = ghost.hit_rate
+def _point(param, count: GhostCount, *, sampled: bool) -> CurvePoint:
+    n = count.accesses
+    p = count.hit_rate
     stderr = math.sqrt(p * (1.0 - p) / n) if (sampled and n) else 0.0
     return CurvePoint(
-        param=param, hits=ghost.hits, accesses=n, hit_rate=p, stderr=stderr
+        param=param, hits=count.hits, accesses=n, hit_rate=p, stderr=stderr
     )
+
+
+def record_pass_metrics(total: int, sampled: int, walks: int) -> None:
+    """Count one ghost pass: records in, records kept, distinct walks run."""
+    from repro.obs import get_metrics
+
+    metrics = get_metrics()
+    metrics.add("mrc.passes")
+    metrics.add("mrc.records", total)
+    metrics.add("mrc.sampled_records", sampled)
+    metrics.add("mrc.ghosts", walks)
 
 
 def mrc_pass(addresses, spec: MRCSpec) -> MRCResult:
@@ -199,73 +195,47 @@ def mrc_pass(addresses, spec: MRCSpec) -> MRCResult:
 
     ``addresses`` is any integer sequence — canonically the first
     column of ``trace_cache.materialized_columns()``. Returns the four
-    curves of :class:`MRCResult`; cost is O(sampled records × ghosts)
-    dict probes and nothing else.
+    curves of :class:`MRCResult`; cost is one shared
+    :func:`~repro.mrc.ghost.ghost_pass` over the sampled records.
     """
     spec.validate()
     total = len(addresses)
     stream = sample_addresses(addresses, spec.sample_rate, spec.seed)
-    sampled = spec.sample_rate < 1.0
     n = len(stream)
     warmup = int(n * spec.warmup_fraction) if spec.warmup_fraction else 0
 
-    def scaled(capacity: int, minimum: int) -> int:
-        if not sampled:
-            return capacity
-        return _pow2_scale(capacity, spec.sample_rate, minimum)
-
-    ghosts: list[tuple[str, int | str, object]] = []
+    requests: list[tuple[str, int, object]] = []
     for capacity in spec.capacities:
-        floor = spec.base_block_size * spec.base_associativity
-        ghost = GhostCache(
-            scaled(capacity, floor), spec.base_associativity, spec.base_block_size
-        )
-        ghosts.append(("capacity", capacity, ghost))
+        ghost = LRUGhost(capacity, spec.base_associativity, spec.base_block_size)
+        requests.append(("capacity", capacity, ghost))
     for block_size in spec.block_sizes:
-        floor = block_size * spec.base_associativity
-        ghost = GhostCache(
-            scaled(spec.base_capacity, floor),
-            spec.base_associativity,
-            block_size,
-        )
-        ghosts.append(("block_size", block_size, ghost))
+        ghost = LRUGhost(spec.base_capacity, spec.base_associativity, block_size)
+        requests.append(("block_size", block_size, ghost))
     for assoc in spec.associativities:
-        floor = spec.base_block_size * assoc
-        ghost = GhostCache(
-            scaled(spec.base_capacity, floor), assoc, spec.base_block_size
-        )
-        ghosts.append(("associativity", assoc, ghost))
+        ghost = LRUGhost(spec.base_capacity, assoc, spec.base_block_size)
+        requests.append(("associativity", assoc, ghost))
     for capacity in spec.xy_capacities:
         ghost = AdaptiveGhost(
-            scaled(capacity, spec.set_size),
-            set_size=spec.set_size,
-            big_block_size=spec.big_block_size,
+            capacity, set_size=spec.set_size, big_block_size=spec.big_block_size
         )
-        ghosts.append(("xy", capacity, ghost))
+        requests.append(("xy", capacity, ghost))
 
-    for _, _, ghost in ghosts:
-        ghost.consume(stream, warmup)
-
+    result = ghost_pass(
+        stream,
+        [ghost for _, _, ghost in requests],
+        warmup=warmup,
+        sample_rate=spec.sample_rate,
+    )
+    sampled = spec.sample_rate < 1.0
     curves: dict[str, list[CurvePoint]] = {
         "capacity": [], "block_size": [], "associativity": [], "xy": []
     }
     best_xy: dict[int, tuple[int, int]] = {}
-    ghost_count = 0
-    for axis, param, ghost in ghosts:
-        curves[axis].append(_point(param, ghost, sampled=sampled))
+    for (axis, param, ghost), count in zip(requests, result.counts):
+        curves[axis].append(_point(param, count, sampled=sampled))
         if isinstance(ghost, AdaptiveGhost):
-            best_xy[param] = ghost.best_state
-            ghost_count += len(ghost.ghosts)
-        else:
-            ghost_count += 1
-
-    from repro.obs import get_metrics
-
-    metrics = get_metrics()
-    metrics.add("mrc.passes")
-    metrics.add("mrc.records", total)
-    metrics.add("mrc.sampled_records", n)
-    metrics.add("mrc.ghosts", ghost_count)
+            best_xy[param] = count.best_state
+    record_pass_metrics(total, n, result.walks)
 
     return MRCResult(
         capacity=tuple(curves["capacity"]),
@@ -277,5 +247,5 @@ def mrc_pass(addresses, spec: MRCSpec) -> MRCResult:
         sampled_records=n,
         sample_rate=spec.sample_rate,
         seed=spec.seed,
-        ghosts=ghost_count,
+        ghosts=result.walks,
     )

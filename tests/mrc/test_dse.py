@@ -12,6 +12,8 @@ from repro.mrc.dse import (
     pareto_frontier,
     run_design_space,
 )
+from repro.mrc.engine import MRCSpec, mrc_pass
+from repro.obs import get_metrics
 
 TINY = ExperimentSetup(num_cores=4, accesses_per_core=800)
 
@@ -91,6 +93,59 @@ class TestEstimateCell:
                 assert (best_x, best_y) == (0, 0)
             else:
                 assert (best_x, best_y) != (0, 0)
+
+    def test_ghosts_counts_distinct_walks(self):
+        # 18 fixed points + 18 adaptive points of 3 or 5 (X, Y) states
+        # would be 90 walks; each adaptive point's Y = 0 state is its
+        # fixed twin's LRU walk, so the pass runs 72.
+        before = get_metrics().counters().get("mrc.ghosts", 0)
+        dse_estimate_cell(
+            DseEstimateCell(mix="Q1", setup=TINY, space=default_space())
+        )
+        assert get_metrics().counters()["mrc.ghosts"] - before == 72
+
+    @pytest.mark.parametrize("rate", [0.5, 0.25])
+    def test_sampled_rows_match_mrc_pass(self, rate):
+        # Both callers share one SHARDS capacity scaling: a sampled dse
+        # row is the matching mrc_pass curve point. Q23 at 4 cores × 4k
+        # is large enough that the scaled capacities change the rows.
+        setup = ExperimentSetup(num_cores=4, accesses_per_core=4000)
+        space = default_space()
+        rows = dse_estimate_cell(
+            DseEstimateCell(mix="Q23", setup=setup, space=space, sample_rate=rate)
+        )
+        addresses = setup.trace_records("Q23").addresses
+        capacities = tuple(sorted({p.cache_mb << 20 for p in space}))
+        for block_size, assoc in sorted({(p.block_size, p.associativity) for p in space}):
+            result = mrc_pass(
+                addresses,
+                MRCSpec(
+                    capacities=capacities,
+                    xy_capacities=capacities,
+                    base_block_size=block_size,
+                    base_associativity=assoc,
+                    set_size=block_size * assoc,
+                    big_block_size=block_size,
+                    sample_rate=rate,
+                    seed=setup.seed,
+                    warmup_fraction=0.5,
+                ),
+            )
+            fixed = {p.param: p for p in result.capacity}
+            xy = {p.param: p for p in result.xy}
+            for point, row in zip(space, rows):
+                if (point.block_size, point.associativity) != (block_size, assoc):
+                    continue
+                capacity = point.cache_mb << 20
+                if point.policy == "fixed":
+                    expected = [fixed[capacity].hits, fixed[capacity].accesses, 0, 0]
+                else:
+                    expected = [
+                        xy[capacity].hits,
+                        xy[capacity].accesses,
+                        *result.best_xy[capacity],
+                    ]
+                assert row == expected, point.label()
 
 
 class TestRunDesignSpace:

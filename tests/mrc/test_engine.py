@@ -5,7 +5,8 @@ import pytest
 
 from repro.harness.runner import ExperimentSetup
 from repro.mrc.engine import MRCSpec, mrc_pass, sample_addresses
-from repro.mrc.ghost import GhostCache
+from repro.obs import get_metrics
+from tests.mrc.oracle import GhostCache
 
 SETUP = ExperimentSetup(num_cores=4, accesses_per_core=1500)
 
@@ -96,6 +97,21 @@ class TestMrcPass:
         # One (X, Y) sweep fans out to a ghost per allowed state.
         assert result.ghosts > 6
         assert set(result.best_xy) == {1 << 20}
+
+    def test_ghosts_counts_distinct_walks(self, addresses):
+        # The 1 MB 4-way 512 B LRU point is the (4, 0) state of the
+        # 1 MB (X, Y) sweep: three states plus the 64 B point run, not
+        # five ghosts.
+        spec = MRCSpec(
+            block_sizes=(64, 512),
+            base_capacity=1 << 20,
+            base_associativity=4,
+            xy_capacities=(1 << 20,),
+        )
+        before = get_metrics().counters().get("mrc.ghosts", 0)
+        result = mrc_pass(addresses, spec)
+        assert result.ghosts == 4
+        assert get_metrics().counters()["mrc.ghosts"] - before == 4
 
     def test_full_rate_points_are_exact(self, addresses):
         # At sample rate 1.0 a curve point is the literal ghost walk —
