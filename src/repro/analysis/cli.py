@@ -53,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro lint",
         description=(
             "whole-program invariant checker: determinism (syntactic and "
-            "taint-flow), hot-path purity, fast/reference parity, scheme-"
-            "registry completeness, stats-protocol stability, __slots__, "
+            "taint-flow), hot-path purity, scheme-registry completeness, "
+            "stats-protocol stability, __slots__, "
             "async event-loop safety and fork safety "
             "(see docs/static-analysis.md)"
         ),

@@ -10,7 +10,7 @@ Three layers:
   references without guessing;
 * :class:`ProjectModel` — the cross-file view (class hierarchy,
   dataclass inventory, scheme-registry instantiations) that the
-  project-level rules (scheme-registry, parity, slots) query.
+  project-level rules (scheme-registry, slots) query.
 """
 
 from __future__ import annotations

@@ -81,7 +81,6 @@ from repro.analysis.rules import (  # noqa: E402
     determinism_flow,
     fork_safety,
     hotpath,
-    parity,
     scheme_registry,
     slots,
     stats_protocol,
@@ -94,7 +93,6 @@ _ = (
     determinism_flow,
     fork_safety,
     hotpath,
-    parity,
     scheme_registry,
     slots,
     stats_protocol,

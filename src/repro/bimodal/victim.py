@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.dramcache.base import DRAMCacheAccess
 from repro.bimodal.cache import BiModalCache
 
 __all__ = ["VictimBuffer", "VictimProbeWrapper"]
@@ -101,14 +100,6 @@ class VictimProbeWrapper:
         else:
             self.buffer.remove(address)
         return complete
-
-    def access(self, address: int, now: int, *, is_write: bool = False) -> DRAMCacheAccess:
-        result = self.cache.access(address, now, is_write=is_write)
-        if not result.hit:
-            self.buffer.probe(address)
-        else:
-            self.buffer.remove(address)
-        return result
 
     @property
     def victim_hit_fraction(self) -> float:

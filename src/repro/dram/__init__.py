@@ -1,18 +1,10 @@
-"""DRAM substrate: bank/channel timing, devices, memory controller."""
+"""DRAM substrate: the timing device, memory controller and test oracle."""
 
-from repro.dram.bank import Bank, BankAccess, RowOutcome
-from repro.dram.channel import Channel, ChannelAccess, build_channels
 from repro.dram.controller import MemoryController
 from repro.dram.device import DRAMDevice, DRAMLocation
 from repro.dram.reference import ReferenceAccess, ReferenceBank
 
 __all__ = [
-    "Bank",
-    "BankAccess",
-    "RowOutcome",
-    "Channel",
-    "ChannelAccess",
-    "build_channels",
     "MemoryController",
     "DRAMDevice",
     "DRAMLocation",

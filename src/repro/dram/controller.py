@@ -1,16 +1,18 @@
 """Off-chip memory controller.
 
-Approximates the paper's FR-FCFS, open-page controller (Table IV) at
-access granularity:
+Models the paper's open-page controller (Table IV) at access
+granularity:
 
-* *open-page / row-hit-first* behaviour comes from the per-bank open-row
-  state — requests that hit an open row pay CAS only, which is the
-  first-ready prioritization FR-FCFS provides in steady state;
-* *queueing* is modeled by a bounded per-channel in-flight window (the
-  256-entry command queue of Table IV): a request arriving at a full
-  queue waits for the oldest in-flight access to complete;
+* *open-page*: each bank keeps its row open after an access, so a
+  request to the open row pays CAS only (:class:`DRAMDevice`);
+* *in-order service at each bank*: a request waits for the bank's
+  previous command; nothing is reordered, so a later row hit never
+  overtakes an earlier row miss (no FR-FCFS scheduling);
+* *a bounded in-flight window per channel* (the 256-entry command queue
+  of Table IV): a request arriving at a full queue waits for the oldest
+  in-flight access to complete;
 * *bank/bus contention* is inherent in the bank busy-until and shared
-  data-bus occupancy of the substrate.
+  data-bus occupancy of the device.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from collections import deque
 
 from repro.common.config import DRAMGeometry, DRAMTimingConfig
 from repro.common.stats import RunningMean
-from repro.dram.channel import ChannelAccess
 from repro.dram.device import DRAMDevice
 
 __all__ = ["MemoryController"]
@@ -97,29 +98,6 @@ class MemoryController:
         self._track(channel, end)
         self.writes += 1
         return end
-
-    def read(self, address: int, now: int, *, bursts: int = 1) -> ChannelAccess:
-        """Rich wrapper: same queueing and stats as :meth:`read_fast`.
-
-        The returned record's ``request_time`` is the queue-delayed issue
-        time (matching the device-level convention), so this cannot be a
-        trivial wrapper around the int-returning fast path.
-        """
-        channel = self.device.channel_of(address)
-        start = self._queue_delayed_time(channel, now)
-        access = self.device.read(address, start, bursts=bursts)
-        self._track(channel, access.data_end)
-        self.reads += 1
-        self.read_latency.add(access.data_end - now)
-        return access
-
-    def write(self, address: int, now: int, *, bursts: int = 1) -> ChannelAccess:
-        channel = self.device.channel_of(address)
-        start = self._queue_delayed_time(channel, now)
-        access = self.device.write(address, start, bursts=bursts)
-        self._track(channel, access.data_end)
-        self.writes += 1
-        return access
 
     @property
     def bytes_transferred(self) -> int:

@@ -7,28 +7,28 @@ Used twice in the system:
   interleaving (Table IV) — ranks are folded into the bank dimension; and
 * as the **stacked DRAM** of the cache, where organizations compute their
   own (channel, bank, row) placement (e.g. the Bi-Modal metadata bank) and
-  use :meth:`DRAMDevice.access_direct`.
+  use :meth:`DRAMDevice.access_direct_fast`.
 
 Timing kernel
 -------------
 The device *is* the per-access timing kernel: all bank state (open row,
 ready time, refresh clock, row-buffer counters) and channel state (bus
 free time, busy cycles) live in flat lists indexed by
-``channel * banks_per_channel + bank``, and one flat method
-(:meth:`_timed`) resolves an access end to end — row-buffer case, CAS,
-refresh, bus serialization — without allocating any intermediate
-objects. The ``*_fast`` entry points return the plain-int data-end time
-and leave the row-buffer outcome and data-start in the ``last_outcome``
-/ ``last_data_start`` scratch attributes; the rich entry points
-(:meth:`read`, :meth:`write`, :meth:`access_direct`,
-:meth:`column_direct`) wrap the same kernel and build the
-:class:`~repro.dram.channel.ChannelAccess` record tests and tools
-consume. The standalone :class:`~repro.dram.bank.Bank` /
-:class:`~repro.dram.channel.Channel` classes model exactly the same
-contract object-per-bank; ``tests/dram/test_reference_validation.py``
-cross-checks kernel, object model and the command-level
-:class:`~repro.dram.reference.ReferenceBank` against each other so the
-implementations cannot drift.
+``channel * banks_per_channel + bank``. One private method,
+:meth:`_timed_fast`, resolves an access end to end — refresh, row-buffer
+case, CAS, bus serialization — without allocating. ``read_fast``,
+``write_fast`` and ``access_direct_fast`` call it;
+``activate_direct`` (ACT only) and ``column_direct_fast`` (CAS only)
+are the two halves of the Bi-Modal parallel tag/data issue. Every entry
+returns the plain-int data-end (or row-open) time and leaves the
+row-buffer outcome (0 hit / 1 closed / 2 conflict) and the data-start in
+the ``last_outcome`` / ``last_data_start`` scratch attributes.
+
+The model is open-page with in-order service at each bank: a request
+waits for the bank's previous command, then pays CAS (hit), ACT + CAS
+(closed) or PRE + ACT + CAS (conflict). ``tests/dram/test_kernel_validation.py``
+checks every entry point against the command-level
+:class:`~repro.dram.reference.ReferenceBank`.
 
 Address decode is pure mask/shift: the field widths are precomputed in
 ``__init__`` and the modulo fold for non-power-of-two channel/bank
@@ -41,17 +41,12 @@ from dataclasses import dataclass
 
 from repro.common.addressing import SUB_BLOCK_BITS, log2_int
 from repro.common.config import DRAMGeometry, DRAMTimingConfig
-from repro.common.stats import RateStat
-from repro.dram.bank import RowOutcome
-from repro.dram.channel import ChannelAccess
 
 __all__ = ["DRAMLocation", "DRAMDevice"]
 
-# Per-channel refresh stagger in cycles (see channel.build_channels):
-# bank ``i`` of every channel refreshes ``i * 97`` cycles after bank 0.
+# Per-channel refresh stagger in cycles: bank ``i`` of every channel
+# refreshes ``i * 97`` cycles after bank 0.
 _REFRESH_STAGGER = 97
-
-_OUTCOMES = (RowOutcome.HIT, RowOutcome.CLOSED, RowOutcome.CONFLICT)
 
 
 @dataclass(slots=True)
@@ -100,8 +95,6 @@ class DRAMDevice:
         "_cbr_shift",
         "_mod_channels",
         "_mod_banks",
-        "reads",
-        "writes",
         "bytes_transferred",
         "last_outcome",
         "last_data_start",
@@ -156,12 +149,10 @@ class DRAMDevice:
         # Non-power-of-two counts need a modulo fold after masking.
         self._mod_channels = (1 << self._channel_bits) != nch
         self._mod_banks = (1 << self._bank_bits) != nbk
-        self.reads = 0
-        self.writes = 0
         self.bytes_transferred = 0
         # Kernel scratch: outcome (0 hit / 1 closed / 2 conflict) and
-        # data-start of the most recent timed access, for the rich
-        # wrappers and per-access instrumentation (metadata RBH).
+        # data-start of the most recent timed access, for per-access
+        # instrumentation (metadata RBH) and tests.
         self.last_outcome = 0
         self.last_data_start = 0
 
@@ -191,26 +182,21 @@ class DRAMDevice:
         return channel
 
     # ------------------------------------------------------------------
-    # the flat timing kernel
+    # the timing kernel
     # ------------------------------------------------------------------
-    def _timed(
-        self,
-        channel: int,
-        bank: int,
-        row: int,
-        now: int,
-        bursts: int,
-        transfer_cycles: int | None,
+    def _timed_fast(
+        self, channel: int, bank: int, row: int, now: int, bursts: int, cycles: int
     ) -> int:
         """Resolve one row-buffer-managed access; returns data-end time.
 
-        Exactly the composition of ``Bank.access`` + ``Channel.access``:
-        refresh adjustment, HIT/CLOSED/CONFLICT resolution, CAS
-        pipelining (tCCD), then serialization on the channel's shared
-        data bus. Row-buffer and command counters are updated in place;
-        ``last_outcome`` / ``last_data_start`` record the per-access
-        scratch the rich wrappers and RBH instrumentation read.
+        Refresh stall, HIT/CLOSED/CONFLICT resolution, CAS pipelining
+        (the bank takes its next command tCCD after this CAS) and CL,
+        then ``cycles`` of serialization on the channel's shared data
+        bus. Row-buffer and command counters are updated in place;
+        ``last_outcome`` / ``last_data_start`` keep the per-access
+        scratch that callers (metadata RBH) and tests read.
         """
+        self.bytes_transferred += bursts * 64
         idx = channel * self._nbk + bank
         ready = self._ready_at
         t = ready[idx]
@@ -242,9 +228,6 @@ class DRAMDevice:
         start = bus_free[channel]
         if cas_done > start:
             start = cas_done
-        cycles = (
-            bursts * self._burst_cycles if transfer_cycles is None else transfer_cycles
-        )
         end = start + cycles
         bus_free[channel] = end
         self._bus_busy[channel] += cycles
@@ -252,7 +235,13 @@ class DRAMDevice:
         return end
 
     def _refresh_stall(self, idx: int, t: int) -> int:
-        """Slow path: ``t`` crossed tREFI (see ``Bank._refresh_stall``)."""
+        """Slow path: ``t`` crossed tREFI.
+
+        Refreshes that fell entirely within an idle period already
+        happened: they close the row and count, but do not delay this
+        access. Only a refresh in progress at ``t`` stalls it, by the
+        remainder of tRFC.
+        """
         next_refresh = self._next_refresh
         elapsed = t - next_refresh[idx]
         completed = elapsed // self._trefi
@@ -266,11 +255,73 @@ class DRAMDevice:
         self._open_row[idx] = -1
         return t
 
-    def _timed_column(self, channel: int, bank: int, now: int, bursts: int) -> int:
-        """Column access to a row opened via :meth:`activate_direct`."""
+    # ------------------------------------------------------------------
+    # timed accesses (plain-int results, no allocation)
+    # ------------------------------------------------------------------
+    def read_fast(self, address: int, now: int, bursts: int = 1) -> int:
+        """Read ``bursts`` consecutive 64 B beats; returns data-end time.
+
+        Multi-burst reads stay within one row for any transfer that does
+        not cross a page boundary (the paper's big blocks never do).
+        """
+        bits = address >> self._cbr_shift
+        channel = bits & self._channel_mask
+        bits >>= self._channel_bits
+        bank = bits & self._bank_mask
+        row = bits >> self._bank_bits
+        if self._mod_channels:
+            channel %= self._nch
+        if self._mod_banks:
+            bank %= self._nbk
+        return self._timed_fast(
+            channel, bank, row, now, bursts, bursts * self._burst_cycles
+        )
+
+    def write_fast(self, address: int, now: int, bursts: int = 1) -> int:
+        """Write; same row-buffer management as reads in this model."""
+        bits = address >> self._cbr_shift
+        channel = bits & self._channel_mask
+        bits >>= self._channel_bits
+        bank = bits & self._bank_mask
+        row = bits >> self._bank_bits
+        if self._mod_channels:
+            channel %= self._nch
+        if self._mod_banks:
+            bank %= self._nbk
+        return self._timed_fast(
+            channel, bank, row, now, bursts, bursts * self._burst_cycles
+        )
+
+    def access_direct_fast(
+        self,
+        channel: int,
+        bank: int,
+        row: int,
+        now: int,
+        bursts: int = 1,
+        transfer_cycles: int | None = None,
+    ) -> int:
+        """Access an explicitly placed row (stacked-DRAM cache use).
+
+        ``transfer_cycles`` overrides the bus occupancy of ``bursts``
+        beats (AlloyCache's 72 B tag-and-data burst).
+        """
+        if transfer_cycles is None:
+            transfer_cycles = bursts * self._burst_cycles
+        return self._timed_fast(channel, bank, row, now, bursts, transfer_cycles)
+
+    def column_direct_fast(
+        self, channel: int, bank: int, now: int, bursts: int = 1
+    ) -> int:
+        """Column access to a row opened via :meth:`activate_direct`.
+
+        CAS only: no refresh check, no row-buffer counters (the
+        activation already counted), ``last_outcome`` reads as a hit.
+        """
         idx = channel * self._nbk + bank
         if self._open_row[idx] < 0:
             raise RuntimeError("column_access requires an open row")
+        self.bytes_transferred += bursts * 64
         ready = self._ready_at
         t = ready[idx]
         if now > t:
@@ -289,184 +340,12 @@ class DRAMDevice:
         self.last_data_start = start
         return end
 
-    # ------------------------------------------------------------------
-    # fast timed accesses (plain-int results, no allocation)
-    # ------------------------------------------------------------------
-    def read_fast(self, address: int, now: int, bursts: int = 1) -> int:
-        """Read ``bursts`` consecutive 64 B beats; returns data-end time.
-
-        Multi-burst reads stay within one row for any transfer that does
-        not cross a page boundary (the paper's big blocks never do).
-
-        The :meth:`_timed` kernel is inlined here (and in
-        :meth:`write_fast` / :meth:`access_direct_fast`): these three are
-        the hottest functions in the repository and the extra call frame
-        is measurable. The reference-validation test pins all copies to
-        the object model, so they cannot drift independently.
-        """
-        bits = address >> self._cbr_shift
-        channel = bits & self._channel_mask
-        bits >>= self._channel_bits
-        bank = bits & self._bank_mask
-        row = bits >> self._bank_bits
-        if self._mod_channels:
-            channel %= self._nch
-        if self._mod_banks:
-            bank %= self._nbk
-        self.reads += 1
-        self.bytes_transferred += bursts * 64
-        # --- inlined _timed kernel ---
-        idx = channel * self._nbk + bank
-        ready = self._ready_at
-        t = ready[idx]
-        if now > t:
-            t = now
-        if t >= self._next_refresh[idx]:
-            t = self._refresh_stall(idx, t)
-        open_rows = self._open_row
-        current = open_rows[idx]
-        if current == row:
-            self.last_outcome = 0
-            self._rb_hits[idx] += 1
-            cas_issue = t
-        elif current < 0:
-            self.last_outcome = 1
-            self._activations[idx] += 1
-            self._rb_misses[idx] += 1
-            cas_issue = t + self._trcd
-        else:
-            self.last_outcome = 2
-            self._precharges[idx] += 1
-            self._activations[idx] += 1
-            self._rb_misses[idx] += 1
-            cas_issue = t + self._trp_trcd
-        open_rows[idx] = row
-        ready[idx] = cas_issue + self._tccd
-        cas_done = cas_issue + self._cl
-        bus_free = self._bus_free
-        start = bus_free[channel]
-        if cas_done > start:
-            start = cas_done
-        end = start + bursts * self._burst_cycles
-        bus_free[channel] = end
-        self._bus_busy[channel] += end - start
-        self.last_data_start = start
-        return end
-
-    def write_fast(self, address: int, now: int, bursts: int = 1) -> int:
-        """Write; same row-buffer management as reads in this model."""
-        bits = address >> self._cbr_shift
-        channel = bits & self._channel_mask
-        bits >>= self._channel_bits
-        bank = bits & self._bank_mask
-        row = bits >> self._bank_bits
-        if self._mod_channels:
-            channel %= self._nch
-        if self._mod_banks:
-            bank %= self._nbk
-        self.writes += 1
-        self.bytes_transferred += bursts * 64
-        # --- inlined _timed kernel (see read_fast) ---
-        idx = channel * self._nbk + bank
-        ready = self._ready_at
-        t = ready[idx]
-        if now > t:
-            t = now
-        if t >= self._next_refresh[idx]:
-            t = self._refresh_stall(idx, t)
-        open_rows = self._open_row
-        current = open_rows[idx]
-        if current == row:
-            self.last_outcome = 0
-            self._rb_hits[idx] += 1
-            cas_issue = t
-        elif current < 0:
-            self.last_outcome = 1
-            self._activations[idx] += 1
-            self._rb_misses[idx] += 1
-            cas_issue = t + self._trcd
-        else:
-            self.last_outcome = 2
-            self._precharges[idx] += 1
-            self._activations[idx] += 1
-            self._rb_misses[idx] += 1
-            cas_issue = t + self._trp_trcd
-        open_rows[idx] = row
-        ready[idx] = cas_issue + self._tccd
-        cas_done = cas_issue + self._cl
-        bus_free = self._bus_free
-        start = bus_free[channel]
-        if cas_done > start:
-            start = cas_done
-        end = start + bursts * self._burst_cycles
-        bus_free[channel] = end
-        self._bus_busy[channel] += end - start
-        self.last_data_start = start
-        return end
-
-    def access_direct_fast(
-        self,
-        channel: int,
-        bank: int,
-        row: int,
-        now: int,
-        bursts: int = 1,
-        transfer_cycles: int | None = None,
-    ) -> int:
-        """Access an explicitly placed row (stacked-DRAM cache use)."""
-        self.reads += 1
-        self.bytes_transferred += bursts * 64
-        # --- inlined _timed kernel (see read_fast) ---
-        idx = channel * self._nbk + bank
-        ready = self._ready_at
-        t = ready[idx]
-        if now > t:
-            t = now
-        if t >= self._next_refresh[idx]:
-            t = self._refresh_stall(idx, t)
-        open_rows = self._open_row
-        current = open_rows[idx]
-        if current == row:
-            self.last_outcome = 0
-            self._rb_hits[idx] += 1
-            cas_issue = t
-        elif current < 0:
-            self.last_outcome = 1
-            self._activations[idx] += 1
-            self._rb_misses[idx] += 1
-            cas_issue = t + self._trcd
-        else:
-            self.last_outcome = 2
-            self._precharges[idx] += 1
-            self._activations[idx] += 1
-            self._rb_misses[idx] += 1
-            cas_issue = t + self._trp_trcd
-        open_rows[idx] = row
-        ready[idx] = cas_issue + self._tccd
-        cas_done = cas_issue + self._cl
-        bus_free = self._bus_free
-        start = bus_free[channel]
-        if cas_done > start:
-            start = cas_done
-        if transfer_cycles is None:
-            end = start + bursts * self._burst_cycles
-        else:
-            end = start + transfer_cycles
-        bus_free[channel] = end
-        self._bus_busy[channel] += end - start
-        self.last_data_start = start
-        return end
-
-    def column_direct_fast(
-        self, channel: int, bank: int, now: int, bursts: int = 1
-    ) -> int:
-        """Column access to a row opened via :meth:`activate_direct`."""
-        self.reads += 1
-        self.bytes_transferred += bursts * 64
-        return self._timed_column(channel, bank, now, bursts)
-
     def activate_direct(self, channel: int, bank: int, row: int, now: int) -> int:
-        """Open a row without data transfer (anticipatory activation)."""
+        """Open a row without data transfer (anticipatory activation).
+
+        Returns the time the row is open. Re-activating the open row
+        costs nothing; a different open row is precharged first.
+        """
         idx = channel * self._nbk + bank
         ready = self._ready_at
         t = ready[idx]
@@ -490,51 +369,6 @@ class DRAMDevice:
         return t
 
     # ------------------------------------------------------------------
-    # rich timed accesses (dataclass results, tests / tooling)
-    # ------------------------------------------------------------------
-    def read(self, address: int, now: int, *, bursts: int = 1) -> ChannelAccess:
-        """Rich wrapper of :meth:`read_fast` (same kernel, same state)."""
-        end = self.read_fast(address, now, bursts)
-        return ChannelAccess(
-            _OUTCOMES[self.last_outcome], now, self.last_data_start, end, bursts
-        )
-
-    def write(self, address: int, now: int, *, bursts: int = 1) -> ChannelAccess:
-        end = self.write_fast(address, now, bursts)
-        return ChannelAccess(
-            _OUTCOMES[self.last_outcome], now, self.last_data_start, end, bursts
-        )
-
-    def access_direct(
-        self,
-        channel: int,
-        bank: int,
-        row: int,
-        now: int,
-        *,
-        bursts: int = 1,
-        transfer_cycles: int | None = None,
-    ) -> ChannelAccess:
-        if bursts < 1:
-            raise ValueError("bursts must be >= 1")
-        end = self.access_direct_fast(channel, bank, row, now, bursts, transfer_cycles)
-        return ChannelAccess(
-            _OUTCOMES[self.last_outcome], now, self.last_data_start, end, bursts
-        )
-
-    def column_direct(
-        self, channel: int, bank: int, now: int, *, bursts: int = 1
-    ) -> ChannelAccess:
-        end = self.column_direct_fast(channel, bank, now, bursts)
-        return ChannelAccess(
-            outcome=RowOutcome.HIT,
-            request_time=now,
-            data_start=self.last_data_start,
-            data_end=end,
-            bursts=bursts,
-        )
-
-    # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
     def row_buffer_hit_rate(self) -> float:
@@ -549,100 +383,14 @@ class DRAMDevice:
         return sum(self._precharges)
 
     def reset_stats(self) -> None:
-        # In-place zeroing: callers (the bimodal kernel) hoist references
-        # to these lists, so the objects must survive a warmup reset.
         banks = self._nch * self._nbk
-        self._rb_hits[:] = [0] * banks
-        self._rb_misses[:] = [0] * banks
-        self._activations[:] = [0] * banks
-        self._precharges[:] = [0] * banks
-        self._refreshes[:] = [0] * banks
-        self._bus_busy[:] = [0] * self._nch
-        self.reads = 0
-        self.writes = 0
+        self._rb_hits = [0] * banks
+        self._rb_misses = [0] * banks
+        self._activations = [0] * banks
+        self._precharges = [0] * banks
+        self._refreshes = [0] * banks
+        self._bus_busy = [0] * self._nch
         self.bytes_transferred = 0
-
-    # ------------------------------------------------------------------
-    # structural views (tests / debugging; never on the hot path)
-    # ------------------------------------------------------------------
-    @property
-    def channels(self) -> list["_ChannelView"]:
-        """Read-only per-channel/bank views over the flat kernel state."""
-        return [_ChannelView(self, c) for c in range(self._nch)]
-
-
-class _BankView:
-    """Read-only view of one bank's slice of the flat kernel state."""
-
-    __slots__ = ("_device", "_idx")
-
-    def __init__(self, device: DRAMDevice, idx: int) -> None:
-        self._device = device
-        self._idx = idx
-
-    @property
-    def open_row(self) -> int | None:
-        row = self._device._open_row[self._idx]
-        return None if row < 0 else row
-
-    @property
-    def ready_at(self) -> int:
-        return self._device._ready_at[self._idx]
-
-    @property
-    def activations(self) -> int:
-        return self._device._activations[self._idx]
-
-    @property
-    def precharges(self) -> int:
-        return self._device._precharges[self._idx]
-
-    @property
-    def refreshes(self) -> int:
-        return self._device._refreshes[self._idx]
-
-    @property
-    def row_buffer(self) -> RateStat:
-        """Snapshot of the bank's row-buffer counters (copy, not live)."""
-        return RateStat(
-            hits=self._device._rb_hits[self._idx],
-            misses=self._device._rb_misses[self._idx],
-        )
-
-
-class _ChannelView:
-    """Read-only view of one channel's slice of the flat kernel state."""
-
-    __slots__ = ("_device", "_channel")
-
-    def __init__(self, device: DRAMDevice, channel: int) -> None:
-        self._device = device
-        self._channel = channel
-
-    @property
-    def banks(self) -> list[_BankView]:
-        base = self._channel * self._device._nbk
-        return [_BankView(self._device, base + b) for b in range(self._device._nbk)]
-
-    @property
-    def num_banks(self) -> int:
-        return self._device._nbk
-
-    @property
-    def bus_free_at(self) -> int:
-        return self._device._bus_free[self._channel]
-
-    @property
-    def bus_busy_cycles(self) -> int:
-        return self._device._bus_busy[self._channel]
-
-    def row_buffer_hit_rate(self) -> float:
-        device = self._device
-        base = self._channel * device._nbk
-        hits = sum(device._rb_hits[base : base + device._nbk])
-        misses = sum(device._rb_misses[base : base + device._nbk])
-        total = hits + misses
-        return hits / total if total else 0.0
 
 
 def _ceil_pow2(value: int) -> int:

@@ -39,7 +39,7 @@ class DRAMCacheAccess:
 class DRAMCacheBase(ABC):
     """Shared state and accounting for DRAM cache organizations.
 
-    Subclasses implement :meth:`_access` and use the provided
+    Subclasses implement :meth:`_access_fast` and use the provided
     ``self.dram`` (stacked device) and ``self.offchip`` (memory
     controller) plus the accounting helpers.
     """
@@ -153,11 +153,6 @@ class DRAMCacheBase(ABC):
         guarantees the heap never compares the callables.
         """
         heapq.heappush(self._pending, (when, self._pending_seq, func, args))
-        self._pending_seq += 1
-
-    def _post(self, when: int, action: Callable[[], None]) -> None:
-        """Queue a posted operation to execute at simulation time ``when``."""
-        heapq.heappush(self._pending, (when, self._pending_seq, action, ()))
         self._pending_seq += 1
 
     def _drain_posted(self, now: int) -> None:

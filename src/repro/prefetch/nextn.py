@@ -91,15 +91,6 @@ class NextNPrefetcher:
         return snap
 
     # ------------------------------------------------------------------
-    def access_fast(self, address: int, now: int, is_write: bool = False) -> int:
-        """Flat drive-loop entry point (mirrors DRAMCacheBase.access_fast)."""
-        complete = self.cache.access_fast(address, now, is_write)
-        if not is_write:
-            self._filter[address >> 6] = None
-            for i in range(1, self.degree + 1):
-                self._issue_prefetch(address + 64 * i, complete)
-        return complete
-
     def access(self, address: int, now: int, *, is_write: bool = False) -> DRAMCacheAccess:
         """Demand access, then fire next-N prefetches (posted)."""
         result = self.cache.access(address, now, is_write=is_write)

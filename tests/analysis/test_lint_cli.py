@@ -41,18 +41,6 @@ INJECTED = {
         def gather_fast(xs):
             return [x + 1 for x in xs]
         """,
-    "fast-reference-parity": """
-        class DriftCache:
-            def access_fast(self, address, now, is_write):
-                self._hit = True
-                return now
-
-            def _access_fast(self, address, now, is_write):
-                return self._access_cold(address, now)
-
-            def _access_cold(self, address, now):
-                return now
-        """,
     "scheme-registry": """
         class DRAMCacheBase:
             pass

@@ -1,6 +1,9 @@
 """Per-rule fixtures: each simlint rule fires on its violation and
 stays quiet on the fixed form."""
 
+import inspect
+
+import repro.dram.device
 from repro.analysis.config import LintConfig
 
 from .conftest import STRICT
@@ -300,108 +303,23 @@ class TestHotPathPurity:
         )
         assert result.ok
 
-
-class TestFastReferenceParity:
-    GOOD = """
-        class GoodCache:
-            def access_fast(self, address, now, is_write):
-                self._hit = True
-                return self._access_cold(address, now)
-
-            def _access_fast(self, address, now, is_write):
-                self._hit = True
-                return self._access_cold(address, now)
-
-            def _access_cold(self, address, now):
-                return now
-        """
-
-    def test_shared_continuation_clean(self, lint):
-        assert lint(self.GOOD, rules=["fast-reference-parity"]).ok
-
-    def test_divergent_fast_entry_flagged(self, lint):
-        result = lint(
-            """
-            class DriftCache:
-                def access_fast(self, address, now, is_write):
-                    self._hit = True
-                    return now  # inline everything, shares nothing
-
-                def _access_fast(self, address, now, is_write):
-                    return self._access_cold(address, now)
-
-                def _access_cold(self, address, now):
-                    return now
-            """,
-            rules=["fast-reference-parity"],
+    def test_device_timing_kernel_is_a_hot_path(self, lint):
+        """The DRAM device's one timing kernel matches the hot-path
+        pattern: a comprehension injected into it is a finding."""
+        source = inspect.getsource(repro.dram.device)
+        head, sep, tail = source.partition("    def _timed_fast(")
+        assert sep, "the device kernel is named _timed_fast"
+        docstring_end = tail.index('"""', tail.index('"""') + 3) + len('"""\n')
+        injected = (
+            head + sep + tail[:docstring_end]
+            + "        _ = [free for free in self._bus_free]\n"
+            + tail[docstring_end:]
         )
-        assert rules_of(result) == ["fast-reference-parity"]
-        assert "share no _access* continuation" in result.violations[0].message
-
-    def test_missing_hit_scratch_flagged(self, lint):
-        result = lint(
-            """
-            class NoScratch:
-                def access_fast(self, address, now, is_write):
-                    return self._access_cold(address, now)
-
-                def _access_fast(self, address, now, is_write):
-                    return self._access_cold(address, now)
-
-                def _access_cold(self, address, now):
-                    return now
-            """,
-            rules=["fast-reference-parity"],
-        )
-        assert rules_of(result) == ["fast-reference-parity"]
-        assert "_hit" in result.violations[0].message
-
-    def test_dispatcher_base_clean(self, lint):
-        result = lint(
-            """
-            class BaseLike:
-                def access_fast(self, address, now, is_write):
-                    finish = self._access_fast(address, now, is_write)
-                    if self._hit:
-                        finish += 0
-                    return finish
-
-                def _access_fast(self, address, now, is_write):
-                    ...
-            """,
-            rules=["fast-reference-parity"],
-        )
-        assert result.ok
-
-    def test_dispatcher_base_must_route_through_hook(self, lint):
-        result = lint(
-            """
-            class BadBase:
-                def access_fast(self, address, now, is_write):
-                    return now
-
-                def _access_fast(self, address, now, is_write):
-                    ...
-            """,
-            rules=["fast-reference-parity"],
-        )
-        assert rules_of(result) == ["fast-reference-parity"]
-        assert "dispatch" in result.violations[0].message
-
-    def test_rich_wrapper_must_delegate(self, lint):
-        result = lint(
-            """
-            class DRAMCacheBase:
-                pass
-
-            class MyCache(DRAMCacheBase):
-                def access(self, address, now, is_write):
-                    return 1  # recomputes instead of delegating
-            """,
-            rules=["fast-reference-parity"],
-        )
-        assert rules_of(result) == ["fast-reference-parity"]
-        assert "access_fast" in result.violations[0].message
+        clean = lint(source, rules=["hot-path-purity"], filename="dram/device.py")
+        assert clean.ok
+        result = lint(injected, rules=["hot-path-purity"], filename="dram/device.py")
+        assert rules_of(result) == ["hot-path-purity"]
+        assert "_timed_fast allocates a ListComp" in result.violations[0].message
 
 
 class TestSchemeRegistry:

@@ -21,7 +21,7 @@ def test_committed_tree_is_clean(capsys):
     assert "0 finding(s)" in out
 
 
-def test_all_ten_rules_ran():
+def test_all_nine_rules_ran():
     root = find_repo_root(PACKAGE)
     result = run_lint([PACKAGE], config=load_config(root), root=root)
     assert result.ok
@@ -32,7 +32,6 @@ def test_all_ten_rules_ran():
         "determinism-flow",
         "fork-safety",
         "hot-path-purity",
-        "fast-reference-parity",
         "scheme-registry",
         "stats-protocol",
         "slots",

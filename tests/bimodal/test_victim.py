@@ -73,18 +73,18 @@ class TestVictimProbeWrapper:
         t = 0
         for i in range(600):
             addr = ((i * 977) % 512) * 512
-            a = plain.access(addr, t)
-            b = wrapped.access(addr, t)
-            assert a.hit == b.hit
-            t = a.complete + 10
+            a = plain.access_fast(addr, t)
+            b = wrapped.access_fast(addr, t)
+            assert b == a
+            assert wrapped.cache._hit == plain._hit
+            t = a + 10
 
     def test_evictions_feed_buffer(self):
         wrapped = VictimProbeWrapper(make_cache(), entries=4096)
         am = wrapped.cache.addr_map
         t = 0
         for tag in range(8):  # overflow a 4-way set
-            r = wrapped.access(am.rebuild(tag, 3, 0), t)
-            t = r.complete + 10
+            t = wrapped.access_fast(am.rebuild(tag, 3, 0), t) + 10
         assert wrapped.buffer.insertions > 0
 
     def test_conflict_reuse_is_a_victim_hit(self):
@@ -94,13 +94,11 @@ class TestVictimProbeWrapper:
         am = wrapped.cache.addr_map
         t = 0
         victim_addr = am.rebuild(0, 3, 0)
-        r = wrapped.access(victim_addr, t)
-        t = r.complete + 10
+        t = wrapped.access_fast(victim_addr, t) + 10
         for tag in range(1, 12):
-            r = wrapped.access(am.rebuild(tag, 3, 0), t)
-            t = r.complete + 10
+            t = wrapped.access_fast(am.rebuild(tag, 3, 0), t) + 10
         assert not wrapped.cache.resident(victim_addr)
         before = wrapped.buffer.probe_hits
-        wrapped.access(victim_addr, t)
+        wrapped.access_fast(victim_addr, t)
         assert wrapped.buffer.probe_hits == before + 1
         assert wrapped.victim_hit_fraction > 0.0

@@ -45,36 +45,43 @@ class TestDecode:
 
 class TestTimedAccess:
     def test_read_accounting(self, device):
-        device.read(0x1000, now=0, bursts=8)
-        assert device.reads == 1
+        end = device.read_fast(0x1000, 0, 8)
         assert device.bytes_transferred == 512
+        assert end - device.last_data_start == 8 * device.timings.burst_cycles
 
     def test_big_fetch_single_activation(self, device):
-        device.read(0x10000, now=0, bursts=8)
+        device.read_fast(0x10000, 0, 8)
         assert device.total_activations() == 1
 
     def test_write_uses_row_buffer(self, device):
-        device.read(0x10000, now=0)
-        device.write(0x10000 + 64, now=500)
+        device.read_fast(0x10000, 0)
+        device.write_fast(0x10000 + 64, 500)
+        assert device.last_outcome == 0
         assert device.row_buffer_hit_rate() == pytest.approx(0.5)
 
     def test_direct_access_bypasses_decode(self, device):
-        access = device.access_direct(1, 3, 42, now=0, bursts=2)
-        assert access.bursts == 2
-        bank = device.channels[1].banks[3]
-        assert bank.open_row == 42
+        device.access_direct_fast(1, 3, 42, 0, 2)
+        assert device.bytes_transferred == 128
+        device.access_direct_fast(1, 3, 42, 1000)
+        assert device.last_outcome == 0  # row 42 stayed open in (1, 3)
+        assert device._activations[1 * 8 + 3] == 1
 
     def test_activate_then_column_direct(self, device):
+        t = device.timings
         ready = device.activate_direct(0, 0, 9, now=0)
-        access = device.column_direct(0, 0, now=ready)
-        assert access.data_end > ready
+        assert ready == t.trcd
+        end = device.column_direct_fast(0, 0, ready)
+        assert device.last_data_start == ready + t.cl
+        assert end == ready + t.cl + t.burst_cycles
+        assert device.total_activations() == 1
+        assert device.row_buffer_hit_rate() == 0.0  # no row-buffer event
 
     def test_reset_stats(self, device):
-        device.read(0x1000, now=0)
+        device.read_fast(0x1000, 0)
         device.reset_stats()
-        assert device.reads == 0
         assert device.bytes_transferred == 0
         assert device.total_activations() == 0
+        assert device.row_buffer_hit_rate() == 0.0
 
 
 def test_non_power_of_two_channels_wrap():

@@ -1,14 +1,15 @@
-"""Cross-validation: fast Bank vs command-level ReferenceBank.
+"""Cross-validation: one device bank vs command-level ReferenceBank.
 
 The access-granularity model must produce the same data-ready times as
 the explicit command schedule on arbitrary request sequences — this is
 the evidence that its latencies aren't an artifact of the shortcut.
+``test_kernel_validation.py`` extends this to every device entry point.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import DRAMTimingConfig
-from repro.dram.bank import Bank
+from repro.common.config import DRAMGeometry, DRAMTimingConfig
+from repro.dram.device import DRAMDevice
 from repro.dram.reference import ReferenceBank
 
 
@@ -27,14 +28,18 @@ def test_fast_bank_matches_reference(requests, timing_kind):
         if timing_kind == "stacked"
         else DRAMTimingConfig.ddr3_1600h()
     )
-    fast = Bank(timings)
+    # One bank, single bursts: tCCD equals one burst, so the data bus
+    # never delays a transfer and data-start is the bank's data-ready.
+    fast = DRAMDevice(
+        DRAMGeometry(channels=1, banks_per_channel=1, page_size=2048), timings
+    )
     reference = ReferenceBank(timings)
     now = 0
     for row, gap in requests:
         now += gap
-        a = fast.access(row, now)
+        fast.access_direct_fast(0, 0, row, now)
         b = reference.access(row, now)
-        assert a.data_ready == b.data_ready, (row, now)
+        assert fast.last_data_start == b.data_ready, (row, now)
 
 
 def test_reference_reports_command_times():
@@ -57,3 +62,16 @@ def test_reference_pipelines_row_hits():
     a = bank.access(3, now=500)
     b = bank.access(3, now=500)
     assert b.cas_at == a.cas_at + timings.tccd
+
+
+def test_reference_activate_leaves_cas_slot_free():
+    timings = DRAMTimingConfig.stacked()
+    bank = ReferenceBank(timings, refresh_offset=500)
+    opened = bank.activate(3, now=0)
+    assert opened.precharge_at is None and opened.activate_at == 0
+    assert opened.cas_at == timings.trcd
+    column = bank.access(3, now=0)  # row open: CAS only, at the open slot
+    assert column.activate_at is None
+    assert column.cas_at == timings.trcd
+    # The first refresh is delayed by the offset: trefi itself is clear.
+    assert bank.access(3, now=timings.trefi).activate_at is None

@@ -63,7 +63,7 @@ class TestAccounting:
 class TestPostedOperations:
     def test_posted_runs_only_when_time_arrives(self):
         cache = _StubCache()
-        cache._post(500, lambda: cache.executed.append(500))
+        cache._post_call(500, cache.executed.append, 500)
         cache.access(0x1000, 100)  # drain up to t=100: nothing runs
         assert cache.executed == []
         cache.access(0x2000, 600)  # t=600 >= 500: runs
@@ -71,15 +71,15 @@ class TestPostedOperations:
 
     def test_posted_order_is_time_then_fifo(self):
         cache = _StubCache()
-        cache._post(300, lambda: cache.executed.append(1))
-        cache._post(200, lambda: cache.executed.append(2))
-        cache._post(300, lambda: cache.executed.append(3))
+        cache._post_call(300, cache.executed.append, 1)
+        cache._post_call(200, cache.executed.append, 2)
+        cache._post_call(300, cache.executed.append, 3)
         cache.access(0x1000, 1000)
         assert cache.executed == [2, 1, 3]
 
     def test_flush_posted_runs_everything(self):
         cache = _StubCache()
-        cache._post(10_000, lambda: cache.executed.append(1))
+        cache._post_call(10_000, cache.executed.append, 1)
         cache.flush_posted()
         assert cache.executed == [1]
 

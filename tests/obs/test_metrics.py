@@ -115,8 +115,8 @@ class TestLayerTaps:
         controller = MemoryController(
             config.offchip_geometry, config.offchip_timing
         )
-        controller.read(0, 0)
-        controller.write(4096, 10)
+        controller.read_fast(0, 0)
+        controller.write_fast(4096, 10)
         reg = MetricsRegistry()
         controller.report_metrics(reg)
         snap = reg.snapshot()
