@@ -22,7 +22,7 @@ class SetDuelingController:
 
     Drop-in replacement for
     :class:`~repro.bimodal.global_state.GlobalStateController`: exposes
-    the same ``state``/``rank``/``record_miss``/``record_access`` API so
+    the same ``state``/``rank``/``record_miss``/``end_interval`` API so
     the Bi-Modal cache can run either controller unchanged.
 
     Leader assignment: set ``s`` leads state ``k`` when
@@ -47,7 +47,6 @@ class SetDuelingController:
         self.leader_spacing = leader_spacing
         self.smalls_per_big = smalls_per_big
         self._rank = 0
-        self._accesses_in_interval = 0
         self._leader_misses = [0] * len(states)
         self._leader_accesses = [0] * len(states)
         self.updates = 0
@@ -90,14 +89,8 @@ class SetDuelingController:
         else:
             self.demand_small += 1
 
-    def record_access(self) -> None:
-        self._accesses_in_interval += 1
-        if self._accesses_in_interval >= self.interval:
-            self._accesses_in_interval = 0
-            self._elect()
-
-    # ------------------------------------------------------------------
-    def _elect(self) -> None:
+    def end_interval(self) -> None:
+        """Elect at an interval boundary: the leaders' lowest miss rate."""
         self.updates += 1
         rates = []
         for rank in range(len(self._states)):

@@ -2,8 +2,9 @@
 
 The DRAM cache controller keeps a global preferred state and two demand
 counters, ``D_big`` and ``D_small``, incremented on each cache miss by
-the predicted size of the missing block. After every interval of
-``interval`` DRAM cache accesses (paper: 1M), it computes
+the predicted size of the missing block. The cache counts its accesses
+and calls :meth:`GlobalStateController.end_interval` after every
+``interval`` of them (paper: 1M); the controller then computes
 
     R = W * D_small / D_big          (W = 0.75 boosts big blocks)
 
@@ -40,7 +41,6 @@ class GlobalStateController:
         self.interval = interval
         self.smalls_per_big = smalls_per_big
         self._rank = 0  # index into states; 0 = all big
-        self._accesses_in_interval = 0
         self.demand_big = 0
         self.demand_small = 0
         self.updates = 0
@@ -62,15 +62,8 @@ class GlobalStateController:
         else:
             self.demand_small += 1
 
-    def record_access(self) -> None:
-        """Advance the interval clock; adapt at interval boundaries."""
-        self._accesses_in_interval += 1
-        if self._accesses_in_interval >= self.interval:
-            self._accesses_in_interval = 0
-            self._adapt()
-
-    # ------------------------------------------------------------------
-    def _adapt(self) -> None:
+    def end_interval(self) -> None:
+        """Adapt at an interval boundary: step (X, Y) toward the demand."""
         self.updates += 1
         x, y = self.state
         d_big, d_small = self.demand_big, self.demand_small

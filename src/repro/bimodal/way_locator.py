@@ -105,8 +105,8 @@ class WayLocator:
         small-block entry additionally requires the 3 offset bits to
         match — this is what makes hits always correct.
 
-        Called once per cache access, so _split and RateStat.record are
-        inlined here.
+        The reference definition of a probe: ``BiModalCache._access_fast``
+        inlines it on its hit path, and the tests check the two agree.
         """
         tick = self._tick + 1
         self._tick = tick

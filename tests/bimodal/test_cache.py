@@ -1,5 +1,8 @@
 """BiModalCache integration tests."""
 
+import copy
+import random
+
 from hypothesis import given, settings, strategies as st
 
 from repro.bimodal.cache import BiModalCache, BiModalConfig
@@ -95,6 +98,62 @@ class TestWayLocatorIntegration:
             if located is not None:
                 assert resident
 
+    def test_hit_branch_matches_reference_lookup(self):
+        """The locator probe inlined in ``_access_fast`` agrees with
+        ``WayLocator.lookup``, and its hit branch with the cold path's
+        ``_record_block_touch``, access by access."""
+        cache = make_cache(
+            locator_index_bits=10, predictor_index_bits=12, adaptation_interval=1 << 30
+        )
+        am = cache.addr_map
+        # Sets 0..127 each hold two dense big blocks and a sparse frame
+        # above 1 MB whose sub-blocks 3 and 4 are predicted small; the
+        # locator probes a bucket per (set, tag).
+        sparse = [(1 << 20) + s * 512 for s in range(128)]
+        for frame in sparse:
+            key = cache._block_key(am.set_index(frame), am.tag(frame))
+            for _ in range(4):
+                cache.predictor.train(key, was_big=False)
+        cache.global_ctrl.force_state(2)  # (2, 16) sets hold both sizes
+        rng = random.Random(5)
+        hits = {True: 0, False: 0}  # locator hits by is_big
+        t = 0
+        for i in range(1500):
+            if i % 2:
+                address = rng.choice(sparse) + 64 * rng.choice((3, 3, 3, 4))
+            else:
+                address = (
+                    (rng.randrange(2) << 18)
+                    + rng.randrange(128) * 512
+                    + rng.randrange(8) * 64
+                )
+            is_write = rng.random() < 0.3
+            set_index, tag = am.set_index(address), am.tag(address)
+            sub = am.sub_block(address)
+            bucket = cache.locator._split(set_index, tag)[0]
+            oracle = _probe_copy(cache.locator, bucket)
+            expected = oracle.lookup(set_index, tag, sub)
+            entry = copy.deepcopy(cache._sets.get(set_index))
+            small = cache.small_access.hits, cache.small_access.misses
+            tag_reads = cache.metadata_rbh.total
+            t = cache.access_fast(address, t, is_write) + 3
+            if expected is None:
+                assert cache.locator.lookups.misses == oracle.lookups.misses
+                assert cache.metadata_rbh.total == tag_reads + 1
+                continue
+            is_big, way = expected
+            hits[is_big] += 1
+            assert _probe_state(cache.locator, bucket) == _probe_state(oracle, bucket)
+            assert cache.metadata_rbh.total == tag_reads
+            assert cache._hit
+            cache._record_block_touch(entry, is_big, way, sub, is_write)
+            assert _set_state(cache._sets[set_index]) == _set_state(entry)
+            assert (cache.small_access.hits, cache.small_access.misses) == (
+                small[0] + (not is_big),
+                small[1] + is_big,
+            )
+        assert hits[True] > 100 and hits[False] > 100
+
     def test_disabled_locator(self):
         cache = make_cache(enable_way_locator=False)
         cache.access(0x10000, 0)
@@ -103,6 +162,28 @@ class TestWayLocatorIntegration:
         assert cache.way_locator_hit_rate == 0.0
         # every access reads metadata
         assert cache.metadata_rbh.total == 2
+
+
+def _probe_copy(locator, bucket):
+    """A locator a probe of ``bucket`` can mutate without touching ``locator``."""
+    oracle = copy.copy(locator)
+    oracle.lookups = copy.copy(locator.lookups)
+    oracle._table = list(locator._table)
+    oracle._table[bucket] = copy.deepcopy(locator._table[bucket])
+    return oracle
+
+
+def _probe_state(locator, bucket):
+    """Everything a probe of ``bucket`` reads or writes."""
+    entries = [
+        (e.key, e.is_big, e.sub_offset, e.way, e.last_use)
+        for e in locator._table[bucket]
+    ]
+    return locator._tick, locator.lookups.hits, locator.lookups.misses, entries
+
+
+def _set_state(entry):
+    return entry.big_ways, entry.small_ways, entry._mru
 
 
 class TestBiModalBehaviour:

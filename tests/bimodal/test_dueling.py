@@ -37,13 +37,12 @@ class TestLeaderAssignment:
 
 class TestElection:
     def _feed(self, ctrl, miss_rates):
-        """Feed one interval of leader observations + the access clock."""
+        """Feed one interval of leader observations, then end it."""
         for rank, rate in enumerate(miss_rates):
             leader_set = rank * ctrl.leader_spacing
             for i in range(100):
                 ctrl.observe_leader(leader_set, miss=(i < rate * 100))
-        for _ in range(ctrl.interval):
-            ctrl.record_access()
+        ctrl.end_interval()
 
     def test_elects_lowest_miss_rate(self):
         ctrl = make()
@@ -52,8 +51,7 @@ class TestElection:
 
     def test_stays_without_evidence(self):
         ctrl = make()
-        for _ in range(ctrl.interval):
-            ctrl.record_access()
+        ctrl.end_interval()
         assert ctrl.rank == 0
         assert ctrl.updates == 1
         assert ctrl.transitions == 0
@@ -64,8 +62,7 @@ class TestElection:
         ctrl.observe_leader(1 * ctrl.leader_spacing, miss=False)
         ctrl.observe_leader(1 * ctrl.leader_spacing, miss=False)
         ctrl.observe_leader(1 * ctrl.leader_spacing, miss=False)
-        for _ in range(ctrl.interval):
-            ctrl.record_access()
+        ctrl.end_interval()
         assert ctrl.rank == 0
 
     def test_counters_reset_per_interval(self):

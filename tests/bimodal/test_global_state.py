@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.bimodal.cache import BiModalCache, BiModalConfig
 from repro.bimodal.global_state import GlobalStateController
 from repro.bimodal.sets import allowed_states
+from repro.common.config import DRAMCacheGeometry, DRAMGeometry, DRAMTimingConfig
+from repro.dram.controller import MemoryController
 
 STATES = allowed_states(2048, 512)
 
@@ -18,8 +21,7 @@ def run_interval(ctrl, *, big=0, small=0):
         ctrl.record_miss(predicted_big=True)
     for _ in range(small):
         ctrl.record_miss(predicted_big=False)
-    for _ in range(ctrl.interval):
-        ctrl.record_access()
+    ctrl.end_interval()
 
 
 class TestRules:
@@ -92,10 +94,22 @@ class TestBookkeeping:
         assert ctrl.demand_small == 0
 
     def test_interval_cadence(self):
-        ctrl = make(interval=10)
-        for _ in range(35):
-            ctrl.record_access()
-        assert ctrl.updates == 3
+        """The cache ends an interval every ``interval`` accesses."""
+        geometry = DRAMCacheGeometry(
+            capacity=1 << 19,
+            geometry=DRAMGeometry(channels=2, banks_per_channel=8, page_size=2048),
+        )
+        offchip = MemoryController(
+            DRAMGeometry(channels=1, banks_per_channel=16, page_size=2048),
+            DRAMTimingConfig.ddr3_1600h(),
+        )
+        cache = BiModalCache(
+            geometry, offchip, BiModalConfig(adaptation_interval=10, address_bits=36)
+        )
+        t = 0
+        for i in range(35):
+            t = cache.access_fast(i * 64, t)
+        assert cache.global_ctrl.updates == 3
 
     def test_force_state(self):
         ctrl = make()

@@ -10,37 +10,79 @@ compares the full stats dictionary — after a JSON round-trip, so the
 comparison is exactly as strict as what lands in exported artifacts —
 against ``tests/golden/drive_stats_q1.json``.
 
+The registry holds only the default Bi-Modal configurations. Three
+variants that experiments build through ``bimodal_config`` take other
+branches of the access path and are pinned in
+``tests/golden/bimodal_variants.json`` on Q1 and Q7:
+
+* ``dueling`` — the set-dueling global controller (``ext-controller``),
+  whose leader sets observe every hit and miss;
+* ``colocated-serial`` — metadata co-located with the data row and
+  serial tag/data issue (Figure 9b's co-located layout);
+* ``serial`` — serial tag/data issue alone (``ablation_parallel_tag``).
+
+Their short adaptation interval puts global-state transitions inside
+the measured region.
+
 To regenerate after an *intentional* simulation-semantics change::
 
     REPRO_REGEN_GOLDEN=1 python -m pytest tests/harness/test_golden_stats.py
 
 then commit the updated JSON alongside the change that explains it.
-A pure performance PR must never need to regenerate this file.
+A pure performance PR must never need to regenerate these files.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.harness.runner import ExperimentSetup, build_cache, drive_cache
+from repro.bimodal.cache import BiModalConfig
+from repro.harness.runner import (
+    ExperimentSetup,
+    build_cache,
+    drive_cache,
+    scaled_locator_bits,
+)
 from repro.harness.schemes import available_schemes
 
-GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "drive_stats_q1.json"
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+GOLDEN_PATH = GOLDEN_DIR / "drive_stats_q1.json"
+VARIANTS_PATH = GOLDEN_DIR / "bimodal_variants.json"
 
 SETUP = ExperimentSetup(num_cores=4, accesses_per_core=1_500)
 TOTAL = SETUP.num_cores * SETUP.accesses_per_core
 WARMUP = TOTAL // 2  # warmup > 0: the reset boundary is part of the contract
 
+_BIMODAL = BiModalConfig(
+    locator_index_bits=scaled_locator_bits(scale=SETUP.scale),
+    predictor_index_bits=12,
+    tracker_sample_every=1,
+    adaptation_interval=500,
+)
+VARIANTS = {
+    "dueling": replace(_BIMODAL, controller="dueling"),
+    "colocated-serial": replace(
+        _BIMODAL, colocated_metadata=True, parallel_tag_data=False
+    ),
+    "serial": replace(_BIMODAL, parallel_tag_data=False),
+}
+VARIANT_MIXES = ("Q1", "Q7")
 
-def _drive_scheme(scheme: str) -> dict:
-    cache = build_cache(scheme, SETUP.system, scale=SETUP.scale)
+
+def _drive_scheme(
+    scheme: str, mix: str = "Q1", bimodal_config: BiModalConfig | None = None
+) -> dict:
+    cache = build_cache(
+        scheme, SETUP.system, scale=SETUP.scale, bimodal_config=bimodal_config
+    )
     result = drive_cache(
         cache,
-        SETUP.trace_records("Q1"),
+        SETUP.trace_records(mix),
         window=16,
         streams=SETUP.num_cores,
         warmup=WARMUP,
@@ -59,26 +101,47 @@ def _current_snapshots() -> dict[str, dict]:
     return {scheme: _drive_scheme(scheme) for scheme in available_schemes()}
 
 
-def test_all_schemes_match_golden():
+def _current_variant_snapshots() -> dict[str, dict]:
+    return {
+        f"{variant}/{mix}": _drive_scheme("bimodal", mix, config)
+        for variant, config in VARIANTS.items()
+        for mix in VARIANT_MIXES
+    }
+
+
+def _check_golden(path: Path, current: dict[str, dict]) -> dict[str, dict]:
+    """Compare against (or, under REPRO_REGEN_GOLDEN, rewrite) ``path``."""
     if os.environ.get("REPRO_REGEN_GOLDEN"):
-        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN_PATH.write_text(
-            json.dumps(_current_snapshots(), indent=2, sort_keys=True) + "\n"
-        )
-        pytest.skip(f"regenerated {GOLDEN_PATH}")
-    assert GOLDEN_PATH.exists(), (
-        f"missing golden file {GOLDEN_PATH}; regenerate with "
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
+        pytest.skip(f"regenerated {path}")
+    assert path.exists(), (
+        f"missing golden file {path}; regenerate with "
         "REPRO_REGEN_GOLDEN=1 python -m pytest tests/harness/test_golden_stats.py"
     )
-    golden = json.loads(GOLDEN_PATH.read_text())
-    current = _current_snapshots()
+    golden = json.loads(path.read_text())
     assert sorted(current) == sorted(golden), (
-        "registered scheme set changed; regenerate the golden file"
+        "pinned configuration set changed; regenerate the golden file"
     )
+    return golden
+
+
+def test_all_schemes_match_golden():
+    current = _current_snapshots()
+    golden = _check_golden(GOLDEN_PATH, current)
     for scheme in available_schemes():
         assert current[scheme] == golden[scheme], (
             f"scheme {scheme!r} drifted from the golden snapshot — a timing "
             "kernel change altered simulation results"
+        )
+
+
+def test_bimodal_variants_match_golden():
+    current = _current_variant_snapshots()
+    golden = _check_golden(VARIANTS_PATH, current)
+    for key in sorted(golden):
+        assert current[key] == golden[key], (
+            f"Bi-Modal variant {key!r} drifted from the golden snapshot"
         )
 
 
