@@ -24,6 +24,13 @@ branches of the access path and are pinned in
 Their short adaptation interval puts global-state transitions inside
 the measured region.
 
+ANTT (Figure 7's metric) comes from a different driver: the interval
+cores of :class:`~repro.cores.multiprog.MultiProgramRunner`, one
+multiprogrammed run plus one standalone run per program.
+``tests/golden/antt.json`` pins alloy and bimodal on Q1 and Q7 under
+the Figure 7 cell protocol: the ANTT, every core clock of both kinds
+of run and the multiprogrammed cache's full stats.
+
 To regenerate after an *intentional* simulation-semantics change::
 
     REPRO_REGEN_GOLDEN=1 python -m pytest tests/harness/test_golden_stats.py
@@ -42,6 +49,8 @@ from pathlib import Path
 import pytest
 
 from repro.bimodal.cache import BiModalConfig
+from repro.cores.metrics import antt
+from repro.cores.multiprog import MultiProgramRunner
 from repro.harness.runner import (
     ExperimentSetup,
     build_cache,
@@ -53,6 +62,7 @@ from repro.harness.schemes import available_schemes
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "drive_stats_q1.json"
 VARIANTS_PATH = GOLDEN_DIR / "bimodal_variants.json"
+ANTT_PATH = GOLDEN_DIR / "antt.json"
 
 SETUP = ExperimentSetup(num_cores=4, accesses_per_core=1_500)
 TOTAL = SETUP.num_cores * SETUP.accesses_per_core
@@ -72,6 +82,7 @@ VARIANTS = {
     "serial": replace(_BIMODAL, parallel_tag_data=False),
 }
 VARIANT_MIXES = ("Q1", "Q7")
+ANTT_SCHEMES = ("alloy", "bimodal")
 
 
 def _drive_scheme(
@@ -94,6 +105,36 @@ def _drive_scheme(
     }
     # JSON round-trip: the comparison happens in the exact representation
     # exported artifacts use, so "equal here" means "byte-identical there".
+    return json.loads(json.dumps(snapshot))
+
+
+def _antt_case(scheme: str, mix: str) -> dict:
+    """One Figure 7 cell, built as ``repro.harness.parallel.antt_cell`` does."""
+    runner = MultiProgramRunner(
+        SETUP.mixes()[mix],
+        lambda: build_cache(
+            scheme,
+            SETUP.system,
+            scale=SETUP.scale,
+            adaptation_interval=max(1_000, TOTAL // 150),
+        ),
+        accesses_per_core=SETUP.accesses_per_core,
+        seed=SETUP.seed,
+        footprint_scale=SETUP.footprint_scale,
+        intensity_scale=SETUP.intensity_scale,
+        warmup_fraction=0.5,
+    )
+    shared = runner.run_multiprogrammed()
+    standalone = [
+        runner.run_standalone(i).per_core_cycles[0]
+        for i in range(runner.mix.num_cores)
+    ]
+    snapshot = {
+        "antt": antt(shared.per_core_cycles, standalone),
+        "multiprogrammed_cycles": shared.per_core_cycles,
+        "standalone_cycles": standalone,
+        "stats": shared.cache.stats_snapshot(),
+    }
     return json.loads(json.dumps(snapshot))
 
 
@@ -142,6 +183,19 @@ def test_bimodal_variants_match_golden():
     for key in sorted(golden):
         assert current[key] == golden[key], (
             f"Bi-Modal variant {key!r} drifted from the golden snapshot"
+        )
+
+
+def test_antt_matches_golden():
+    current = {
+        f"{scheme}/{mix}": _antt_case(scheme, mix)
+        for scheme in ANTT_SCHEMES
+        for mix in VARIANT_MIXES
+    }
+    golden = _check_golden(ANTT_PATH, current)
+    for key in sorted(golden):
+        assert current[key] == golden[key], (
+            f"ANTT case {key!r} drifted from the golden snapshot"
         )
 
 
