@@ -94,6 +94,25 @@ grep -q '"InjectedFault"' "${SMOKE_DIR}/part.csv.manifest.json" \
 cmp "${SMOKE_DIR}/base.csv" "${SMOKE_DIR}/part.csv" \
     || { echo "resumed CSV differs from uninterrupted run"; exit 1; }
 
+echo "== ANTT trace-cache smoke (cold, warm, disk layer off) =="
+# ANTT runs read their per-program streams from the trace cache. The
+# fig10 smoke above cached Q1 and Q2 only, so the first fig7 run on Q7
+# materializes its trace, the second (a new process) reads the .npz
+# file without rewriting it, and the third runs with the disk layer
+# off. The three exports must be byte-identical.
+ANTT=(python -m repro run fig7 --mixes Q7 --accesses 1500)
+"${ANTT[@]}" --export "${SMOKE_DIR}/antt-cold.json" >/dev/null
+Q7_TRACE="$(ls "${REPRO_TRACE_CACHE_DIR}"/v*-Q7-c4-a1500-*.npz)"
+Q7_INODE="$(stat -c %i "${Q7_TRACE}")"
+"${ANTT[@]}" --export "${SMOKE_DIR}/antt-warm.json" >/dev/null
+[ "$(stat -c %i "${Q7_TRACE}")" = "${Q7_INODE}" ] \
+    || { echo "warm fig7 run regenerated the Q7 trace"; exit 1; }
+REPRO_TRACE_CACHE=0 "${ANTT[@]}" --export "${SMOKE_DIR}/antt-off.json" >/dev/null
+cmp "${SMOKE_DIR}/antt-cold.json" "${SMOKE_DIR}/antt-warm.json" \
+    || { echo "warm fig7 export differs from cold"; exit 1; }
+cmp "${SMOKE_DIR}/antt-cold.json" "${SMOKE_DIR}/antt-off.json" \
+    || { echo "fig7 export with the disk cache off differs"; exit 1; }
+
 echo "== service smoke (repro serve) =="
 # Boots the daemon on an ephemeral port, drives one grid through the
 # typed client and asserts the export is byte-identical to the CLI

@@ -6,6 +6,11 @@ again standalone with identical per-core configuration; ANTT is the mean
 per-program slowdown (Section IV). Interleaving follows each core's own
 retirement clock, so memory-intensive programs pressure the shared cache
 exactly in proportion to their progress.
+
+Each program's record stream is read from the shared trace cache
+(:func:`~repro.workloads.trace_cache.program_streams`), so the
+multiprogrammed and standalone runs of every scheme reuse one
+generation of the mix's merged trace.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from repro.cores.metrics import antt
 from repro.dramcache.base import DRAMCacheBase
 from repro.workloads.generator import ProgramTrace
 from repro.workloads.mixes import WorkloadMix
-from repro.workloads.trace import CORE_ADDRESS_STRIDE
+from repro.workloads.trace_cache import program_streams
 
 __all__ = ["RunResult", "MultiProgramRunner", "run_antt"]
 
@@ -60,6 +65,11 @@ class MultiProgramRunner:
             raise ValueError("warmup_fraction must be in [0, 1)")
         self.mix = mix.scaled(footprint_scale) if footprint_scale != 1.0 else mix
         self.mix = self.mix.with_intensity_scale(intensity_scale)
+        # The trace cache keys on the unscaled mix plus the scales, as
+        # ExperimentSetup.trace_records does, so ANTT runs share its entry.
+        self._trace_mix = mix
+        self.footprint_scale = footprint_scale
+        self.intensity_scale = intensity_scale
         self.cache_factory = cache_factory
         self.core_config = core_config or CoreConfig()
         self.accesses_per_core = accesses_per_core
@@ -71,14 +81,14 @@ class MultiProgramRunner:
         """Run the given subset of the mix's programs on a fresh cache."""
         cache = self.cache_factory()
         cores = [IntervalCore(i, self.core_config) for i in program_indices]
-        streams = []
-        for slot, prog_idx in enumerate(program_indices):
-            trace = ProgramTrace(
-                self.mix.programs[prog_idx],
-                seed=self.seed + prog_idx,
-                base_address=prog_idx * CORE_ADDRESS_STRIDE,
-            )
-            streams.append(iter_records(trace, self.accesses_per_core))
+        programs = program_streams(
+            self._trace_mix,
+            accesses_per_core=self.accesses_per_core,
+            seed=self.seed,
+            footprint_scale=self.footprint_scale,
+            intensity_scale=self.intensity_scale,
+        )
+        streams = [iter(programs[i]) for i in program_indices]
 
         # The heap is keyed on each core's *next access arrival time*
         # (clock + compute gap), so requests reach the shared memory
@@ -138,6 +148,12 @@ class MultiProgramRunner:
         return self._drive(list(range(self.mix.num_cores)))
 
     def run_standalone(self, program_index: int) -> RunResult:
+        num = self.mix.num_cores
+        if not 0 <= program_index < num:
+            raise ValueError(
+                f"program_index {program_index} out of range: the mix's "
+                f"programs are 0..{num - 1}"
+            )
         return self._drive([program_index])
 
     def run_antt(self) -> tuple[float, RunResult]:
@@ -151,7 +167,12 @@ class MultiProgramRunner:
 
 
 def iter_records(trace: ProgramTrace, accesses: int):
-    """Flatten a trace's chunks into (address, is_write, icount) tuples."""
+    """Flatten a trace's chunks into (address, is_write, icount) tuples.
+
+    The regeneration reference: the tests compare the trace cache's
+    per-program streams, which the runner drives, against it, and
+    repobench times it as its trace-generation probe.
+    """
     for chunk in trace.chunks(accesses):
         yield from chunk
 

@@ -24,9 +24,8 @@ from repro.cores.metrics import antt
 from repro.dramcache.base import DRAMCacheBase
 from repro.sram.hierarchy import CacheHierarchy
 from repro.sram.mshr import MSHRFile
-from repro.workloads.generator import ProgramTrace
 from repro.workloads.mixes import WorkloadMix
-from repro.workloads.trace import CORE_ADDRESS_STRIDE
+from repro.workloads.trace_cache import program_streams
 
 __all__ = ["SystemStats", "System", "run_system_antt"]
 
@@ -109,14 +108,10 @@ class System:
             core.apply_read_stall(result.latency)
 
     def _drive(self, mix: WorkloadMix, core_ids: list[int], accesses_per_core: int):
-        streams = []
-        for slot, core_id in enumerate(core_ids):
-            trace = ProgramTrace(
-                mix.programs[core_id],
-                seed=self.seed + core_id,
-                base_address=core_id * CORE_ADDRESS_STRIDE,
-            )
-            streams.append(iter_flat(trace, accesses_per_core))
+        programs = program_streams(
+            mix, accesses_per_core=accesses_per_core, seed=self.seed
+        )
+        streams = [iter(programs[core_id]) for core_id in core_ids]
         # core_ids select the mix programs (and address bases); the
         # hardware cores are slot-indexed, so a single-core system can
         # replay any program of a larger mix standalone. The heap is
@@ -172,11 +167,6 @@ class System:
             mshr_merges=self.mshrs.merged_misses,
             dram_cache_stats=self.dram_cache.stats_snapshot(),
         )
-
-
-def iter_flat(trace: ProgramTrace, accesses: int):
-    for chunk in trace.chunks(accesses):
-        yield from chunk
 
 
 def run_system_antt(

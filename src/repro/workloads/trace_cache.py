@@ -2,10 +2,11 @@
 
 Every experiment cell re-drives a merged LLSC-miss stream that is fully
 determined by ``(mix, accesses_per_core, seed, footprint_scale,
-intensity_scale)``. A paper-figure grid revisits the same handful of
-streams dozens of times (one per scheme/config), and whole-suite re-runs
-revisit all of them — so the generated record arrays are memoized at two
-levels:
+intensity_scale)``; ANTT and full-system runs read the same entry split
+back into per-program streams (:func:`program_streams`). A paper-figure
+grid revisits the same handful of streams dozens of times (one per
+scheme/config), and whole-suite re-runs revisit all of them — so the
+generated record arrays are memoized at two levels:
 
 * an in-process LRU (entry-count bounded) serving repeat cells inside
   one run, and
@@ -44,14 +45,16 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.workloads.generator import TraceChunk
 from repro.workloads.mixes import WorkloadMix, get_mix
-from repro.workloads.trace import MultiProgramTrace
+from repro.workloads.trace import CORE_ADDRESS_STRIDE, MultiProgramTrace
 
 __all__ = [
     "TRACE_FORMAT_VERSION",
     "trace_key",
     "materialized_trace",
     "materialized_columns",
+    "program_streams",
     "clear_memory_cache",
     "cache_stats",
     "disk_cache_dir",
@@ -240,8 +243,6 @@ def materialized_trace(
     same parameters. The arrays are shared across callers and marked
     read-only — copy before mutating.
     """
-    from repro.workloads.generator import TraceChunk
-
     if isinstance(mix, str):
         mix = get_mix(mix)
     key = trace_key(
@@ -302,6 +303,50 @@ def materialized_columns(
         footprint_scale=footprint_scale,
         intensity_scale=intensity_scale,
     ).columns()
+
+
+def program_streams(
+    mix: WorkloadMix | str,
+    *,
+    accesses_per_core: int,
+    seed: int = 1,
+    footprint_scale: float = 1.0,
+    intensity_scale: float = 1.0,
+) -> list[TraceChunk]:
+    """Each program's own record stream, split out of the cached merge.
+
+    Returns one :class:`~repro.workloads.generator.TraceChunk` per
+    program of the mix, record for record what program ``i``'s
+    ``ProgramTrace(seed=seed + i, base_address=i * CORE_ADDRESS_STRIDE)``
+    generates. The split is exact: program ``i`` owns the addresses
+    ``[i * CORE_ADDRESS_STRIDE, (i + 1) * CORE_ADDRESS_STRIDE)``, and the
+    merge is a stable sort on (instruction time, core), so selecting the
+    records with ``address // CORE_ADDRESS_STRIDE == i`` keeps program
+    ``i``'s records in their original order. Same memoization as
+    :func:`materialized_trace`: the ANTT and full-system drivers share
+    its entries with the trace-driven experiments.
+    """
+    if isinstance(mix, str):
+        mix = get_mix(mix)
+    addresses, is_write, icount = materialized_trace(
+        mix,
+        accesses_per_core=accesses_per_core,
+        seed=seed,
+        footprint_scale=footprint_scale,
+        intensity_scale=intensity_scale,
+    ).columns()
+    owner = addresses // np.uint64(CORE_ADDRESS_STRIDE)
+    streams = []
+    for program in range(mix.num_cores):
+        mine = owner == program
+        stream = TraceChunk(addresses[mine], is_write[mine], icount[mine])
+        if len(stream) != accesses_per_core:
+            raise ValueError(
+                f"program {program} of mix {mix.name!r} has {len(stream)} "
+                f"records in the merged trace, expected {accesses_per_core}"
+            )
+        streams.append(stream)
+    return streams
 
 
 def clear_memory_cache() -> None:

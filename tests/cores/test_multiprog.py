@@ -43,6 +43,11 @@ class TestRuns:
         result = runner.run_standalone(2)
         assert len(result.per_core_cycles) == 1
 
+    def test_standalone_rejects_out_of_range_program(self, runner):
+        for index in (-1, runner.mix.num_cores):
+            with pytest.raises(ValueError, match=r"programs are 0\.\.3"):
+                runner.run_standalone(index)
+
     def test_standalone_faster_than_shared(self, runner):
         """Contention must slow programs down relative to standalone."""
         mp = runner.run_multiprogrammed()
