@@ -31,6 +31,13 @@ multiprogrammed run plus one standalone run per program.
 the Figure 7 cell protocol: the ANTT, every core clock of both kinds
 of run and the multiprogrammed cache's full stats.
 
+The design-space exploration's timing runs (``repro dse``) build
+Bi-Modal caches with 256 B–1 KB big blocks, whose fills move up to
+sixteen off-chip beats. ``tests/golden/dse_points.json`` pins six such
+points on Q23 and Q1, built as ``repro.mrc.dse.dse_sim_cell`` builds
+them: the full stats plus the off-chip controller and device counters
+that the posted tail beats of each fill write.
+
 To regenerate after an *intentional* simulation-semantics change::
 
     REPRO_REGEN_GOLDEN=1 python -m pytest tests/harness/test_golden_stats.py
@@ -58,11 +65,13 @@ from repro.harness.runner import (
     scaled_locator_bits,
 )
 from repro.harness.schemes import available_schemes
+from repro.mrc.dse import DesignPoint, _point_config
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 GOLDEN_PATH = GOLDEN_DIR / "drive_stats_q1.json"
 VARIANTS_PATH = GOLDEN_DIR / "bimodal_variants.json"
 ANTT_PATH = GOLDEN_DIR / "antt.json"
+DSE_PATH = GOLDEN_DIR / "dse_points.json"
 
 SETUP = ExperimentSetup(num_cores=4, accesses_per_core=1_500)
 TOTAL = SETUP.num_cores * SETUP.accesses_per_core
@@ -83,6 +92,18 @@ VARIANTS = {
 }
 VARIANT_MIXES = ("Q1", "Q7")
 ANTT_SCHEMES = ("alloy", "bimodal")
+DSE_POINTS = tuple(
+    DesignPoint(cache_mb, block_size, associativity, policy)
+    for cache_mb, block_size, associativity, policy in (
+        (4, 256, 4, "fixed"),
+        (4, 256, 8, "adaptive"),
+        (8, 512, 4, "adaptive"),
+        (8, 512, 8, "fixed"),
+        (16, 1024, 4, "fixed"),
+        (16, 1024, 8, "adaptive"),
+    )
+)
+DSE_MIXES = ("Q23", "Q1")
 
 
 def _drive_scheme(
@@ -134,6 +155,40 @@ def _antt_case(scheme: str, mix: str) -> dict:
         "multiprogrammed_cycles": shared.per_core_cycles,
         "standalone_cycles": standalone,
         "stats": shared.cache.stats_snapshot(),
+    }
+    return json.loads(json.dumps(snapshot))
+
+
+def _dse_case(point: DesignPoint, mix: str) -> dict:
+    """One dse timing run, built as ``repro.mrc.dse.dse_sim_cell`` does."""
+    cache = build_cache(
+        "bimodal",
+        SETUP.system.scaled_cache(point.cache_mb << 20),
+        bimodal_config=_point_config(point, SETUP, TOTAL),
+        scale=SETUP.scale,
+        adaptation_interval=max(1_000, TOTAL // 150),
+    )
+    result = drive_cache(
+        cache,
+        SETUP.trace_records(mix),
+        window=16,
+        streams=SETUP.num_cores,
+        warmup=int(TOTAL * 0.5),
+    )
+    offchip = cache.offchip
+    snapshot = {
+        "records": result.accesses,
+        "end_time": result.end_time,
+        "stats": result.stats,
+        "offchip": {
+            "reads": offchip.reads,
+            "writes": offchip.writes,
+            "bytes_transferred": offchip.bytes_transferred,
+            "row_buffer_hit_rate": offchip.row_buffer_hit_rate(),
+            "activations": offchip.device.total_activations(),
+            "precharges": offchip.device.total_precharges(),
+            "read_latency_mean": offchip.read_latency.mean,
+        },
     }
     return json.loads(json.dumps(snapshot))
 
@@ -196,6 +251,19 @@ def test_antt_matches_golden():
     for key in sorted(golden):
         assert current[key] == golden[key], (
             f"ANTT case {key!r} drifted from the golden snapshot"
+        )
+
+
+def test_dse_points_match_golden():
+    current = {
+        f"{point.label()}/{mix}": _dse_case(point, mix)
+        for point in DSE_POINTS
+        for mix in DSE_MIXES
+    }
+    golden = _check_golden(DSE_PATH, current)
+    for key in sorted(golden):
+        assert current[key] == golden[key], (
+            f"dse point {key!r} drifted from the golden snapshot"
         )
 
 
