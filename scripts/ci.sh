@@ -65,6 +65,24 @@ echo "== benchmark smoke (repobench) =="
 # breaks one fails here instead of at the next benchmark run.
 python3 -m pytest repobench/test_smoke.py -q
 
+echo "== benchmark outputs vs stored reference (repobench, seed 1) =="
+# The smoke test above runs at seed 3 and tiny sizes, where no stored
+# reference applies. Here each workload runs its minimum three passes
+# at the reference seed and size, and every cell's outputs must match
+# repobench/reference.json: the last line must read "correct": true
+# with 0 failed.
+for workload in sweep antt dse; do
+    last="$(python3 repobench/run.py --workload "${workload}" --seed 1 \
+        --seconds 0 --trace 0 | tail -n 1)"
+    python3 - "${workload}" "${last}" <<'EOF'
+import json, sys
+workload, result = sys.argv[1], json.loads(sys.argv[2])
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit(f"repobench {workload}: outputs differ from the reference: {result}")
+print(f"[repobench] {workload} correct=true attempted={result['attempted']} failed=0")
+EOF
+done
+
 echo "== fault-tolerance smoke =="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SMOKE_DIR}"' EXIT

@@ -11,6 +11,7 @@ harness can tabulate all schemes uniformly.
 from __future__ import annotations
 
 import heapq
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from collections.abc import Callable
@@ -71,15 +72,19 @@ class DRAMCacheBase(ABC):
         # tuples — no closure allocation on the hot path — and executed
         # once simulation time reaches their stamp, so a fill scheduled
         # for t+300 can never retroactively block a request that
-        # arrives at t+10.
-        self._pending: list[tuple[int, int, Callable[..., object], tuple]] = []
+        # arrives at t+10. An entry whose func is None is a train of
+        # off-chip tail beats (see _fetch_offchip).
+        self._pending: list[tuple[int, int, Callable[..., object] | None, tuple]] = []
         self._pending_seq = 0
         # Fast-path scratch: hit/miss of the access in flight, set by
         # the subclass inside _access_fast before it returns.
         self._hit = False
-        # Hoisted off-chip helpers for _fetch_offchip's posted tails.
-        self._offchip_spread = offchip.device.timings.burst_cycles
-        self._offchip_read_tail = offchip.device.read_fast
+        # Hoisted off-chip helpers for the tail trains.
+        device = offchip.device
+        self._offchip_spread = device.timings.burst_cycles
+        self._offchip_row_beats = device.geometry.page_size // 64
+        self._offchip_decode = device.decode
+        self._offchip_access = device.access_direct_fast
 
     # ------------------------------------------------------------------
     # public API
@@ -155,47 +160,77 @@ class DRAMCacheBase(ABC):
         heapq.heappush(self._pending, (when, self._pending_seq, func, args))
         self._pending_seq += 1
 
-    def _drain_posted(self, now: int) -> None:
-        """Run every posted operation whose time has arrived."""
+    def _drain_posted(self, now: float) -> None:
+        """Run every posted operation whose time has arrived.
+
+        A tail train (func None, args ``(channel, bank, row, beats)``)
+        stands for ``beats`` single-beat reads ``spread`` cycles apart
+        whose sequence numbers follow its own. Its beats run back to
+        back while the next one is due and still precedes the heap top
+        in ``(when, seq)`` order; otherwise the rest goes back on the
+        heap under the next beat's stamp. The device therefore sees
+        the same reads in the same order as one entry per beat.
+        """
         pending = self._pending
         pop = heapq.heappop
         while pending and pending[0][0] <= now:
-            entry = pop(pending)
-            entry[2](*entry[3])
+            when, seq, func, args = pop(pending)
+            if func is not None:
+                func(*args)
+                continue
+            channel, bank, row, beats = args
+            access = self._offchip_access
+            spread = self._offchip_spread
+            access(channel, bank, row, when, 1)
+            while beats > 1:
+                beats -= 1
+                when += spread
+                seq += 1
+                if when > now or (pending and pending[0] < (when, seq)):
+                    heapq.heappush(
+                        pending, (when, seq, None, (channel, bank, row, beats))
+                    )
+                    break
+                access(channel, bank, row, when, 1)
 
     def flush_posted(self) -> None:
-        """Run all remaining posted operations (end of a drive)."""
-        pending = self._pending
-        while pending:
-            entry = heapq.heappop(pending)
-            entry[2](*entry[3])
+        """Run every remaining posted operation, however far ahead.
+
+        No drive calls this: a drive's stats cover the operations due
+        by its last access. Tests call it to settle a cache's state.
+        """
+        self._drain_posted(math.inf)
 
     def _fetch_offchip(self, address: int, now: int, *, bursts: int) -> int:
         """Fetch ``bursts`` * 64 B from main memory.
 
         Critical-word-first with interleavable tail: the demand request
         moves only the critical 64 B beat (its completion unblocks the
-        core); the remaining bursts of a multi-block fetch are posted as
-        individual transfers spread behind it, so other requesters'
-        demands can slot between them the way an FR-FCFS scheduler
-        interleaves a long cacheline fill with competing traffic. Total
-        bytes moved and bus occupancy are unchanged.
+        core); the remaining ``bursts - 1`` beats are posted behind it,
+        one ``spread`` apart, so other requesters' demands can slot
+        between them the way an FR-FCFS scheduler interleaves a long
+        cacheline fill with competing traffic. Total bytes moved and
+        bus occupancy are unchanged. The tail is posted as one train
+        per off-chip row it touches, each holding the sequence numbers
+        its beats would take as separate entries (see
+        :meth:`_drain_posted`).
         """
         end = self.offchip.read_fast(address, now, 1)
         self.offchip_fetched_bytes += bursts * 64
         if bursts > 1:
-            # Inline of _post_call: a big-block fill posts bursts-1 tail
-            # transfers, making this the hottest posting site.
             spread = self._offchip_spread
-            read_tail = self._offchip_read_tail
+            row_beats = self._offchip_row_beats
             pending = self._pending
             seq = self._pending_seq
-            push = heapq.heappush
-            for i in range(1, bursts):
-                when = end + i * spread
-                push(pending, (when, seq, read_tail, (address + 64 * i, when, 1)))
-                seq += 1
-            self._pending_seq = seq
+            self._pending_seq = seq + bursts - 1
+            beat = 1
+            while beat < bursts:
+                loc = self._offchip_decode(address + 64 * beat)
+                beats = min(bursts - beat, row_beats - loc.column)
+                train = (loc.channel, loc.bank, loc.row, beats)
+                heapq.heappush(pending, (end + beat * spread, seq, None, train))
+                seq += beats
+                beat += beats
         return end
 
     def _writeback_offchip(self, address: int, now: int, *, bursts: int) -> None:
