@@ -38,6 +38,14 @@ points on Q23 and Q1, built as ``repro.mrc.dse.dse_sim_cell`` builds
 them: the full stats plus the off-chip controller and device counters
 that the posted tail beats of each fill write.
 
+At the default capacity no Loh-Hill or ATCache set fills its 29 ways
+within these traces, so the files above never reach a tags-in-DRAM
+eviction. ``tests/golden/tags_in_dram.json`` drives lohhill, atcache
+and footprint on Q1 and Q2 with the stacked cache shrunk to 256 KB and
+512 KB, where full-set LRU choices, dirty writebacks and tag-cache
+evictions all happen. It pins the full stats, the off-chip
+controller's counters and, for atcache, the tag cache's own counts.
+
 To regenerate after an *intentional* simulation-semantics change::
 
     REPRO_REGEN_GOLDEN=1 python -m pytest tests/harness/test_golden_stats.py
@@ -72,6 +80,7 @@ GOLDEN_PATH = GOLDEN_DIR / "drive_stats_q1.json"
 VARIANTS_PATH = GOLDEN_DIR / "bimodal_variants.json"
 ANTT_PATH = GOLDEN_DIR / "antt.json"
 DSE_PATH = GOLDEN_DIR / "dse_points.json"
+TAGS_IN_DRAM_PATH = GOLDEN_DIR / "tags_in_dram.json"
 
 SETUP = ExperimentSetup(num_cores=4, accesses_per_core=1_500)
 TOTAL = SETUP.num_cores * SETUP.accesses_per_core
@@ -104,6 +113,9 @@ DSE_POINTS = tuple(
     )
 )
 DSE_MIXES = ("Q23", "Q1")
+TAGS_IN_DRAM_SCHEMES = ("lohhill", "atcache", "footprint")
+TAGS_IN_DRAM_MIXES = ("Q1", "Q2")
+TAGS_IN_DRAM_KB = (256, 512)
 
 
 def _drive_scheme(
@@ -193,6 +205,40 @@ def _dse_case(point: DesignPoint, mix: str) -> dict:
     return json.loads(json.dumps(snapshot))
 
 
+def _tags_in_dram_case(scheme: str, mix: str, capacity_kb: int) -> dict:
+    """One shrunken-capacity drive whose sets fill and evict."""
+    cache = build_cache(
+        scheme, SETUP.system.scaled_cache(capacity_kb << 10), scale=SETUP.scale
+    )
+    result = drive_cache(
+        cache,
+        SETUP.trace_records(mix),
+        window=16,
+        streams=SETUP.num_cores,
+        warmup=WARMUP,
+    )
+    offchip = cache.offchip
+    snapshot = {
+        "records": result.accesses,
+        "end_time": result.end_time,
+        "stats": result.stats,
+        "offchip": {
+            "reads": offchip.reads,
+            "writes": offchip.writes,
+            "bytes_transferred": offchip.bytes_transferred,
+            "row_buffer_hit_rate": offchip.row_buffer_hit_rate(),
+        },
+    }
+    if scheme == "atcache":
+        tag_cache = cache.tag_cache
+        snapshot["tag_cache"] = {
+            "evictions": tag_cache.evictions,
+            "hits": tag_cache.accesses.hits,
+            "misses": tag_cache.accesses.misses,
+        }
+    return json.loads(json.dumps(snapshot))
+
+
 def _current_snapshots() -> dict[str, dict]:
     return {scheme: _drive_scheme(scheme) for scheme in available_schemes()}
 
@@ -264,6 +310,22 @@ def test_dse_points_match_golden():
     for key in sorted(golden):
         assert current[key] == golden[key], (
             f"dse point {key!r} drifted from the golden snapshot"
+        )
+
+
+def test_tags_in_dram_match_golden():
+    current = {
+        f"{scheme}/{mix}/{capacity_kb}KB": _tags_in_dram_case(
+            scheme, mix, capacity_kb
+        )
+        for scheme in TAGS_IN_DRAM_SCHEMES
+        for mix in TAGS_IN_DRAM_MIXES
+        for capacity_kb in TAGS_IN_DRAM_KB
+    }
+    golden = _check_golden(TAGS_IN_DRAM_PATH, current)
+    for key in sorted(golden):
+        assert current[key] == golden[key], (
+            f"tags-in-DRAM case {key!r} drifted from the golden snapshot"
         )
 
 
