@@ -112,6 +112,23 @@ grep -q '"InjectedFault"' "${SMOKE_DIR}/part.csv.manifest.json" \
 cmp "${SMOKE_DIR}/base.csv" "${SMOKE_DIR}/part.csv" \
     || { echo "resumed CSV differs from uninterrupted run"; exit 1; }
 
+echo "== unscaled-capacity smoke (fig8c at scale 1) =="
+# Every test above builds caches at scale 16 or at a small hand-made
+# geometry. This builds all six Figure 8(c) schemes at the paper's
+# 128 MB, so a cache constructor that breaks at full size fails here:
+# the command must exit 0 and the Q2 row must hold every scheme.
+python -m repro run fig8c --mixes Q2 --accesses 300 --scale 1 \
+    --export "${SMOKE_DIR}/fig8c-scale1.json" >/dev/null
+python - "${SMOKE_DIR}/fig8c-scale1.json" <<'EOF'
+import json, sys
+rows = {row["mix"]: row for row in json.load(open(sys.argv[1]))["rows"]}
+schemes = ("alloy", "lohhill", "atcache", "footprint", "fixed512", "bimodal")
+missing = [s for s in schemes if not isinstance(rows.get("Q2", {}).get(s), float)]
+if missing:
+    sys.exit(f"fig8c at scale 1: the Q2 row lacks {missing}")
+print("[smoke] fig8c at scale 1: the Q2 row holds all six schemes")
+EOF
+
 echo "== ANTT trace-cache smoke (cold, warm, disk layer off) =="
 # ANTT runs read their per-program streams from the trace cache. The
 # fig10 smoke above cached Q1 and Q2 only, so the first fig7 run on Q7

@@ -69,7 +69,7 @@ def check_exactness(setup: ExperimentSetup) -> None:
             stream, [LRUGhost(capacity, 8, block_size) for block_size in block_sizes]
         ).counts
         for block_size, ghost in zip(block_sizes, counts):
-            reference = SetAssociativeCache(capacity, 8, block_size, policy="lru")
+            reference = SetAssociativeCache(capacity, 8, block_size)
             for address in stream:
                 reference.access(address)
             if (ghost.hits, ghost.accesses) != (

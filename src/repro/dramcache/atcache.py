@@ -19,9 +19,8 @@ from repro.common.config import DRAMCacheGeometry
 from repro.common.stats import RateStat
 from repro.dram.controller import MemoryController
 from repro.dramcache.base import DRAMCacheBase
-from repro.dramcache.lohhill import _Set, _TAG_BURSTS, _TAG_COMPARE_CYCLES, _WAYS
+from repro.dramcache.lohhill import _Set, _TAG_BURSTS, _TAG_COMPARE_CYCLES
 from repro.sram.cache import SetAssociativeCache
-from repro.sram.replacement import LRU
 
 __all__ = ["ATCache"]
 
@@ -46,7 +45,6 @@ class ATCache(DRAMCacheBase):
         super().__init__(geometry, offchip)
         self.num_sets = geometry.capacity // geometry.geometry.page_size
         self._sets: dict[int, _Set] = {}
-        self._lru = LRU()
         self._channels = geometry.geometry.channels
         self._banks = geometry.geometry.banks_per_channel
         self._tick = 0
@@ -60,14 +58,14 @@ class ATCache(DRAMCacheBase):
             groups = max(
                 tag_cache_assoc, int(self.num_sets * tag_cache_coverage) // self.pg
             )
-            tag_cache_sets = max(1, groups // tag_cache_assoc)
+            # Rounded down to a power of two, as the set count must be.
+            tag_cache_sets = 1 << ((groups // tag_cache_assoc).bit_length() - 1)
         # The tag cache tracks *which sets'* tags are SRAM-resident; one
         # "block" per PG-aligned group of sets.
         self.tag_cache = SetAssociativeCache(
             size=tag_cache_sets * tag_cache_assoc * 64,
             associativity=tag_cache_assoc,
             block_size=64,
-            policy="lru",
             name="atcache-tags",
         )
         self.tag_cache_stat = RateStat()
@@ -123,13 +121,9 @@ class ATCache(DRAMCacheBase):
             tags_known = tag_end + _TAG_COMPARE_CYCLES
             open_row_for_data = True
 
-        way = None
-        for w, resident in enumerate(entry.blocks):
-            if resident == block:
-                way = w
-                break
-
-        if way is not None:
+        blocks = entry.blocks
+        if block in blocks:
+            way = blocks.index(block)
             self._hit = True
             entry.last_use[way] = self._tick
             if is_write:
@@ -141,23 +135,17 @@ class ATCache(DRAMCacheBase):
 
         self._hit = False
         fetch_end = self._fetch_offchip(address, tags_known, bursts=1)
-        victim_way = self._victim_way(entry)
-        victim = entry.blocks[victim_way]
+        victim_way = entry.victim_way()
+        victim = blocks[victim_way]
         if victim is not None and entry.dirty[victim_way]:
             self._writeback_offchip(victim << 6, fetch_end, bursts=1)
-        entry.blocks[victim_way] = block
+        blocks[victim_way] = block
         entry.dirty[victim_way] = is_write
         entry.last_use[victim_way] = self._tick
         self._post_call(
             fetch_end, self.dram.access_direct_fast, channel, bank, row, fetch_end, 1
         )
         return fetch_end
-
-    def _victim_way(self, entry: _Set) -> int:
-        for way, resident in enumerate(entry.blocks):
-            if resident is None:
-                return way
-        return self._lru.victim(list(range(_WAYS)), last_use=entry.last_use)
 
     def reset_stats(self) -> None:
         super().reset_stats()

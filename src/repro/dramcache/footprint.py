@@ -32,7 +32,6 @@ from repro.common.stats import RateStat
 from repro.common.tables import sram_latency_cycles
 from repro.dram.controller import MemoryController
 from repro.dramcache.base import DRAMCacheBase
-from repro.sram.replacement import LRU
 
 __all__ = ["FootprintPredictor", "FootprintCache"]
 
@@ -115,7 +114,6 @@ class FootprintCache(DRAMCacheBase):
         if self.num_sets < 1:
             raise ValueError("cache too small for page-granular organization")
         self._sets: dict[int, list[_Page]] = {}
-        self._lru = LRU()
         self.predictor = FootprintPredictor()
         self.enable_bypass = enable_bypass
         self._channels = geometry.geometry.channels
@@ -230,7 +228,7 @@ class FootprintCache(DRAMCacheBase):
             last_use = []
             for w in ways:
                 last_use.append(w.last_use)
-            way_idx = self._lru.victim(list(range(len(ways))), last_use=last_use)
+            way_idx = last_use.index(min(last_use))
             self._evict(set_index, way_idx, ways[way_idx], fetch_end)
             ways[way_idx] = new_frame
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.common.config import DRAMCacheGeometry
 from repro.dram.controller import MemoryController
 from repro.dramcache.base import DRAMCacheBase
-from repro.sram.replacement import LRU
 
 __all__ = ["LohHillCache"]
 
@@ -30,6 +29,14 @@ class _Set:
         self.dirty = [False] * _WAYS
         self.last_use = [0] * _WAYS
 
+    def victim_way(self) -> int:
+        """The first free way, else the least recently used one."""
+        blocks = self.blocks
+        if None in blocks:
+            return blocks.index(None)
+        last_use = self.last_use
+        return last_use.index(min(last_use))
+
 
 class LohHillCache(DRAMCacheBase):
     """29-way set-per-row tags-in-DRAM cache with compound scheduling."""
@@ -40,7 +47,6 @@ class LohHillCache(DRAMCacheBase):
         super().__init__(geometry, offchip)
         self.num_sets = geometry.capacity // geometry.geometry.page_size
         self._sets: dict[int, _Set] = {}
-        self._lru = LRU()
         self._channels = geometry.geometry.channels
         self._banks = geometry.geometry.banks_per_channel
         self._tick = 0
@@ -62,13 +68,6 @@ class LohHillCache(DRAMCacheBase):
             self._sets[set_index] = entry
         return entry
 
-    def _victim_way(self, entry: _Set) -> int:
-        for way, block in enumerate(entry.blocks):
-            if block is None:
-                return way
-        candidates = list(range(_WAYS))
-        return self._lru.victim(candidates, last_use=entry.last_use)
-
     def resident(self, address: int) -> bool:
         """State-only residency probe (prefetch bypass support)."""
         set_index, block = self._set_of(address)
@@ -86,13 +85,9 @@ class LohHillCache(DRAMCacheBase):
         tag_end = self.dram.access_direct_fast(channel, bank, row, now, _TAG_BURSTS)
         tags_known = tag_end + _TAG_COMPARE_CYCLES
 
-        way = None
-        for w, resident in enumerate(entry.blocks):
-            if resident == block:
-                way = w
-                break
-
-        if way is not None:
+        blocks = entry.blocks
+        if block in blocks:
+            way = blocks.index(block)
             self._hit = True
             entry.last_use[way] = self._tick
             if is_write:
@@ -103,11 +98,11 @@ class LohHillCache(DRAMCacheBase):
         # Miss: off-chip fetch after the tag check disproved residency.
         self._hit = False
         fetch_end = self._fetch_offchip(address, tags_known, bursts=1)
-        victim_way = self._victim_way(entry)
-        victim = entry.blocks[victim_way]
+        victim_way = entry.victim_way()
+        victim = blocks[victim_way]
         if victim is not None and entry.dirty[victim_way]:
             self._writeback_offchip(victim << 6, fetch_end, bursts=1)
-        entry.blocks[victim_way] = block
+        blocks[victim_way] = block
         entry.dirty[victim_way] = is_write
         entry.last_use[victim_way] = self._tick
         # Fill write into the row; posted at fill time.

@@ -145,7 +145,7 @@ class _Fig5Cell:
 def _fig5_row(cell: _Fig5Cell) -> dict:
     capacity = cell.setup.system.dram_cache.capacity
     cache = SetAssociativeCache(
-        capacity, cell.associativity, cell.block_size, policy="lru", track_mru=True
+        capacity, cell.associativity, cell.block_size, track_mru=True
     )
     records = cell.setup.trace_records(cell.mix)
     access = cache.access

@@ -83,7 +83,7 @@ class System:
     ) -> None:
         self.config = config
         self.dram_cache = dram_cache
-        self.hierarchy = CacheHierarchy(config.num_cores, config.llsc, seed=seed)
+        self.hierarchy = CacheHierarchy(config.num_cores, config.llsc)
         self.mshrs = MSHRFile(config.llsc.mshrs)
         self.cores = [
             IntervalCore(i, config.core) for i in range(config.num_cores)

@@ -1,15 +1,8 @@
-"""SRAM substrate: set-associative caches, replacement, MSHRs, hierarchy."""
+"""SRAM substrate: set-associative LRU caches, MSHRs, hierarchy."""
 
 from repro.sram.cache import AccessResult, SetAssociativeCache
 from repro.sram.hierarchy import CacheHierarchy, FilterOutcome
 from repro.sram.mshr import MSHRFile
-from repro.sram.replacement import (
-    LRU,
-    Random,
-    RandomNotRecent,
-    ReplacementPolicy,
-    make_policy,
-)
 
 __all__ = [
     "AccessResult",
@@ -17,9 +10,4 @@ __all__ = [
     "CacheHierarchy",
     "FilterOutcome",
     "MSHRFile",
-    "LRU",
-    "Random",
-    "RandomNotRecent",
-    "ReplacementPolicy",
-    "make_policy",
 ]

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from repro.common.addressing import is_power_of_two, log2_int
 from repro.common.stats import Histogram, RateStat
-from repro.sram.replacement import ReplacementPolicy, make_policy
 
 __all__ = ["AccessResult", "SetAssociativeCache"]
 
@@ -36,18 +35,18 @@ class AccessResult:
     victim_address: int | None = None
 
 
-class _Line:
-    __slots__ = ("tag", "valid", "dirty", "last_use")
-
-    def __init__(self) -> None:
-        self.tag = 0
-        self.valid = False
-        self.dirty = False
-        self.last_use = 0
+_HIT = AccessResult(hit=True)
+_MISS = AccessResult(hit=False)
 
 
 class SetAssociativeCache:
-    """Write-back, write-allocate set-associative cache."""
+    """Write-back, write-allocate set-associative cache with LRU replacement.
+
+    Each set is a list of its resident tags in recency order, least
+    recently used first, so a hit moves its tag to the end and a miss on
+    a full set evicts the head. Dirty lines are kept as one set of block
+    numbers (address >> offset bits) for the whole cache.
+    """
 
     __slots__ = (
         "name",
@@ -56,10 +55,10 @@ class SetAssociativeCache:
         "block_size",
         "num_sets",
         "_offset_bits",
+        "_index_bits",
         "_index_mask",
         "_sets",
-        "_policy",
-        "_tick",
+        "_dirty",
         "accesses",
         "evictions",
         "writebacks",
@@ -72,8 +71,6 @@ class SetAssociativeCache:
         associativity: int,
         block_size: int = 64,
         *,
-        policy: str | ReplacementPolicy = "lru",
-        seed: int = 0,
         name: str = "cache",
         track_mru: bool = False,
     ) -> None:
@@ -90,15 +87,10 @@ class SetAssociativeCache:
         self.block_size = block_size
         self.num_sets = num_sets
         self._offset_bits = log2_int(block_size)
+        self._index_bits = log2_int(num_sets)
         self._index_mask = num_sets - 1
-        self._sets = [
-            [_Line() for _ in range(associativity)] for _ in range(num_sets)
-        ]
-        if isinstance(policy, ReplacementPolicy):
-            self._policy = policy
-        else:
-            self._policy = make_policy(policy, seed=seed)
-        self._tick = 0
+        self._sets: list[list[int]] = [[] for _ in range(num_sets)]
+        self._dirty: set[int] = set()
         self.accesses = RateStat()
         self.evictions = 0
         self.writebacks = 0
@@ -107,87 +99,54 @@ class SetAssociativeCache:
         self.mru_hits: Histogram | None = Histogram() if track_mru else None
 
     # ------------------------------------------------------------------
-    def _locate(self, address: int) -> tuple[int, int, int | None]:
-        """Return (tag, set index, way or None)."""
-        block = address >> self._offset_bits
-        index = block & self._index_mask
-        tag = block >> self._index_bits()
-        ways = self._sets[index]
-        for way, line in enumerate(ways):
-            if line.valid and line.tag == tag:
-                return tag, index, way
-        return tag, index, None
-
-    def _index_bits(self) -> int:
-        return log2_int(self.num_sets)
-
-    def block_address(self, tag: int, index: int) -> int:
-        return ((tag << self._index_bits()) | index) << self._offset_bits
-
-    # ------------------------------------------------------------------
     def contains(self, address: int) -> bool:
         """Residency probe without recency side effects."""
-        _, _, way = self._locate(address)
-        return way is not None
+        block = address >> self._offset_bits
+        return block >> self._index_bits in self._sets[block & self._index_mask]
 
     def access(self, address: int, *, is_write: bool = False) -> AccessResult:
         """Access one block; allocates on miss; returns eviction info."""
-        self._tick += 1
-        tag, index, way = self._locate(address)
+        block = address >> self._offset_bits
+        index = block & self._index_mask
+        tag = block >> self._index_bits
         ways = self._sets[index]
-        if way is not None:
-            line = ways[way]
+        if is_write:
+            # Write-allocate: a write dirties its block, hit or fill.
+            self._dirty.add(block)
+        if tag in ways:
             if self.mru_hits is not None:
-                rank = sum(
-                    1
-                    for other in ways
-                    if other.valid and other.last_use > line.last_use
-                )
-                self.mru_hits.add(rank)
-            line.last_use = self._tick
-            if is_write:
-                line.dirty = True
-            self.accesses.record(True)
-            return AccessResult(hit=True)
+                self.mru_hits.add(len(ways) - 1 - ways.index(tag))
+            ways.remove(tag)
+            ways.append(tag)
+            self.accesses.hits += 1
+            return _HIT
 
-        self.accesses.record(False)
-        victim_way = self._choose_victim(index)
-        line = ways[victim_way]
-        writeback = None
-        victim = None
-        if line.valid:
-            victim = self.block_address(line.tag, index)
-            self.evictions += 1
-            if line.dirty:
-                writeback = victim
-                self.writebacks += 1
-        line.tag = tag
-        line.valid = True
-        line.dirty = is_write
-        line.last_use = self._tick
-        return AccessResult(hit=False, writeback_address=writeback, victim_address=victim)
-
-    def _choose_victim(self, index: int) -> int:
-        ways = self._sets[index]
-        for way, line in enumerate(ways):
-            if not line.valid:
-                return way
-        candidates = list(range(self.associativity))
-        last_use = [ways[w].last_use for w in candidates]
-        return self._policy.victim(candidates, last_use=last_use)
+        self.accesses.misses += 1
+        ways.append(tag)
+        if len(ways) <= self.associativity:
+            return _MISS
+        victim_block = (ways.pop(0) << self._index_bits) | index
+        victim = victim_block << self._offset_bits
+        self.evictions += 1
+        if victim_block in self._dirty:
+            self._dirty.remove(victim_block)
+            self.writebacks += 1
+            return AccessResult(hit=False, writeback_address=victim, victim_address=victim)
+        return AccessResult(hit=False, victim_address=victim)
 
     def invalidate(self, address: int) -> bool:
         """Drop a block if present (no writeback); True if it was resident."""
-        _, index, way = self._locate(address)
-        if way is None:
+        block = address >> self._offset_bits
+        ways = self._sets[block & self._index_mask]
+        tag = block >> self._index_bits
+        if tag not in ways:
             return False
-        self._sets[index][way].valid = False
+        ways.remove(tag)
+        self._dirty.discard(block)
         return True
 
     def resident_blocks(self) -> int:
-        return sum(
-            1 for ways in self._sets for line in ways if line.valid
-        )
+        return sum(len(ways) for ways in self._sets)
 
     @property
     def hit_rate(self) -> float:

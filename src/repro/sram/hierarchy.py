@@ -32,27 +32,18 @@ class CacheHierarchy:
     L1_ASSOC = 2
     L1_LATENCY = 2
 
-    def __init__(self, num_cores: int, llsc: LLSCConfig, *, seed: int = 0) -> None:
+    def __init__(self, num_cores: int, llsc: LLSCConfig) -> None:
         if num_cores < 1:
             raise ValueError("num_cores must be >= 1")
         self.llsc_config = llsc
         self.l1s = [
             SetAssociativeCache(
-                self.L1_SIZE,
-                self.L1_ASSOC,
-                llsc.block_size,
-                policy="lru",
-                name=f"l1d{core}",
+                self.L1_SIZE, self.L1_ASSOC, llsc.block_size, name=f"l1d{core}"
             )
             for core in range(num_cores)
         ]
         self.llsc = SetAssociativeCache(
-            llsc.size,
-            llsc.associativity,
-            llsc.block_size,
-            policy="lru",
-            seed=seed,
-            name="llsc",
+            llsc.size, llsc.associativity, llsc.block_size, name="llsc"
         )
 
     def access(self, core: int, address: int, *, is_write: bool = False) -> FilterOutcome:

@@ -1,9 +1,11 @@
 """ATCache tests."""
 
+import pytest
 
 from repro.common.config import DRAMCacheGeometry, DRAMGeometry, DRAMTimingConfig
 from repro.dram.controller import MemoryController
 from repro.dramcache.atcache import ATCache
+from repro.harness.runner import ExperimentSetup, build_cache
 
 
 def make_cache(**kw) -> ATCache:
@@ -45,6 +47,22 @@ class TestTagCache:
     def test_auto_sizing_scales_with_cache(self):
         small = make_cache()
         assert small.tag_cache.num_sets >= 1
+
+    @pytest.mark.parametrize(
+        "num_cores,expected",
+        [(4, [4, 2, 1, 1]), (8, [8, 4, 2, 1]), (16, [16, 8, 4, 1])],
+    )
+    def test_auto_sizing_builds_at_every_scale(self, num_cores, expected):
+        """~1% of the sets, rounded down to a power-of-two set count.
+
+        At the paper's unscaled 128 MB the unrounded count is 5 sets.
+        """
+        sets = []
+        for scale in (1, 2, 4, 16):
+            setup = ExperimentSetup(num_cores=num_cores, scale=scale)
+            cache = build_cache("atcache", setup.system, scale=scale)
+            sets.append(cache.tag_cache.num_sets)
+        assert sets == expected
 
     def test_explicit_sizing_respected(self):
         cache = make_cache(tag_cache_sets=4, tag_cache_assoc=4)

@@ -28,9 +28,7 @@ def _reference_row(mix: str, block_sizes, associativity: int = 8) -> dict:
     stream = TINY.trace_records(mix).addresses.tolist()
     row: dict = {"mix": mix}
     for block_size in block_sizes:
-        cache = SetAssociativeCache(
-            capacity, associativity, block_size, policy="lru"
-        )
+        cache = SetAssociativeCache(capacity, associativity, block_size)
         for address in stream:
             cache.access(address)
         row[f"{block_size}B"] = cache.accesses.miss_rate

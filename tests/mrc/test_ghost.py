@@ -26,7 +26,7 @@ def stream():
 
 
 def _reference_counts(stream, capacity, associativity, block_size):
-    cache = SetAssociativeCache(capacity, associativity, block_size, policy="lru")
+    cache = SetAssociativeCache(capacity, associativity, block_size)
     for address in stream:
         cache.access(address)
     return cache.accesses.hits, cache.accesses.total
@@ -60,7 +60,7 @@ class TestGhostCacheExactness:
         # The Figure 1 rewire requires misses/total bit-for-bit.
         capacity = SETUP.system.dram_cache.capacity
         ghost = _counts(stream, LRUGhost(capacity, 8, 512))
-        reference = SetAssociativeCache(capacity, 8, 512, policy="lru")
+        reference = SetAssociativeCache(capacity, 8, 512)
         for address in stream:
             reference.access(address)
         assert ghost.miss_rate == reference.accesses.miss_rate

@@ -1,9 +1,10 @@
-"""SetAssociativeCache tests, including a hypothesis model check."""
+"""SetAssociativeCache tests, including hypothesis model checks."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sram.cache import SetAssociativeCache
+from tests.sram.oracle import ReferenceCache
 
 
 def make_cache(size=8192, assoc=2, block=64, **kw):
@@ -127,7 +128,7 @@ class TestStats:
 def test_fully_associative_matches_lru_reference(addresses):
     """A 1-set LRU cache must match a textbook LRU list model."""
     ways = 4
-    cache = SetAssociativeCache(ways * 64, ways, 64, policy="lru")
+    cache = SetAssociativeCache(ways * 64, ways, 64)
     reference: list[int] = []  # MRU first
     for addr in addresses:
         block = addr // 64 * 64
@@ -154,7 +155,7 @@ def test_fully_associative_matches_lru_reference(addresses):
 )
 def test_set_mapped_residency_model(ops):
     """Every set behaves as an independent LRU of its own blocks."""
-    cache = SetAssociativeCache(4096, 2, 64, policy="lru")
+    cache = SetAssociativeCache(4096, 2, 64)
     num_sets = cache.num_sets
     model: dict[int, list[int]] = {}
     for addr, is_write in ops:
@@ -167,3 +168,65 @@ def test_set_mapped_residency_model(ops):
             stack.remove(block)
         stack.insert(0, block)
         del stack[2:]
+
+
+# (size, associativity): 1-set 4-way, 1-set 16-way (ATCache's tag cache at
+# the default scale), 16-set 2-way and 64-set direct-mapped.
+ORACLE_GEOMETRIES = [(256, 4), (1024, 16), (2048, 2), (4096, 1)]
+ORACLE_OPS = ("read", "write", "contains", "invalidate", "reset_stats")
+
+
+def _assert_same_state(cache, oracle):
+    assert cache.evictions == oracle.evictions
+    assert cache.writebacks == oracle.writebacks
+    assert (cache.accesses.hits, cache.accesses.misses) == (
+        oracle.accesses.hits,
+        oracle.accesses.misses,
+    )
+    if oracle.mru_hits is None:
+        assert cache.mru_hits is None
+    else:
+        assert cache.mru_hits.buckets == oracle.mru_hits.buckets
+    assert cache.resident_blocks() == oracle.resident_blocks()
+
+
+@pytest.mark.parametrize("track_mru", [False, True])
+@pytest.mark.parametrize("size,associativity", ORACLE_GEOMETRIES)
+@settings(max_examples=100, deadline=None)
+@given(
+    script=st.lists(
+        st.tuples(
+            st.sampled_from(ORACLE_OPS),
+            st.integers(min_value=0, max_value=3),  # set, of the first four
+            st.integers(min_value=0, max_value=31),  # tag, mod 2 x assoc
+            st.integers(min_value=0, max_value=63),  # byte offset
+        ),
+        min_size=20,
+        max_size=200,
+    )
+)
+def test_matches_line_oracle(size, associativity, track_mru, script):
+    """Recency lists agree with the per-way line model after every step.
+
+    Addresses fall in at most four sets, each with twice as many tags as
+    ways, so short scripts already fill, evict and re-fill sets.
+    """
+    cache = SetAssociativeCache(size, associativity, 64, track_mru=track_mru)
+    oracle = ReferenceCache(size, associativity, 64, track_mru=track_mru)
+    num_sets = cache.num_sets
+    for op, set_index, tag, offset in script:
+        block = (tag % (2 * associativity)) * num_sets + set_index % num_sets
+        address = block * 64 + offset
+        if op in ("read", "write"):
+            is_write = op == "write"
+            assert cache.access(address, is_write=is_write) == oracle.access(
+                address, is_write=is_write
+            )
+        elif op == "contains":
+            assert cache.contains(address) == oracle.contains(address)
+        elif op == "invalidate":
+            assert cache.invalidate(address) == oracle.invalidate(address)
+        else:
+            cache.reset_stats()
+            oracle.reset_stats()
+        _assert_same_state(cache, oracle)
