@@ -9,7 +9,8 @@ configured hot-path pattern this rule bans:
 
 * closures: ``lambda`` and nested ``def``;
 * comprehensions and generator expressions (each allocates a fresh
-  object — and a frame, for generators — per evaluation);
+  object per evaluation, plus a function object on CPython <= 3.11 and
+  a frame for generators);
 * ``**kwargs`` call expansion (allocates a dict per call);
 * instantiating any project ``@dataclass`` (record objects belong on
   the rich wrapper path, plain ints on the fast path).
@@ -91,8 +92,9 @@ def probe_fast(tags, tag):
                 kind = type(node).__name__
                 yield source.violation(
                     self.name, node,
-                    f"{label} allocates a {kind} per call; hoist it or use "
-                    "an explicit loop",
+                    f"{label} allocates a {kind} per call; hoist it, or "
+                    "get the answer without building a collection "
+                    "(min/max with a key, list.index, in)",
                 )
             elif isinstance(node, ast.Call):
                 for keyword in node.keywords:

@@ -27,6 +27,8 @@ structure inherit the footprints observed on its earlier pages.
 
 from __future__ import annotations
 
+import operator
+
 from repro.common.config import DRAMCacheGeometry
 from repro.common.stats import RateStat
 from repro.common.tables import sram_latency_cycles
@@ -37,6 +39,9 @@ __all__ = ["FootprintPredictor", "FootprintCache"]
 
 _PAGE_SIZE = 2048
 _BLOCKS_PER_PAGE = _PAGE_SIZE // 64
+# A frame's recency; ticks are unique, so min() over a set picks its one
+# LRU frame.
+_LAST_USE = operator.attrgetter("last_use")
 
 
 class FootprintPredictor:
@@ -225,10 +230,7 @@ class FootprintCache(DRAMCacheBase):
             ways.append(new_frame)
             way_idx = len(ways) - 1
         else:
-            last_use = []
-            for w in ways:
-                last_use.append(w.last_use)
-            way_idx = last_use.index(min(last_use))
+            way_idx = ways.index(min(ways, key=_LAST_USE))
             self._evict(set_index, way_idx, ways[way_idx], fetch_end)
             ways[way_idx] = new_frame
 
