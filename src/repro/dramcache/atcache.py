@@ -18,8 +18,7 @@ from __future__ import annotations
 from repro.common.config import DRAMCacheGeometry
 from repro.common.stats import RateStat
 from repro.dram.controller import MemoryController
-from repro.dramcache.base import DRAMCacheBase
-from repro.dramcache.lohhill import _Set, _TAG_BURSTS, _TAG_COMPARE_CYCLES
+from repro.dramcache.lohhill import LohHillCache, _TAG_BURSTS, _TAG_COMPARE_CYCLES
 from repro.sram.cache import SetAssociativeCache
 
 __all__ = ["ATCache"]
@@ -27,7 +26,7 @@ __all__ = ["ATCache"]
 _TAG_CACHE_LATENCY = 2  # small SRAM structure
 
 
-class ATCache(DRAMCacheBase):
+class ATCache(LohHillCache):
     """Loh-Hill DRAM organization fronted by an SRAM tag cache."""
 
     name = "atcache"
@@ -43,11 +42,6 @@ class ATCache(DRAMCacheBase):
         tag_cache_coverage: float = 0.01,
     ) -> None:
         super().__init__(geometry, offchip)
-        self.num_sets = geometry.capacity // geometry.geometry.page_size
-        self._sets: dict[int, _Set] = {}
-        self._channels = geometry.geometry.channels
-        self._banks = geometry.geometry.banks_per_channel
-        self._tick = 0
         self.pg = prefetch_granularity
         if tag_cache_sets is None:
             # Size the tag cache to ~1% of the DRAM cache's sets. This
@@ -70,35 +64,10 @@ class ATCache(DRAMCacheBase):
         )
         self.tag_cache_stat = RateStat()
 
-    # -- shared Loh-Hill style helpers ---------------------------------
-    def _set_of(self, address: int) -> tuple[int, int]:
-        block = address >> 6
-        return block % self.num_sets, block
-
-    def _location(self, set_index: int) -> tuple[int, int, int]:
-        channel = set_index % self._channels
-        bank = (set_index // self._channels) % self._banks
-        row = set_index // (self._channels * self._banks)
-        return channel, bank, row
-
-    def _get_set(self, set_index: int) -> _Set:
-        entry = self._sets.get(set_index)
-        if entry is None:
-            entry = _Set()
-            self._sets[set_index] = entry
-        return entry
-
     def _group_key(self, set_index: int) -> int:
         """Tag-cache lookup key: PG-aligned set group, 64 B-granular."""
         return (set_index // self.pg) * 64
 
-    def resident(self, address: int) -> bool:
-        """State-only residency probe (prefetch bypass support)."""
-        set_index, block = self._set_of(address)
-        entry = self._sets.get(set_index)
-        return entry is not None and block in entry.blocks
-
-    # -------------------------------------------------------------------
     def _access_fast(self, address: int, now: int, is_write: bool) -> int:
         self._tick += 1
         block = address >> 6
