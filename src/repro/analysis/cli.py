@@ -5,20 +5,14 @@ configuration errors. ``--update-baseline`` rewrites the committed
 baseline from the current findings (the ratchet: run it only to shrink
 the file or to adopt a deliberate, justified exception).
 
-Incremental runs are the default: results are keyed by content hashes
-under ``.simlint-cache/`` at the repo root, so an unchanged tree
-replays instantly. ``--no-cache`` forces a cold run (CI runs both and
-gates on the warm one being >=5x faster); ``--changed`` narrows the
-scan to files git reports as modified — the fast pre-commit loop, with
-the caveat that cross-file rules only see the changed subset, so CI
-still runs the full tree.
+Every run parses and analyzes the whole requested tree in one serial
+pass; passing files or directories as arguments lints just those.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
 import textwrap
 import time
@@ -30,7 +24,6 @@ from repro.analysis.baseline import (
     missing_file_entries,
     split_by_baseline,
 )
-from repro.analysis.cache import LintCache
 from repro.analysis.config import load_config
 from repro.analysis.engine import find_repo_root, run_lint
 from repro.analysis.reporting import render_json, render_sarif, render_text
@@ -71,12 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json", "sarif"), default="text",
     )
     parser.add_argument(
-        "--changed", action="store_true",
-        help="lint only files git reports as changed (fast pre-commit "
-        "loop; cross-file rules see just the subset, CI runs the full "
-        "tree)",
-    )
-    parser.add_argument(
         "--baseline", default=None, metavar="FILE",
         help="baseline file (default: simlint-baseline.json at the repo "
         "root, when present)",
@@ -90,18 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--update-baseline", action="store_true",
         help="rewrite the baseline from the current findings and exit 0 "
         "(also prunes entries whose file was deleted)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental cache (cold run)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache location (default: .simlint-cache at the repo root)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for dataflow-facts extraction (default 1)",
     )
     parser.add_argument(
         "--explain", default=None, metavar="RULE",
@@ -125,7 +100,7 @@ def _explain(name: str) -> int:
         rule = all_rules([name])[name]
     except KeyError as exc:
         return _usage_error(str(exc.args[0]))
-    print(f"{rule.name} (v{rule.version}): {rule.description}")
+    print(f"{rule.name}: {rule.description}")
     if rule.rationale:
         print()
         print(textwrap.fill(rule.rationale, width=72))
@@ -138,37 +113,6 @@ def _explain(name: str) -> int:
     if not (rule.rationale or rule.example_bad):
         print("\n(no extended documentation recorded for this rule)")
     return 0
-
-
-def _changed_files(root: Path) -> list[Path] | None:
-    """Python files git sees as modified/added/untracked, or None on error.
-
-    ``status --porcelain`` covers staged + unstaged + untracked in one
-    pass; renames report the new side. Deleted files have nothing to
-    lint and are skipped.
-    """
-    try:
-        proc = subprocess.run(
-            ["git", "-C", str(root), "status", "--porcelain"],
-            capture_output=True, text=True, timeout=30, check=True,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    changed: list[Path] = []
-    for line in proc.stdout.splitlines():
-        if len(line) < 4:
-            continue
-        status, rest = line[:2], line[3:].strip()
-        if "D" in status:
-            continue
-        if " -> " in rest:
-            rest = rest.split(" -> ")[-1]
-        rest = rest.strip('"')
-        if rest.endswith(".py"):
-            candidate = root / rest
-            if candidate.is_file():
-                changed.append(candidate)
-    return changed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -206,39 +150,14 @@ def _main(argv: list[str] | None) -> int:
         except KeyError as exc:
             return _usage_error(str(exc.args[0]))
 
-    if args.changed:
-        changed = _changed_files(root)
-        if changed is None:
-            return _usage_error("--changed requires a working `git` checkout")
-        scope = [p.resolve() for p in paths]
-        paths = [
-            f for f in changed
-            if any(f == s or s in f.parents for s in scope)
-        ]
-        if not paths:
-            print("simlint: no changed Python files in scope")
-            return 0
-
-    if args.jobs < 1:
-        return _usage_error("--jobs must be >= 1")
-    cache = None
-    if not args.no_cache:
-        cache_dir = Path(args.cache_dir) if args.cache_dir \
-            else root / ".simlint-cache"
-        cache = LintCache(cache_dir)
-
     started = time.perf_counter()
-    result = run_lint(
-        paths, config=config, root=root, rules=rules,
-        cache=cache, jobs=args.jobs,
-    )
+    result = run_lint(paths, config=config, root=root, rules=rules)
     elapsed = time.perf_counter() - started
     # perfbench-convention timing line, on stderr so json/sarif stdout
-    # stays machine-parseable; CI greps it for the warm>=5x-cold gate.
-    mode = "warm" if result.cache_hit else "cold"
+    # stays machine-parseable.
     print(
-        f"[perfbench] simlint.run mode={mode} files={result.files_scanned} "
-        f"facts_reused={result.facts_reused} wall_s={elapsed:.3f}",
+        f"[perfbench] simlint.run files={result.files_scanned} "
+        f"wall_s={elapsed:.3f}",
         file=sys.stderr,
     )
 

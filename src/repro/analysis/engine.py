@@ -4,17 +4,9 @@ The engine is deliberately self-contained (stdlib ``ast`` only): it
 walks the requested paths, parses every module once, builds the
 cross-file :class:`ProjectModel`, runs each rule's file and project
 hooks, filters per-line suppressions, and returns an ordered
-:class:`LintResult`. Syntax errors surface as ``syntax`` findings
-rather than crashing the run, so one broken file cannot hide the rest
-of the report.
-
-With a :class:`~repro.analysis.cache.LintCache` attached the engine is
-incremental: an unchanged tree replays the previous findings without
-parsing anything, and on a partial change only the edited files redo
-dataflow-facts extraction (optionally in parallel worker processes via
-``jobs``; extraction is pure per-file work, so it parallelizes and
-caches cleanly, while rule evaluation — which sees the whole project —
-always runs fresh).
+:class:`LintResult`. Syntax errors and files that cannot be read or
+decoded surface as ``syntax`` findings rather than crashing the run,
+so one broken file cannot hide the rest of the report.
 """
 
 from __future__ import annotations
@@ -24,7 +16,6 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
 
-from repro.analysis.cache import LintCache, hash_bytes
 from repro.analysis.config import LintConfig
 from repro.analysis.model import ProjectModel, SourceFile, Violation
 from repro.analysis.rules import Rule, all_rules
@@ -40,10 +31,6 @@ class LintResult:
     files_scanned: int = 0
     rules_run: tuple[str, ...] = ()
     suppressed: int = 0
-    #: True when the whole result was replayed from the incremental cache.
-    cache_hit: bool = False
-    #: Files whose dataflow facts were served from the cache this run.
-    facts_reused: int = 0
 
     @property
     def ok(self) -> bool:
@@ -86,7 +73,11 @@ def _relative(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
-def _parse(path: Path, rel: str, text: str) -> SourceFile | Violation:
+def _load(path: Path, rel: str) -> SourceFile | Violation:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        return Violation("syntax", rel, 1, 0, f"unreadable file: {exc}")
     try:
         tree = ast.parse(text, filename=str(path))
     except SyntaxError as exc:
@@ -97,131 +88,28 @@ def _parse(path: Path, rel: str, text: str) -> SourceFile | Violation:
     return SourceFile(path, rel, text, tree)
 
 
-def _facts_worker(job: tuple[str, str, str]) -> dict | None:
-    """Read + parse + extract one module's facts (runs in a worker).
-
-    Returns the JSON form (picklable) or None when the file cannot be
-    processed — the parent then falls back to in-process extraction,
-    which also covers the file-changed-mid-run race.
-    """
-    path_str, rel, pkgrel = job
-    from repro.analysis.flow import extract_facts
-
-    try:
-        text = Path(path_str).read_text(encoding="utf-8")
-        tree = ast.parse(text, filename=path_str)
-    except (OSError, UnicodeDecodeError, SyntaxError):
-        return None
-    return extract_facts(tree, rel, pkgrel).to_dict()
-
-
-def _extract_all(
-    sources: list[SourceFile],
-    digests: dict[str, str],
-    cache: LintCache | None,
-    jobs: int,
-) -> tuple[list, int]:
-    """Facts for every source, cache-first, misses in parallel."""
-    from repro.analysis.flow import ModuleFacts, extract_facts
-
-    facts: list = [None] * len(sources)
-    reused = 0
-    misses: list[int] = []
-    for i, source in enumerate(sources):
-        if cache is not None:
-            hit = cache.load_facts(source.rel, digests[source.rel])
-            if hit is not None:
-                facts[i] = hit
-                reused += 1
-                continue
-        misses.append(i)
-
-    if jobs > 1 and len(misses) > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                jobs_in = [
-                    (str(sources[i].path), sources[i].rel, sources[i].pkgrel)
-                    for i in misses
-                ]
-                for i, document in zip(misses, pool.map(_facts_worker, jobs_in)):
-                    if document is not None:
-                        try:
-                            facts[i] = ModuleFacts.from_dict(document)
-                        except (KeyError, TypeError, ValueError):
-                            facts[i] = None
-        except (ImportError, OSError, RuntimeError):
-            pass  # pool unavailable: the serial sweep below covers everything
-
-    for i in misses:
-        if facts[i] is None:
-            source = sources[i]
-            facts[i] = extract_facts(source.tree, source.rel, source.pkgrel)
-        if cache is not None:
-            cache.store_facts(
-                sources[i].rel, digests[sources[i].rel], facts[i]
-            )
-    return facts, reused
-
-
 def run_lint(
     paths: list[Path],
     *,
     config: LintConfig | None = None,
     root: Path | None = None,
     rules: dict[str, Rule] | None = None,
-    cache: LintCache | None = None,
-    jobs: int = 1,
 ) -> LintResult:
-    """Run the rule set over ``paths``; violations come back sorted.
-
-    ``cache`` enables the two incremental layers (full-run replay and
-    per-file facts reuse); ``jobs`` > 1 extracts dataflow facts for
-    cache misses in that many worker processes.
-    """
+    """Run the rule set over ``paths``; violations come back sorted."""
     config = config or LintConfig()
     root = (root or find_repo_root(paths[0] if paths else Path.cwd())).resolve()
     active = rules if rules is not None else all_rules(config.select)
 
-    discovered = discover_files(paths, config)
-    texts: dict[str, str] = {}
-    digests: dict[str, str] = {}
-    unreadable: list[Violation] = []
-    ordered: list[tuple[Path, str]] = []
-    for path in discovered:
-        rel = _relative(path, root)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            unreadable.append(
-                Violation("syntax", rel, 1, 0, f"unreadable file: {exc}")
-            )
-            continue
-        texts[rel] = text
-        digests[rel] = hash_bytes(text.encode("utf-8"))
-        ordered.append((path, rel))
-
-    run_key = None
-    if cache is not None and not unreadable:
-        run_key = cache.run_key(
-            [(rel, digests[rel]) for _, rel in ordered], active, config
-        )
-        replayed = cache.load_run(run_key)
-        if replayed is not None:
-            return replayed
-
     sources: list[SourceFile] = []
-    violations: list[Violation] = list(unreadable)
-    for path, rel in ordered:
-        loaded = _parse(path, rel, texts[rel])
+    violations: list[Violation] = []
+    for path in discover_files(paths, config):
+        loaded = _load(path, _relative(path, root))
         if isinstance(loaded, Violation):
             violations.append(loaded)
         else:
             sources.append(loaded)
 
-    facts, facts_reused = _extract_all(sources, digests, cache, jobs)
-    project = ProjectModel(sources, config, facts=facts)
+    project = ProjectModel(sources, config)
     by_rel = {source.rel: source for source in sources}
     raw: list[Violation] = []
     for rule in active.values():
@@ -238,13 +126,9 @@ def run_lint(
         violations.append(violation)
 
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule, v.message))
-    result = LintResult(
+    return LintResult(
         violations=violations,
         files_scanned=len(sources),
         rules_run=tuple(active),
         suppressed=suppressed,
-        facts_reused=facts_reused,
     )
-    if cache is not None and run_key is not None:
-        cache.store_run(run_key, result)
-    return result

@@ -7,9 +7,6 @@ Three layers, each feeding the next:
   ``<module>`` body), its calls, a condensed def-use skeleton
   (assignments and returns as lists of *dep tokens*), ambient-entropy
   source events, and an import table that resolves relative imports.
-  Facts are plain JSON-serializable dataclasses, which is what makes
-  the incremental cache (:mod:`repro.analysis.cache`) possible: an
-  unchanged file replays its facts from disk without re-parsing.
 
 * **Call graph** — :class:`CallGraph` resolves each call fact to a
   project function where it can (``from repro.x import f`` member
@@ -47,7 +44,6 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatch
 
 __all__ = [
-    "FACTS_VERSION",
     "CallFact",
     "FunctionFact",
     "ClassFact",
@@ -59,9 +55,6 @@ __all__ = [
     "SOURCE_KINDS",
     "ORDER_KINDS",
 ]
-
-#: Bump to invalidate every cached facts entry (the shape below changed).
-FACTS_VERSION = 2
 
 # ---------------------------------------------------------------------------
 # ambient-entropy sources (resolved dotted name -> taint kind)
@@ -103,7 +96,7 @@ _EXECUTOR_WRAPPERS = {
 
 
 # ---------------------------------------------------------------------------
-# facts dataclasses (JSON round-trippable via to_dict/from_dict)
+# facts dataclasses
 # ---------------------------------------------------------------------------
 @dataclass
 class CallFact:
@@ -118,27 +111,6 @@ class CallFact:
     arg_deps: tuple[tuple[str, ...], ...] = ()   # dep tokens per positional arg
     kw_deps: tuple[tuple[str, tuple[str, ...]], ...] = ()  # (kwarg, deps)
     func_refs: tuple[str, ...] = () # uncalled Name/Attribute args, dotted as written
-
-    def to_dict(self) -> dict:
-        return {
-            "chain": list(self.chain), "resolved": self.resolved,
-            "lineno": self.lineno, "awaited": self.awaited,
-            "discarded": self.discarded, "base_call": self.base_call,
-            "arg_deps": [list(d) for d in self.arg_deps],
-            "kw_deps": [[k, list(d)] for k, d in self.kw_deps],
-            "func_refs": list(self.func_refs),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CallFact":
-        return cls(
-            chain=tuple(d["chain"]), resolved=d["resolved"],
-            lineno=d["lineno"], awaited=d["awaited"],
-            discarded=d["discarded"], base_call=d["base_call"],
-            arg_deps=tuple(tuple(x) for x in d["arg_deps"]),
-            kw_deps=tuple((k, tuple(x)) for k, x in d["kw_deps"]),
-            func_refs=tuple(d["func_refs"]),
-        )
 
 
 @dataclass
@@ -157,33 +129,6 @@ class FunctionFact:
     self_attr_assigns: tuple[tuple[str, int, tuple[str, ...]], ...] = ()
     free_names: tuple[str, ...] = ()  # read but neither param nor assigned
 
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname, "name": self.name, "cls": self.cls,
-            "lineno": self.lineno, "is_async": self.is_async,
-            "params": list(self.params),
-            "calls": [c.to_dict() for c in self.calls],
-            "assigns": [[t, list(d)] for t, d in self.assigns],
-            "returns": list(self.returns),
-            "self_attr_assigns": [[a, ln, list(d)] for a, ln, d in self.self_attr_assigns],
-            "free_names": list(self.free_names),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionFact":
-        return cls(
-            qualname=d["qualname"], name=d["name"], cls=d["cls"],
-            lineno=d["lineno"], is_async=d["is_async"],
-            params=tuple(d["params"]),
-            calls=tuple(CallFact.from_dict(c) for c in d["calls"]),
-            assigns=tuple((t, tuple(x)) for t, x in d["assigns"]),
-            returns=tuple(d["returns"]),
-            self_attr_assigns=tuple(
-                (a, ln, tuple(x)) for a, ln, x in d["self_attr_assigns"]
-            ),
-            free_names=tuple(d["free_names"]),
-        )
-
 
 @dataclass
 class ClassFact:
@@ -191,14 +136,6 @@ class ClassFact:
     lineno: int
     bases: tuple[str, ...]          # simple (last-attr) names
     methods: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "lineno": self.lineno,
-                "bases": list(self.bases), "methods": list(self.methods)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassFact":
-        return cls(d["name"], d["lineno"], tuple(d["bases"]), tuple(d["methods"]))
 
 
 @dataclass
@@ -210,24 +147,6 @@ class ModuleFacts:
     classes: tuple[ClassFact, ...] = ()
     # local alias -> dotted target; members resolved to "module.member".
     imports: dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "version": FACTS_VERSION,
-            "module": self.module, "rel": self.rel, "pkgrel": self.pkgrel,
-            "functions": [f.to_dict() for f in self.functions],
-            "classes": [c.to_dict() for c in self.classes],
-            "imports": dict(self.imports),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModuleFacts":
-        return cls(
-            module=d["module"], rel=d["rel"], pkgrel=d["pkgrel"],
-            functions=tuple(FunctionFact.from_dict(f) for f in d["functions"]),
-            classes=tuple(ClassFact.from_dict(c) for c in d["classes"]),
-            imports=dict(d["imports"]),
-        )
 
 
 def resolve_with_imports(imports: dict[str, str],

@@ -253,18 +253,17 @@ class ProjectModel:
     """Cross-file facts: class hierarchy, dataclasses, registry calls.
 
     The flow layer (call graph + taint, :mod:`repro.analysis.flow`)
-    hangs off this model lazily: ``facts`` extracts (or receives from
-    the incremental cache) the per-module dataflow skeletons, ``graph``
-    builds the project call graph once, and ``taint(sinks)`` memoizes
-    one taint fixpoint per sink set so several rules can share it.
+    hangs off this model lazily: ``facts`` extracts the per-module
+    dataflow skeletons, ``graph`` builds the project call graph once,
+    and ``taint(sinks)`` memoizes one taint fixpoint per sink set so
+    several rules can share it.
     """
 
-    def __init__(self, files: list[SourceFile], config,
-                 facts: "list | None" = None) -> None:
+    def __init__(self, files: list[SourceFile], config) -> None:
         self.files = files
         self.config = config
         self._by_rel = {source.rel: source for source in files}
-        self._facts = facts
+        self._facts: list | None = None
         self._graph = None
         self._taint: dict[int, object] = {}
         self.classes: list[ClassInfo] = []

@@ -24,17 +24,14 @@ __all__ = ["Rule", "all_rules", "register_rule"]
 class Rule:
     """Base class: override one or both check hooks.
 
-    ``version`` participates in the incremental-cache key: bump it
-    whenever a rule's behavior changes so stale cached findings are
-    invalidated. ``rationale`` plus the ``example_bad``/``example_good``
-    pair back ``python -m repro lint --explain <rule>``; the pair is
-    validated by tests/analysis/test_explain.py (bad must trigger the
-    rule, good must not).
+    ``rationale`` plus the ``example_bad``/``example_good`` pair back
+    ``python -m repro lint --explain <rule>``; the pair is validated by
+    tests/analysis/test_explain.py (bad must trigger the rule, good
+    must not).
     """
 
     name: str = ""
     description: str = ""
-    version: int = 1
     rationale: str = ""
     example_bad: str = ""
     example_good: str = ""

@@ -77,7 +77,6 @@ def _called_name(node: ast.Call) -> str | None:
 @register_rule
 class ApiStabilityRule(Rule):
     name = "api-stability"
-    version = 1
     description = (
         "api wire types must be frozen, slotted and schema-versioned, "
         "and constructed only via the repro.api facade"

@@ -58,7 +58,6 @@ _EXECUTOR_TAILS = {"to_thread", "run_in_executor", "submit", "Thread"}
 @register_rule
 class AsyncSafetyRule(Rule):
     name = "async-safety"
-    version = 1
     description = (
         "no blocking call reachable from an async def; no unawaited "
         "coroutines; no executor-thread mutation of loop-shared state"

@@ -54,7 +54,6 @@ def _attr_chain(node: ast.expr) -> list[str] | None:
 @register_rule
 class DeterminismRule(Rule):
     name = "determinism"
-    version = 1
     description = (
         "sim core must not read wall clock, ambient entropy or "
         "environment-ordered iterables"

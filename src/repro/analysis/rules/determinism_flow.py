@@ -76,7 +76,6 @@ _KIND_HINTS = {
 @register_rule
 class DeterminismFlowRule(Rule):
     name = "determinism-flow"
-    version = 1
     description = (
         "ambient entropy (wall clock, hash seed, set order, env) must "
         "not flow into stats exports, wire encodings or checkpoints"

@@ -46,7 +46,6 @@ _POOL_FACTORIES = {"ProcessPoolExecutor", "Pool"}
 @register_rule
 class ForkSafetyRule(Rule):
     name = "fork-safety"
-    version = 1
     description = (
         "run_grid / process-pool submissions may not capture open "
         "files, sockets or event loops"

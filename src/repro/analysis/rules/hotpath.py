@@ -31,7 +31,6 @@ _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 @register_rule
 class HotPathPurityRule(Rule):
     name = "hot-path-purity"
-    version = 1
     description = (
         "*_fast functions may not allocate closures, comprehensions, "
         "dataclasses or **kwargs calls"

@@ -31,7 +31,6 @@ _CONTRACT_ARGS = ("self", "address", "now", "is_write")
 @register_rule
 class SchemeRegistryRule(Rule):
     name = "scheme-registry"
-    version = 1
     description = (
         "concrete DRAMCacheBase subclasses must be registered via "
         "register_scheme and honour the _access_fast/_hit contract"

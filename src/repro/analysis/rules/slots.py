@@ -33,7 +33,6 @@ _EXEMPT_BASES = {
 @register_rule
 class SlotsRule(Rule):
     name = "slots"
-    version = 1
     description = (
         "hot-path record classes must declare __slots__ "
         "(dataclasses: slots=True)"

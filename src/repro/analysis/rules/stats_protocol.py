@@ -45,7 +45,6 @@ def _is_namespaced_fstring(node: ast.expr) -> bool:
 @register_rule
 class StatsProtocolRule(Rule):
     name = "stats-protocol"
-    version = 1
     description = (
         "to_dict/stats_snapshot must emit literal, collision-free, "
         "flatten_stats-safe keys"

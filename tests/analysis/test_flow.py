@@ -1,9 +1,9 @@
 """The dataflow layer itself: facts, call graph, taint fixpoint.
 
 The rules are tested end to end elsewhere; these tests pin the engine
-primitives they stand on — JSON round-tripping (the cache contract),
-call resolution across modules/classes/typed attributes, deferred-edge
-semantics, and interprocedural taint summaries.
+primitives they stand on — call resolution across modules/classes/typed
+attributes, deferred-edge semantics, and interprocedural taint
+summaries.
 """
 
 import ast
@@ -33,27 +33,6 @@ class TestFacts:
         assert module_name_for("src/repro/dram/bank.py") == "repro.dram.bank"
         assert module_name_for("src/repro/api/__init__.py") == "repro.api"
         assert module_name_for("tools/gen.py") == "tools.gen"
-
-    def test_round_trip_through_json_dict(self):
-        original = facts(
-            """
-            import time
-            from os import urandom
-
-            class Store:
-                def __init__(self):
-                    self.log = open("x")
-
-                async def write(self, row):
-                    await flush(row)
-
-            def helper(n):
-                stamp = time.time()
-                return stamp + n
-            """
-        )
-        restored = ModuleFacts.from_dict(original.to_dict())
-        assert restored == original
 
     def test_function_facts_record_calls_and_sources(self):
         mod = facts(

@@ -560,6 +560,23 @@ class TestSyntaxHandling:
         )
         assert rules_of(result) == ["syntax"]
 
+    def test_unreadable_file_is_a_finding_not_a_crash(self, lint, tmp_path):
+        (tmp_path / "latin1.py").write_bytes(b"name = '\xe9t\xe9'\n")
+        result = lint(
+            """
+            import time
+
+            def stamp():
+                return time.time()
+            """,
+            rules=["determinism"],
+        )
+        assert [(v.rule, v.path) for v in result.violations] == [
+            ("syntax", "latin1.py"),
+            ("determinism", "mod.py"),
+        ]
+        assert "unreadable file" in result.violations[0].message
+
 
 def test_strict_fixture_config_is_strict():
     # The fixtures above rely on these two properties; pin them.
