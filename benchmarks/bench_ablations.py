@@ -18,7 +18,7 @@ from repro.harness.experiments import (
 
 def test_ablation_threshold(benchmark, report, quad_setup):
     rows = benchmark.pedantic(
-        lambda: ablation_threshold(setup=quad_setup, mix_name="Q7"),
+        lambda: ablation_threshold(setup=quad_setup, mix_names=["Q7"], jobs=0),
         rounds=1,
         iterations=1,
     )
@@ -34,7 +34,7 @@ def test_ablation_threshold(benchmark, report, quad_setup):
 
 def test_ablation_weight(benchmark, report, quad_setup):
     rows = benchmark.pedantic(
-        lambda: ablation_weight(setup=quad_setup, mix_name="Q7"),
+        lambda: ablation_weight(setup=quad_setup, mix_names=["Q7"], jobs=0),
         rounds=1,
         iterations=1,
     )
@@ -46,7 +46,7 @@ def test_ablation_weight(benchmark, report, quad_setup):
 
 def test_ablation_sampling(benchmark, report, quad_setup):
     rows = benchmark.pedantic(
-        lambda: ablation_sampling(setup=quad_setup, mix_name="Q7"),
+        lambda: ablation_sampling(setup=quad_setup, mix_names=["Q7"], jobs=0),
         rounds=1,
         iterations=1,
     )
@@ -58,7 +58,7 @@ def test_ablation_sampling(benchmark, report, quad_setup):
 
 def test_ablation_parallel_tag(benchmark, report, quad_setup):
     rows = benchmark.pedantic(
-        lambda: ablation_parallel_tag(setup=quad_setup, mix_names=["Q2", "Q7"]),
+        lambda: ablation_parallel_tag(setup=quad_setup, mix_names=["Q2", "Q7"], jobs=0),
         rounds=1,
         iterations=1,
     )

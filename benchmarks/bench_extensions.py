@@ -14,7 +14,7 @@ def test_victim_buffer_benefit_is_small(benchmark, report, quad_setup):
     very little near-term reuse, so a victim cache would help little."""
     rows = benchmark.pedantic(
         lambda: victim_buffer_study(
-            setup=quad_setup, mix_names=["Q2", "Q7", "Q23"]
+            setup=quad_setup, mix_names=["Q2", "Q7", "Q23"], jobs=0
         ),
         rounds=1,
         iterations=1,
@@ -30,7 +30,7 @@ def test_controller_comparison(benchmark, report, quad_setup):
     """The paper's demand-ratio adaptation is competitive with the
     set-dueling election it cites."""
     rows = benchmark.pedantic(
-        lambda: controller_comparison(setup=quad_setup, mix_names=["Q2", "Q23"]),
+        lambda: controller_comparison(setup=quad_setup, mix_names=["Q2", "Q23"], jobs=0),
         rounds=1,
         iterations=1,
     )
@@ -46,7 +46,7 @@ def test_space_utilization(benchmark, report):
     setup = ExperimentSetup(num_cores=4, accesses_per_core=40_000, seed=1)
     rows = benchmark.pedantic(
         lambda: space_utilization_comparison(
-            setup=setup, mix_names=["Q2", "Q7", "Q23"]
+            setup=setup, mix_names=["Q2", "Q7", "Q23"], jobs=0
         ),
         rounds=1,
         iterations=1,

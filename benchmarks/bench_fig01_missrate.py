@@ -11,7 +11,7 @@ from repro.harness.experiments import fig1_miss_rate_vs_block_size
 
 def test_fig1_miss_rate_vs_block_size(benchmark, report, quad_setup):
     rows = benchmark.pedantic(
-        lambda: fig1_miss_rate_vs_block_size(setup=quad_setup, mix_names=QUAD_MIXES),
+        lambda: fig1_miss_rate_vs_block_size(setup=quad_setup, mix_names=QUAD_MIXES, jobs=0),
         rounds=1,
         iterations=1,
     )

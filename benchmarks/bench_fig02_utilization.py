@@ -12,7 +12,7 @@ SPARSE = ["Q7", "Q8", "Q19", "Q23"]
 
 def test_fig2_block_utilization(benchmark, report, quad_setup):
     rows = benchmark.pedantic(
-        lambda: fig2_block_utilization(setup=quad_setup, mix_names=DENSE + SPARSE),
+        lambda: fig2_block_utilization(setup=quad_setup, mix_names=DENSE + SPARSE, jobs=0),
         rounds=1,
         iterations=1,
     )

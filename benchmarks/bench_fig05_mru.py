@@ -11,7 +11,7 @@ from repro.harness.experiments import fig5_mru_hits
 
 def test_fig5_mru_hits(benchmark, report, eight_setup):
     rows = benchmark.pedantic(
-        lambda: fig5_mru_hits(setup=eight_setup, mix_names=EIGHT_MIXES),
+        lambda: fig5_mru_hits(setup=eight_setup, mix_names=EIGHT_MIXES, jobs=0),
         rounds=1,
         iterations=1,
     )

@@ -16,7 +16,7 @@ def test_fig7_antt_quad_core(benchmark, report):
     # the other quad benchmarks (the runner warm-up covers half the run).
     setup = ExperimentSetup(num_cores=4, accesses_per_core=25_000, seed=1)
     rows = benchmark.pedantic(
-        lambda: fig7_antt(setup=setup, mix_names=ANTT_MIXES),
+        lambda: fig7_antt(setup=setup, mix_names=ANTT_MIXES, jobs=0),
         rounds=1,
         iterations=1,
     )

@@ -15,7 +15,7 @@ def test_fig8a_components(benchmark, report):
         num_cores=8, scale=32, accesses_per_core=12_000, seed=1
     )
     rows = benchmark.pedantic(
-        lambda: fig8a_component_analysis(setup=setup, mix_names=COMPONENT_MIXES),
+        lambda: fig8a_component_analysis(setup=setup, mix_names=COMPONENT_MIXES, jobs=0),
         rounds=1,
         iterations=1,
     )

@@ -14,7 +14,7 @@ from repro.harness.experiments import fig8b_hit_rate
 
 def test_fig8b_hit_rate(benchmark, report, quad_setup):
     rows = benchmark.pedantic(
-        lambda: fig8b_hit_rate(setup=quad_setup, mix_names=QUAD_MIXES),
+        lambda: fig8b_hit_rate(setup=quad_setup, mix_names=QUAD_MIXES, jobs=0),
         rounds=1,
         iterations=1,
     )

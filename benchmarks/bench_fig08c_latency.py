@@ -12,7 +12,7 @@ from repro.harness.experiments import fig8c_access_latency
 
 def test_fig8c_access_latency(benchmark, report, quad_setup):
     rows = benchmark.pedantic(
-        lambda: fig8c_access_latency(setup=quad_setup, mix_names=QUAD_MIXES),
+        lambda: fig8c_access_latency(setup=quad_setup, mix_names=QUAD_MIXES, jobs=0),
         rounds=1,
         iterations=1,
     )

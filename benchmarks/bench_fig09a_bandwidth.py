@@ -18,7 +18,7 @@ def test_fig9a_wasted_bandwidth(benchmark, report):
         num_cores=8, scale=32, accesses_per_core=25_000, seed=1
     )
     rows = benchmark.pedantic(
-        lambda: fig9a_wasted_bandwidth(setup=setup, mix_names=WASTE_MIXES),
+        lambda: fig9a_wasted_bandwidth(setup=setup, mix_names=WASTE_MIXES, jobs=0),
         rounds=1,
         iterations=1,
     )

@@ -12,7 +12,7 @@ RBH_MIXES = ["Q2", "Q5", "Q17", "Q20"]
 
 def test_fig9b_metadata_rbh(benchmark, report, quad_setup):
     rows = benchmark.pedantic(
-        lambda: fig9b_metadata_rbh(setup=quad_setup, mix_names=RBH_MIXES),
+        lambda: fig9b_metadata_rbh(setup=quad_setup, mix_names=RBH_MIXES, jobs=0),
         rounds=1,
         iterations=1,
     )

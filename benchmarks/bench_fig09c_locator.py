@@ -12,7 +12,7 @@ LOCATOR_MIXES = ["Q2", "Q12", "Q17", "Q20"]
 def test_fig9c_way_locator_hit_rate(benchmark, report, quad_setup):
     rows = benchmark.pedantic(
         lambda: fig9c_way_locator_hit_rate(
-            setup=quad_setup, mix_names=LOCATOR_MIXES
+            setup=quad_setup, mix_names=LOCATOR_MIXES, jobs=0
         ),
         rounds=1,
         iterations=1,

@@ -17,7 +17,7 @@ def test_fig10_small_block_fraction(benchmark, report):
     # quad benchmarks.
     setup = ExperimentSetup(num_cores=4, accesses_per_core=50_000, seed=1)
     rows = benchmark.pedantic(
-        lambda: fig10_small_block_fraction(setup=setup, mix_names=SMALLFRAC_MIXES),
+        lambda: fig10_small_block_fraction(setup=setup, mix_names=SMALLFRAC_MIXES, jobs=0),
         rounds=1,
         iterations=1,
     )

@@ -24,7 +24,7 @@ def test_fig11_energy(benchmark, report):
         num_cores=8, scale=32, accesses_per_core=25_000, seed=1
     )
     rows = benchmark.pedantic(
-        lambda: fig11_energy(setup=setup, mix_names=ENERGY_MIXES),
+        lambda: fig11_energy(setup=setup, mix_names=ENERGY_MIXES, jobs=0),
         rounds=1,
         iterations=1,
     )

@@ -14,7 +14,7 @@ SENSITIVITY_MIXES = ["Q2", "Q12"]
 def test_fig12_sensitivity(benchmark, report):
     setup = ExperimentSetup(num_cores=4, accesses_per_core=10_000, seed=1)
     rows = benchmark.pedantic(
-        lambda: fig12_sensitivity(setup=setup, mix_names=SENSITIVITY_MIXES),
+        lambda: fig12_sensitivity(setup=setup, mix_names=SENSITIVITY_MIXES, jobs=0),
         rounds=1,
         iterations=1,
     )

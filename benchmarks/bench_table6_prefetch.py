@@ -14,7 +14,7 @@ PREFETCH_MIXES = ["Q2", "Q12", "Q20"]
 def test_table6_prefetch(benchmark, report):
     setup = ExperimentSetup(num_cores=4, accesses_per_core=10_000, seed=1)
     rows = benchmark.pedantic(
-        lambda: table6_prefetch(setup=setup, mix_names=PREFETCH_MIXES),
+        lambda: table6_prefetch(setup=setup, mix_names=PREFETCH_MIXES, jobs=0),
         rounds=1,
         iterations=1,
     )

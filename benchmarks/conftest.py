@@ -6,17 +6,14 @@ the rows (bypassing pytest's capture) so that
 reproduced series alongside the timing numbers.
 """
 
-import os
-
 import pytest
 
 from repro.harness.reporting import format_table
 from repro.harness.runner import ExperimentSetup
 
-# Benchmark grids fan out over the parallel experiment engine by default
-# (one worker per CPU); set REPRO_JOBS=1 to force serial runs. Results
-# are identical either way — cells are independent simulations.
-os.environ.setdefault("REPRO_JOBS", str(os.cpu_count() or 1))
+# Benchmark grids fan out over the parallel experiment engine: every
+# experiment call passes jobs=0 (one worker per CPU). Results are
+# identical to a serial run — cells are independent simulations.
 
 
 @pytest.fixture

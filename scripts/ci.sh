@@ -6,7 +6,9 @@
 # cell must still export the completed rows, record the failure in the
 # manifest, exit with code 3 — and a subsequent --resume from its
 # checkpoint (without the fault) must finish only the missing cell and
-# produce a CSV byte-identical to an uninterrupted run.
+# produce a CSV byte-identical to an uninterrupted run. The same grid
+# at --jobs 2, and a dse run resumed from its default checkpoint, must
+# export byte-identical rows too.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -92,6 +94,24 @@ grep -q '"InjectedFault"' "${SMOKE_DIR}/part.csv.manifest.json" \
     --resume "${SMOKE_DIR}/part.csv.ckpt.jsonl" >/dev/null
 cmp "${SMOKE_DIR}/base.csv" "${SMOKE_DIR}/part.csv" \
     || { echo "resumed CSV differs from uninterrupted run"; exit 1; }
+
+# The same grid at --jobs 2 runs its cells in the worker pool of the
+# one grid engine: the export must be byte-identical to the serial run.
+"${RUN[@]}" --jobs 2 --export "${SMOKE_DIR}/jobs2.csv" >/dev/null
+cmp "${SMOKE_DIR}/base.csv" "${SMOKE_DIR}/jobs2.csv" \
+    || { echo "--jobs 2 CSV differs from the serial run"; exit 1; }
+
+# `dse` shares `run`'s body: --export checkpoints to <export>.ckpt.jsonl,
+# and a --resume from that file serves every cell, notes it on stderr
+# and exports byte-identical rows.
+DSE=(python -m repro dse --mixes Q23 --accesses 300)
+"${DSE[@]}" --export "${SMOKE_DIR}/dse.csv" >/dev/null
+"${DSE[@]}" --export "${SMOKE_DIR}/dse-resumed.csv" \
+    --resume "${SMOKE_DIR}/dse.csv.ckpt.jsonl" >/dev/null 2>"${SMOKE_DIR}/dse.err"
+cmp "${SMOKE_DIR}/dse.csv" "${SMOKE_DIR}/dse-resumed.csv" \
+    || { echo "resumed dse CSV differs from the first run"; exit 1; }
+grep -q '^\[repro\] resumed' "${SMOKE_DIR}/dse.err" \
+    || { echo "dse --resume printed no resumed note"; exit 1; }
 
 echo "== unscaled-capacity smoke (fig8c at scale 1) =="
 # Every test above builds caches at scale 16 or at a small hand-made

@@ -11,12 +11,15 @@ Examples::
     python -m repro list-schemes
     python -m repro bench --repeats 5
 
-Every subcommand builds a typed request through :mod:`repro.api` and
-executes it through the same facade the ``repro serve`` daemon uses, so
+``run`` and ``dse`` build a typed request through :mod:`repro.api` and
+execute it through the same facade the ``repro serve`` daemon uses, so
 validation and defaulting happen in exactly one place and a CLI run
 is byte-identical to the same request answered by a warm server
-(``scripts/serve_smoke.py`` asserts this in CI). An experiment id is
-always spelled after ``run`` (``python -m repro run fig1``); a bare
+(``scripts/serve_smoke.py`` asserts this in CI). Both share one body:
+server dispatch, error mapping, table, export, manifest and failure
+table. ``lint`` and ``bench`` hand their arguments to simlint and
+perfbench, which own their flags and error messages. An experiment id
+is always spelled after ``run`` (``python -m repro run fig1``); a bare
 ``python -m repro fig1`` is a usage error (exit code 2).
 
 Exit codes (shared by run/bench/serve and the perfbench gate — see
@@ -24,12 +27,13 @@ Exit codes (shared by run/bench/serve and the perfbench gate — see
 clean line on stderr, never a traceback); 3 grid completed but cells
 permanently failed; 4 perf gate regression.
 
-Fault tolerance (see docs/robustness.md): ``run`` always collects
-per-cell failures instead of dying on the first one. A grid that ends
-with failures still prints and exports every completed row, lists the
-failed cells on stderr, records them in the manifest and exits with
-code 3. ``--export`` keeps a crash-safe checkpoint beside the artifact;
-``--resume <ckpt>`` skips cells the checkpoint already holds.
+Fault tolerance (see docs/robustness.md): ``run`` and ``dse`` always
+collect per-cell failures instead of dying on the first one. A grid
+that ends with failures still prints and exports every completed row,
+lists the failed cells on stderr, records them in the manifest and
+exits with code 3. ``--export`` keeps a crash-safe checkpoint beside
+the artifact; ``--resume <ckpt>`` skips cells the checkpoint already
+holds.
 """
 
 from __future__ import annotations
@@ -49,14 +53,60 @@ _EXPERIMENTS: dict[str, tuple[str, bool, int, str]] = {
 }
 
 
-def _shared_flags(parser: argparse.ArgumentParser) -> None:
+def _request_flags(parser: argparse.ArgumentParser, *, cores: int | None) -> None:
+    """The flags ``run`` and ``dse`` share (``cores`` is the default)."""
+    parser.add_argument("--mixes", nargs="*", default=None, help="mix subset")
+    parser.add_argument("--cores", type=int, default=cores, help="4, 8 or 16")
+    parser.add_argument(
+        "--accesses", type=int, default=20_000, help="accesses per core"
+    )
+    parser.add_argument("--scale", type=int, default=16, help="capacity scale")
+    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--jobs",
         default=None,
         metavar="N",
         help="worker processes for grid cells (a number or 'auto')",
     )
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument(
+        "--export", default=None, help="write rows to this .json or .csv path"
+    )
+    parser.add_argument(
+        "--checkpoint",
+        default=None,
+        metavar="FILE",
+        help="record completed grid cells to this crash-safe JSONL file "
+        "(defaults to <export>.ckpt.jsonl when --export is given)",
+    )
+    parser.add_argument(
+        "--resume",
+        default=None,
+        metavar="CKPT",
+        help="resume from a checkpoint file: cells already recorded there "
+        "are served from it, only the missing ones run",
+    )
+    parser.add_argument(
+        "--server",
+        default=None,
+        metavar="HOST:PORT",
+        help="run on a warm `repro serve` daemon instead of locally "
+        "(results are byte-identical; retries/reconnects transparently)",
+    )
+    parser.add_argument(
+        "--connect-timeout",
+        type=float,
+        default=10.0,
+        metavar="SECONDS",
+        help="bound on establishing the server connection (default 10)",
+    )
+    parser.add_argument(
+        "--deadline",
+        type=float,
+        default=0.0,
+        metavar="SECONDS",
+        help="wall-clock budget for the whole run; past it the request "
+        "fails with the typed deadline_exceeded error (0 = none)",
+    )
     parser.add_argument(
         "--trace-out",
         default=None,
@@ -77,69 +127,19 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "experiment", help="experiment id (see `python -m repro list`)"
     )
-    run.add_argument("--mixes", nargs="*", default=None, help="mix subset")
-    run.add_argument("--cores", type=int, default=None, help="4, 8 or 16")
-    run.add_argument(
-        "--accesses", type=int, default=20_000, help="accesses per core"
-    )
-    run.add_argument("--scale", type=int, default=16, help="capacity scale")
-    run.add_argument(
-        "--export", default=None, help="write rows to this .json or .csv path"
-    )
+    _request_flags(run, cores=None)
     run.add_argument(
         "--chart",
         default=None,
         metavar="COLUMN",
         help="also render a bar chart of this numeric column",
     )
-    run.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help="record completed grid cells to this crash-safe JSONL file "
-        "(defaults to <export>.ckpt.jsonl when --export is given)",
-    )
-    run.add_argument(
-        "--resume",
-        default=None,
-        metavar="CKPT",
-        help="resume from a checkpoint file: cells already recorded there "
-        "are served from it, only the missing ones run",
-    )
-    run.add_argument(
-        "--server",
-        default=None,
-        metavar="HOST:PORT",
-        help="run on a warm `repro serve` daemon instead of locally "
-        "(results are byte-identical; retries/reconnects transparently)",
-    )
-    run.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="bound on establishing the server connection (default 10)",
-    )
-    run.add_argument(
-        "--deadline",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="wall-clock budget for the whole run; past it the request "
-        "fails with the typed deadline_exceeded error (0 = none)",
-    )
-    _shared_flags(run)
 
     dse = sub.add_parser(
         "dse",
         help="MRC-guided design-space exploration (see docs/dse.md)",
     )
-    dse.add_argument("--mixes", nargs="*", default=None, help="mix subset")
-    dse.add_argument("--cores", type=int, default=4, help="4, 8 or 16")
-    dse.add_argument(
-        "--accesses", type=int, default=20_000, help="accesses per core"
-    )
-    dse.add_argument("--scale", type=int, default=16, help="capacity scale")
+    _request_flags(dse, cores=4)
     dse.add_argument(
         "--sample-rate",
         type=float,
@@ -155,50 +155,20 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="cap on Pareto-frontier points graduating to timing simulation",
     )
-    dse.add_argument(
-        "--export", default=None, help="write rows to this .json or .csv path"
-    )
-    dse.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help="record completed timing cells to this crash-safe JSONL file",
-    )
-    dse.add_argument(
-        "--resume",
-        default=None,
-        metavar="CKPT",
-        help="resume timing cells from a checkpoint file",
-    )
-    dse.add_argument(
-        "--server",
-        default=None,
-        metavar="HOST:PORT",
-        help="run on a warm `repro serve` daemon instead of locally",
-    )
-    dse.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="bound on establishing the server connection (default 10)",
-    )
-    dse.add_argument(
-        "--deadline",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="wall-clock budget for the whole exploration (0 = none)",
-    )
-    _shared_flags(dse)
 
     sub.add_parser("list", help="list experiment ids")
     sub.add_parser("list-schemes", help="list registered DRAM cache schemes")
-    # `lint` is dispatched before parse_args so simlint owns its own
-    # argument surface; this entry only makes it show up in --help.
+    # `lint` and `bench` are dispatched before parse_args so simlint and
+    # perfbench own their argument surfaces; these entries only make
+    # them show up in --help.
     sub.add_parser(
         "lint",
         help="run simlint static analysis (see docs/static-analysis.md)",
+        add_help=False,
+    )
+    sub.add_parser(
+        "bench",
+        help="measure drive-loop throughput (perfbench; see its --help)",
         add_help=False,
     )
 
@@ -244,25 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "gets this long to finish (checkpointing as it goes) before the "
         "process force-exits (still status 0)",
     )
-
-    bench = sub.add_parser(
-        "bench", help="measure drive-loop throughput (records/sec)"
-    )
-    bench.add_argument("--scheme", default="bimodal")
-    bench.add_argument("--mix", default="Q1")
-    bench.add_argument("--cores", type=int, default=4)
-    bench.add_argument("--accesses-per-core", type=int, default=15_000)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument(
-        "--modes",
-        default="fast,traced",
-        help="comma-separated subset of {fast,traced,mrc}",
-    )
-    bench.add_argument(
-        "--output", default=None, help="append the entry to this JSON history"
-    )
-    _shared_flags(bench)
-
     return parser
 
 
@@ -270,13 +221,6 @@ def _usage_error(message: str) -> int:
     """One clean line on stderr, never a traceback."""
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def _configure_tracing(args: argparse.Namespace) -> None:
-    if getattr(args, "trace_out", None):
-        from repro.obs import configure
-
-        configure(args.trace_out, propagate_env=True)
 
 
 def _cmd_list() -> int:
@@ -326,33 +270,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness import perfbench
-
-    try:
-        request = api.sim_request(
-            args.scheme,
-            args.mix,
-            cores=args.cores,
-            accesses_per_core=args.accesses_per_core,
-            seed=args.seed,
-        )
-    except api.RequestError as exc:
-        return _usage_error(str(exc))
-    _configure_tracing(args)
-    forwarded = [
-        "--scheme", request.scheme,
-        "--mix", request.mix,
-        "--cores", str(request.cores),
-        "--accesses-per-core", str(request.accesses_per_core),
-        "--repeats", str(args.repeats),
-        "--modes", args.modes,
-    ]
-    if args.output:
-        forwarded += ["--output", args.output]
-    return perfbench.main(forwarded)
-
-
 def _checkpoint_path(args: argparse.Namespace) -> str | None:
     """Where this run checkpoints: --resume > --checkpoint > <export>.ckpt."""
     if args.resume:
@@ -376,21 +293,37 @@ def _parse_hostport(value: str) -> tuple[str, int] | None:
         return None
 
 
-def _cmd_run(args: argparse.Namespace, argv: list[str]) -> int:
-    try:
-        request = api.grid_request(
-            args.experiment,
-            mixes=args.mixes or (),
-            cores=args.cores,
-            accesses_per_core=args.accesses,
-            seed=args.seed,
-            scale=args.scale,
-            jobs=args.jobs,
-            deadline_s=args.deadline,
+def _request(args: argparse.Namespace):
+    """The validated grid or dse request the command line describes."""
+    common = dict(
+        mixes=args.mixes or (),
+        cores=args.cores,
+        accesses_per_core=args.accesses,
+        seed=args.seed,
+        scale=args.scale,
+        jobs=args.jobs,
+        deadline_s=args.deadline,
+    )
+    if args.command == "dse":
+        return api.dse_request(
+            sample_rate=args.sample_rate,
+            max_frontier=args.max_frontier,
+            **common,
         )
+    return api.grid_request(args.experiment, **common)
+
+
+def _cmd_request(args: argparse.Namespace, argv: list[str]) -> int:
+    """``run`` and ``dse``: execute the request, then report its rows."""
+    try:
+        request = _request(args)
     except api.RequestError as exc:
         return _usage_error(str(exc))
-    _configure_tracing(args)
+    dse = args.command == "dse"
+    if args.trace_out:
+        from repro.obs import configure
+
+        configure(args.trace_out, propagate_env=True)
     ckpt_path = _checkpoint_path(args)
     try:
         if args.server:
@@ -405,18 +338,26 @@ def _cmd_run(args: argparse.Namespace, argv: list[str]) -> int:
                     "(its keyed state dir); local checkpoint flags ignored",
                     file=sys.stderr,
                 )
-            result = _run_on_server(args, address, request)
+            from repro.api.retry import RetryPolicy
+
+            # Reconnect-and-resume retries make a daemon restart invisible.
+            with api.ServiceClient(
+                *address,
+                connect_timeout=args.connect_timeout,
+                retry=RetryPolicy(),
+            ) as client:
+                execute = client.run_dse if dse else client.run_grid
+                result = execute(request)
         else:
-            result = api.run_grid(
+            execute = api.run_dse if dse else api.run_grid
+            result = execute(
                 request,
                 checkpoint_path=ckpt_path,
                 resume=bool(args.resume),
             )
-    except ValueError as exc:
+    except (ValueError, api.ServiceError) as exc:
         # Config-shaped errors (unknown scheme/mix, bad parameter) from
         # inside an experiment get a clean one-liner, not a traceback.
-        return _usage_error(str(exc))
-    except api.ServiceError as exc:
         return _usage_error(str(exc))
     except (OSError, TimeoutError) as exc:
         if args.server:
@@ -428,16 +369,21 @@ def _cmd_run(args: argparse.Namespace, argv: list[str]) -> int:
             file=sys.stderr,
         )
     rows = list(result.rows)
-    spec = api.get_experiment(request.experiment)
     from repro.harness.reporting import print_table
 
-    print_table(rows, title=f"{request.experiment}: {spec.description}")
-    if args.chart and rows:
-        from repro.harness.figures import bar_chart
+    if dse:
+        experiment = "dse"
+        print_table(rows, title="dse: MRC-guided design-space exploration")
+        _print_dse_summary(result)
+    else:
+        experiment = request.experiment
+        spec = api.get_experiment(experiment)
+        print_table(rows, title=f"{experiment}: {spec.description}")
+        if args.chart and rows:
+            from repro.harness.figures import bar_chart
 
-        label = next(iter(rows[0]))
-        print()
-        print(bar_chart(rows, label=label, value=args.chart))
+            print()
+            print(bar_chart(rows, label=next(iter(rows[0])), value=args.chart))
     if args.export:
         if rows:
             from repro.harness.export import export_csv, export_json
@@ -445,65 +391,23 @@ def _cmd_run(args: argparse.Namespace, argv: list[str]) -> int:
             if args.export.endswith(".csv"):
                 export_csv(rows, args.export)
             else:
-                export_json(rows, args.export, experiment=request.experiment)
+                export_json(rows, args.export, experiment=experiment)
             print(f"\nwrote {args.export}")
         else:
             print(
                 f"[repro] no completed rows; skipping export to {args.export}",
                 file=sys.stderr,
             )
-    _write_manifests(args, argv, api.grid_setup(request), list(result.failures))
+    _write_manifests(
+        args, argv, experiment, api.grid_setup(request), list(result.failures)
+    )
     if result.failures:
         _print_failure_table(result.failures)
         return EXIT_PARTIAL
     return EXIT_OK
 
 
-def _cmd_dse(args: argparse.Namespace, argv: list[str]) -> int:
-    try:
-        request = api.dse_request(
-            mixes=args.mixes or (),
-            cores=args.cores,
-            accesses_per_core=args.accesses,
-            seed=args.seed,
-            scale=args.scale,
-            jobs=args.jobs,
-            sample_rate=args.sample_rate,
-            max_frontier=args.max_frontier,
-            deadline_s=args.deadline,
-        )
-    except api.RequestError as exc:
-        return _usage_error(str(exc))
-    _configure_tracing(args)
-    ckpt_path = args.resume or args.checkpoint
-    try:
-        if args.server:
-            address = _parse_hostport(args.server)
-            if address is None:
-                return _usage_error(
-                    f"--server needs HOST:PORT (got {args.server!r})"
-                )
-            result = _run_on_server(
-                args, address, request, verb="dse"
-            )
-        else:
-            result = api.run_dse(
-                request,
-                checkpoint_path=ckpt_path,
-                resume=bool(args.resume),
-            )
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    except api.ServiceError as exc:
-        return _usage_error(str(exc))
-    except (OSError, TimeoutError) as exc:
-        if args.server:
-            return _usage_error(f"cannot reach server {args.server}: {exc}")
-        raise
-    rows = list(result.rows)
-    from repro.harness.reporting import print_table
-
-    print_table(rows, title="dse: MRC-guided design-space exploration")
+def _print_dse_summary(result) -> None:
     stats = dict(result.stats)
     if result.winner:
         point = dict(result.winner)
@@ -518,50 +422,6 @@ def _cmd_dse(args: argparse.Namespace, argv: list[str]) -> int:
         f"({stats.get('full_sims_avoided', 0)} avoided, "
         f"{stats.get('speedup', 0):g}x)"
     )
-    if args.export:
-        if rows:
-            from repro.harness.export import export_csv, export_json
-
-            if args.export.endswith(".csv"):
-                export_csv(rows, args.export)
-            else:
-                export_json(rows, args.export, experiment="dse")
-            print(f"\nwrote {args.export}")
-        else:
-            print(
-                f"[repro] no completed rows; skipping export to {args.export}",
-                file=sys.stderr,
-            )
-    from repro.harness.runner import ExperimentSetup
-
-    args.experiment = "dse"  # manifest labelling only
-    setup = ExperimentSetup(
-        num_cores=request.cores,
-        scale=request.scale,
-        accesses_per_core=request.accesses_per_core,
-        seed=request.seed,
-    )
-    _write_manifests(args, argv, setup, list(result.failures))
-    if result.failures:
-        _print_failure_table(result.failures)
-        return EXIT_PARTIAL
-    return EXIT_OK
-
-
-def _run_on_server(args: argparse.Namespace, address, request, *, verb="grid"):
-    """Run the grid on a warm daemon, with reconnect-and-resume retries."""
-    from repro.api.retry import RetryPolicy
-
-    host, port = address
-    with api.ServiceClient(
-        host,
-        port,
-        connect_timeout=args.connect_timeout,
-        retry=RetryPolicy(),
-    ) as client:
-        if verb == "dse":
-            return client.run_dse(request)
-        return client.run_grid(request)
 
 
 def _print_failure_table(failures) -> None:
@@ -583,8 +443,9 @@ def _print_failure_table(failures) -> None:
 def _write_manifests(
     args: argparse.Namespace,
     argv: list[str],
+    experiment: str,
     setup,
-    failures: list[dict] | None = None,
+    failures: list[dict],
 ) -> None:
     """One manifest beside every artifact this invocation produced."""
     outputs = [p for p in (args.export, args.trace_out) if p]
@@ -593,7 +454,7 @@ def _write_manifests(
     from repro.obs import RunManifest
 
     manifest = RunManifest.collect(
-        args.experiment,
+        experiment,
         config=setup,
         seed=args.seed,
         argv=argv,
@@ -609,18 +470,18 @@ def main(argv: list[str] | None = None) -> int:
         from repro.analysis.cli import main as lint_main
 
         return lint_main(argv[1:])
+    if argv and argv[0] == "bench":
+        from repro.harness.perfbench import main as bench_main
+
+        return bench_main(argv[1:])
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "list-schemes":
         return _cmd_list_schemes()
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "dse":
-        return _cmd_dse(args, argv)
-    return _cmd_run(args, argv)
+    return _cmd_request(args, argv)
 
 
 if __name__ == "__main__":

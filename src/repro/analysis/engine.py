@@ -100,9 +100,10 @@ def run_lint(
     root = (root or find_repo_root(paths[0] if paths else Path.cwd())).resolve()
     active = rules if rules is not None else all_rules(config.select)
 
+    files = discover_files(paths, config)
     sources: list[SourceFile] = []
     violations: list[Violation] = []
-    for path in discover_files(paths, config):
+    for path in files:
         loaded = _load(path, _relative(path, root))
         if isinstance(loaded, Violation):
             violations.append(loaded)
@@ -128,7 +129,7 @@ def run_lint(
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule, v.message))
     return LintResult(
         violations=violations,
-        files_scanned=len(sources),
+        files_scanned=len(files),
         rules_run=tuple(active),
         suppressed=suppressed,
     )

@@ -1,6 +1,6 @@
 """The one place requests are defaulted, validated and executed.
 
-Every entry point — ``repro run``/``repro bench`` on the command line,
+Every entry point — ``repro run``/``repro dse`` on the command line,
 the ``repro serve`` daemon, library callers — goes through this module,
 so scheme/mix/experiment resolution and parameter validation live
 exactly once:
@@ -13,18 +13,17 @@ exactly once:
 * :func:`stats_result` snapshots live telemetry (the ``stats``
   protocol verb).
 
-The request is the whole configuration: an unset ``jobs`` means one
-worker, whatever the environment says. During execution ``run_grid``
-scopes ``REPRO_JOBS`` to the request's value (so worker processes
-inherit it) and restores it afterwards — the facade never leaks
-configuration into the calling process.
+The request is the whole configuration: its settings (``jobs``, the
+mix subset) reach the experiment as ordinary arguments, and an unset
+``jobs`` means one worker. ``run_grid`` and ``run_dse`` share one
+execution scope (deadline, failure collector, checkpoint, progress
+hook and ``run`` span), so the two differ only in what they call.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 
 from repro.api import catalog
 from repro.api.errors import ERR_DEADLINE, RequestError
@@ -278,27 +277,6 @@ def validate_dse(request: DseRequest) -> None:
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
-@contextmanager
-def _scoped_env(**values: str):
-    """Set env knobs for the duration of one request, then restore.
-
-    Worker processes and nested drives resolve configuration from the
-    environment; scoping it to the request keeps the facade free of
-    permanent process-state mutation (unlike the pre-API CLI, which
-    leaked ``REPRO_JOBS`` into the process).
-    """
-    saved = {name: os.environ.get(name) for name in values}
-    os.environ.update(values)
-    try:
-        yield
-    finally:
-        for name, previous in saved.items():
-            if previous is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = previous
-
-
 def run_sim(request: SimRequest) -> SimResult:
     """Execute one validated simulation request to completion.
 
@@ -346,15 +324,21 @@ def run_sim(request: SimRequest) -> SimResult:
     )
 
 
-def grid_setup(request: GridRequest):
-    """The :class:`ExperimentSetup` a grid request runs under (or None)."""
+def grid_setup(request: GridRequest | DseRequest):
+    """The :class:`ExperimentSetup` a grid or dse request runs under.
+
+    None for the experiments that take no setup (tables and Figure 3).
+    """
     from repro.harness.runner import ExperimentSetup
 
-    spec = catalog.get_experiment(request.experiment)
-    if not spec.needs_setup:
-        return None
+    cores = request.cores
+    if isinstance(request, GridRequest):
+        spec = catalog.get_experiment(request.experiment)
+        if not spec.needs_setup:
+            return None
+        cores = cores or spec.default_cores
     return ExperimentSetup(
-        num_cores=request.cores or spec.default_cores,
+        num_cores=cores,
         scale=request.scale,
         accesses_per_core=request.accesses_per_core,
         seed=request.seed,
@@ -380,64 +364,23 @@ def run_grid(
     the structured failure records attached.
     """
     import repro.harness.experiments as experiments
-    from repro.harness import checkpoint as checkpoint_module
-    from repro.harness import faults, parallel
-    from repro.obs import get_tracer
 
     validate_grid(request)
-    spec = catalog.get_experiment(request.experiment)
-    fn = getattr(experiments, spec.attr)
+    fn = getattr(experiments, catalog.get_experiment(request.experiment).attr)
     setup = grid_setup(request)
     kwargs: dict = {}
     if setup is not None:
-        kwargs["setup"] = setup
-        if request.mixes and "mix_name" not in fn.__code__.co_varnames:
-            kwargs["mix_names"] = list(request.mixes)
-
-    tracer = get_tracer()
-    start = time.perf_counter()
-    resumed = 0
-    try:
-        with ExitStack() as stack:
-            # The worker count travels via the environment, because
-            # pool sizing happens before any cell exists.
-            stack.enter_context(_scoped_env(REPRO_JOBS=str(request.jobs)))
-            stack.enter_context(
-                faults.deadline_scope(request.deadline_s or None)
-            )
-            collector = stack.enter_context(faults.collect_failures())
-            ckpt = None
-            if checkpoint_path:
-                ckpt = stack.enter_context(
-                    checkpoint_module.attach(checkpoint_path, resume=resume)
-                )
-            if progress is not None:
-                stack.enter_context(
-                    parallel.progress_scope(_cell_progress(progress))
-                )
-            with tracer.span("run", experiment=request.experiment) as span:
-                rows = fn(**kwargs)
-                if tracer.enabled:
-                    span["rows"] = len(rows)
-            if ckpt is not None:
-                resumed = ckpt.hits
-    except faults.DeadlineExceededError:
-        # Cells finished before the budget ran out are checkpointed
-        # (when a checkpoint is attached), so resubmitting the same
-        # request resumes where this attempt stopped.
-        raise RequestError(
-            f"deadline of {request.deadline_s:g}s exceeded before the "
-            "grid finished",
-            code=ERR_DEADLINE,
-        ) from None
-    failures = tuple(collector.as_dicts())
+        kwargs = {"setup": setup, "jobs": request.jobs, "mix_names": list(request.mixes)}
+    outcome, meta = _execute(
+        request.experiment,
+        request.deadline_s,
+        lambda: {"rows": fn(**kwargs)},
+        progress=progress,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+    )
     return GridResult(
-        experiment=request.experiment,
-        status="partial" if failures else "ok",
-        rows=tuple(rows),
-        failures=failures,
-        resumed_cells=resumed,
-        wall_s=round(time.perf_counter() - start, 6),
+        experiment=request.experiment, rows=tuple(outcome["rows"]), **meta
     )
 
 
@@ -456,28 +399,63 @@ def run_dse(
     collected cell failures (``status="partial"``), and a typed
     ``deadline_exceeded`` error when ``deadline_s`` runs out.
     """
-    from repro.harness import checkpoint as checkpoint_module
-    from repro.harness import faults, parallel
-    from repro.harness.runner import ExperimentSetup
     from repro.mrc.dse import run_design_space
-    from repro.obs import get_tracer
 
     validate_dse(request)
-    setup = ExperimentSetup(
-        num_cores=request.cores,
-        scale=request.scale,
-        accesses_per_core=request.accesses_per_core,
-        seed=request.seed,
+    setup = grid_setup(request)
+    outcome, meta = _execute(
+        "dse",
+        request.deadline_s,
+        lambda: run_design_space(
+            setup=setup,
+            mix_names=list(request.mixes),
+            sample_rate=request.sample_rate,
+            max_frontier=request.max_frontier,
+            jobs=request.jobs,
+        ),
+        progress=progress,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
     )
+    return DseResult(
+        rows=tuple(outcome["rows"]),
+        winner=dict(outcome["winner"] or {}),
+        stats=dict(outcome["stats"]),
+        **meta,
+    )
+
+
+def _execute(
+    experiment: str,
+    deadline_s: float,
+    call,
+    *,
+    progress,
+    checkpoint_path: str | None,
+    resume: bool,
+) -> tuple[dict, dict]:
+    """Run ``call()`` inside the one execution scope every grid shares.
+
+    The scope is the request's deadline (``deadline_s``, 0 = none), a
+    failure collector, the optional checkpoint and progress hook, and a
+    ``run`` span carrying the row count (and the exploration's speedup).
+    ``call`` returns a dict with at least ``rows``; ``_execute`` returns
+    it beside the result fields both result types share (``status``,
+    ``failures``, ``resumed_cells``, ``wall_s``). An exhausted deadline
+    becomes the typed ``deadline_exceeded`` :class:`RequestError`; cells
+    finished before it are checkpointed (when a checkpoint is attached),
+    so resubmitting the same request resumes where this attempt stopped.
+    """
+    from repro.harness import checkpoint as checkpoint_module
+    from repro.harness import faults, parallel
+    from repro.obs import get_tracer
+
     tracer = get_tracer()
     start = time.perf_counter()
     resumed = 0
     try:
         with ExitStack() as stack:
-            stack.enter_context(_scoped_env(REPRO_JOBS=str(request.jobs)))
-            stack.enter_context(
-                faults.deadline_scope(request.deadline_s or None)
-            )
+            stack.enter_context(faults.deadline_scope(deadline_s or None))
             collector = stack.enter_context(faults.collect_failures())
             ckpt = None
             if checkpoint_path:
@@ -488,35 +466,27 @@ def run_dse(
                 stack.enter_context(
                     parallel.progress_scope(_cell_progress(progress))
                 )
-            with tracer.span("run", experiment="dse") as span:
-                outcome = run_design_space(
-                    setup=setup,
-                    mix_names=list(request.mixes) or None,
-                    sample_rate=request.sample_rate,
-                    max_frontier=request.max_frontier,
-                    jobs=request.jobs,
-                )
+            with tracer.span("run", experiment=experiment) as span:
+                outcome = call()
                 if tracer.enabled:
                     span["rows"] = len(outcome["rows"])
-                    span["speedup"] = outcome["stats"]["speedup"]
+                    if "stats" in outcome:
+                        span["speedup"] = outcome["stats"]["speedup"]
             if ckpt is not None:
                 resumed = ckpt.hits
     except faults.DeadlineExceededError:
         raise RequestError(
-            f"deadline of {request.deadline_s:g}s exceeded before the "
-            "exploration finished",
+            f"deadline of {deadline_s:g}s exceeded before "
+            f"{experiment} finished",
             code=ERR_DEADLINE,
         ) from None
     failures = tuple(collector.as_dicts())
-    return DseResult(
-        status="partial" if failures else "ok",
-        rows=tuple(outcome["rows"]),
-        winner=dict(outcome["winner"] or {}),
-        stats=dict(outcome["stats"]),
-        failures=failures,
-        resumed_cells=resumed,
-        wall_s=round(time.perf_counter() - start, 6),
-    )
+    return outcome, {
+        "status": "partial" if failures else "ok",
+        "failures": failures,
+        "resumed_cells": resumed,
+        "wall_s": round(time.perf_counter() - start, 6),
+    }
 
 
 def _cell_progress(emit):

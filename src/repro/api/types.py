@@ -92,7 +92,7 @@ class GridRequest:
 
     ``mixes=()`` means the experiment's full mix set; ``cores=0`` means
     the experiment's default core count; ``jobs=0`` means one worker
-    per CPU (same convention as ``REPRO_JOBS=auto``). ``deadline_s``
+    per CPU (the CLI's ``--jobs auto``). ``deadline_s``
     (0 = none) is a wall-clock budget checked at grid-cell boundaries;
     a grid that blows it fails with ``deadline_exceeded`` — cells
     already checkpointed stay durable, so a resubmit resumes.

@@ -2,7 +2,7 @@
 
 from repro.cores.interval import IntervalCore
 from repro.cores.metrics import antt, improvement_percent, weighted_speedup
-from repro.cores.multiprog import MultiProgramRunner, RunResult, run_antt
+from repro.cores.multiprog import MultiProgramRunner, RunResult
 
 __all__ = [
     "IntervalCore",
@@ -11,5 +11,4 @@ __all__ = [
     "weighted_speedup",
     "MultiProgramRunner",
     "RunResult",
-    "run_antt",
 ]

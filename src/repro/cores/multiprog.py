@@ -27,7 +27,7 @@ from repro.workloads.generator import ProgramTrace
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.trace_cache import program_streams
 
-__all__ = ["RunResult", "MultiProgramRunner", "run_antt"]
+__all__ = ["RunResult", "MultiProgramRunner"]
 
 CacheFactory = Callable[[], DRAMCacheBase]
 """Builds a fresh DRAM cache *with its own off-chip controller behind it*."""
@@ -176,12 +176,3 @@ def iter_records(trace: ProgramTrace, accesses: int):
     for chunk in trace.chunks(accesses):
         yield from chunk
 
-
-def run_antt(
-    mix: WorkloadMix,
-    cache_factory: CacheFactory,
-    **kwargs,
-) -> tuple[float, RunResult]:
-    """One-call ANTT measurement for a mix under a cache scheme."""
-    runner = MultiProgramRunner(mix, cache_factory, **kwargs)
-    return runner.run_antt()

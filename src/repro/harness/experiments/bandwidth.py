@@ -28,7 +28,7 @@ def fig9a_wasted_bandwidth(
     *,
     setup: ExperimentSetup | None = None,
     mix_names: list[str] | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Figure 9(a): wasted off-chip bytes, fixed-512B vs Bi-Modal.
 
@@ -79,7 +79,7 @@ def fig9b_metadata_rbh(
     *,
     setup: ExperimentSetup | None = None,
     mix_names: list[str] | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Figure 9(b): metadata row-buffer hit rate, separate vs co-located.
 
@@ -141,7 +141,7 @@ def fig9c_way_locator_hit_rate(
     setup: ExperimentSetup | None = None,
     mix_names: list[str] | None = None,
     k_values: tuple[int, ...] | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Figure 9(c): way locator hit rate vs table size K.
 
@@ -179,7 +179,7 @@ def fig10_small_block_fraction(
     *,
     setup: ExperimentSetup | None = None,
     mix_names: list[str] | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Figure 10: fraction of accesses served by small blocks.
 

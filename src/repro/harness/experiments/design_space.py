@@ -7,9 +7,9 @@ record arrays come from the trace cache, so a mix's stream is generated
 once and shared by every block size / figure instead of being re-derived
 per sweep point.
 
-Figure 1 runs on the MRC engine (:mod:`repro.mrc`): the block-size
-sweep is exactly a hit-rate-vs-block-size curve, and the tag-only ghost
-pass produces miss rates bit-identical to the old per-block-size
+Figure 1 runs on the tag-only ghost caches of :mod:`repro.mrc`: one
+:func:`~repro.mrc.ghost.ghost_pass` resolves every block size, with miss
+rates bit-identical to the old per-block-size
 :class:`~repro.sram.cache.SetAssociativeCache` walk (pinned by
 tests/harness/test_design_space.py) at a fraction of the cost.
 """
@@ -22,7 +22,8 @@ from repro.common.stats import Histogram
 from repro.harness.parallel import complete_groups, run_grid
 from repro.harness.reporting import append_mean_row
 from repro.harness.runner import ExperimentSetup, build_cache, drive_cache
-from repro.mrc.engine import MRCSpec, mrc_pass
+from repro.mrc.engine import record_pass_metrics
+from repro.mrc.ghost import LRUGhost, ghost_pass
 from repro.sram.cache import SetAssociativeCache
 from repro.workloads.mixes import mixes_for_cores
 
@@ -45,19 +46,15 @@ class _Fig1Cell:
 
 def _fig1_row(cell: _Fig1Cell) -> dict:
     capacity = cell.setup.system.dram_cache.capacity
-    records = cell.setup.trace_records(cell.mix)
-    result = mrc_pass(
-        records.addresses,
-        MRCSpec(
-            block_sizes=cell.block_sizes,
-            base_capacity=capacity,
-            base_associativity=cell.associativity,
-            seed=cell.setup.seed,
-        ),
+    addresses = cell.setup.trace_records(cell.mix).addresses
+    result = ghost_pass(
+        addresses,
+        [LRUGhost(capacity, cell.associativity, size) for size in cell.block_sizes],
     )
+    record_pass_metrics(len(addresses), len(addresses), result.walks)
     row: dict = {"mix": cell.mix}
-    for point in result.block_size:
-        row[f"{point.param}B"] = point.miss_rate
+    for size, count in zip(cell.block_sizes, result.counts):
+        row[f"{size}B"] = count.miss_rate
     return row
 
 
@@ -67,7 +64,7 @@ def fig1_miss_rate_vs_block_size(
     mix_names: list[str] | None = None,
     block_sizes: tuple[int, ...] = BLOCK_SIZES,
     associativity: int = 8,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Figure 1: LLSC miss rate falls as DRAM cache block size grows.
 
@@ -118,7 +115,7 @@ def fig2_block_utilization(
     *,
     setup: ExperimentSetup | None = None,
     mix_names: list[str] | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Figure 2: distribution of 64B sub-block utilization in 512B blocks.
 
@@ -167,7 +164,7 @@ def fig5_mru_hits(
     mix_names: list[str] | None = None,
     associativity: int = 8,
     block_size: int = 512,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Figure 5: fraction of cache hits by MRU stack position (8-way).
 

@@ -47,7 +47,7 @@ def fig11_energy(
     *,
     setup: ExperimentSetup | None = None,
     mix_names: list[str] | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Figure 11: memory energy reduction over AlloyCache.
 

@@ -63,7 +63,7 @@ def victim_buffer_study(
     setup: ExperimentSetup | None = None,
     mix_names: list[str] | None = None,
     entries: int = 512,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Fraction of DRAM cache misses a victim buffer would serve.
 
@@ -122,7 +122,7 @@ def controller_comparison(
     *,
     setup: ExperimentSetup | None = None,
     mix_names: list[str] | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Demand-ratio (paper) vs set-dueling (cited) global adaptation."""
     setup = setup or ExperimentSetup()
@@ -151,7 +151,7 @@ def space_utilization_comparison(
     *,
     setup: ExperimentSetup | None = None,
     mix_names: list[str] | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Referenced/committed bytes: fixed-512B vs Bi-Modal.
 

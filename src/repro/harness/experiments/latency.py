@@ -117,7 +117,7 @@ def fig8c_access_latency(
     setup: ExperimentSetup | None = None,
     mix_names: list[str] | None = None,
     schemes: tuple[str, ...] = LATENCY_SCHEMES,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Figure 8(c): average LLSC miss penalty per scheme.
 

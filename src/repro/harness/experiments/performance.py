@@ -7,7 +7,7 @@ relative ANTT reduction of Bi-Modal over the AlloyCache baseline.
 
 Each (scheme, mix) measurement is an independent cell dispatched through
 :func:`repro.harness.parallel.run_grid`, so figure-level grids fan out
-over ``REPRO_JOBS`` workers with results identical to a serial run.
+over ``jobs`` workers with results identical to a serial run.
 Under fault collection a permanently failed cell drops only its mix's
 row (via :func:`~repro.harness.parallel.complete_groups`); the other
 rows still export.
@@ -77,7 +77,7 @@ def fig7_antt(
     mix_names: list[str] | None = None,
     setup: ExperimentSetup | None = None,
     schemes: tuple[str, str] = ("alloy", "bimodal"),
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Figure 7: ANTT improvement of Bi-Modal over AlloyCache.
 
@@ -107,7 +107,7 @@ def fig8a_component_analysis(
     *,
     mix_names: list[str] | None = None,
     setup: ExperimentSetup | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Figure 8(a): Bi-Modal-Only and Way-Locator-Only vs the full design.
 
@@ -135,7 +135,7 @@ def fig8b_hit_rate(
     *,
     mix_names: list[str] | None = None,
     setup: ExperimentSetup | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Figure 8(b): DRAM cache hit rates of Alloy, fixed-512B and Bi-Modal.
 

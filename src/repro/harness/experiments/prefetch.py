@@ -55,27 +55,12 @@ def _prefetch_antt(cell: _PrefetchCell) -> float:
     return antt
 
 
-def _antt_with_prefetch(
-    scheme: str,
-    mix_name: str,
-    *,
-    setup: ExperimentSetup,
-    degree: int,
-    mode: str,
-) -> float:
-    return _prefetch_antt(
-        _PrefetchCell(
-            scheme=scheme, mix=mix_name, setup=setup, degree=degree, mode=mode
-        )
-    )
-
-
 def table6_prefetch(
     *,
     setup: ExperimentSetup | None = None,
     mix_names: list[str] | None = None,
     degrees: tuple[int, ...] = (1, 3),
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Table VI: ANTT improvement over the prefetch-enabled baseline.
 

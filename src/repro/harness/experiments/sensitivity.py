@@ -31,30 +31,11 @@ __all__ = [
 ]
 
 
-def _antt_for(
-    scheme: str,
-    mix_name: str,
-    *,
-    setup: ExperimentSetup,
-    cache_mb: int | None = None,
-    bimodal_config: BiModalConfig | None = None,
-) -> float:
-    return antt_cell(
-        AnttCell(
-            scheme=scheme,
-            mix=mix_name,
-            setup=setup,
-            cache_mb=cache_mb,
-            bimodal_config=bimodal_config,
-        )
-    )
-
-
 def fig12_sensitivity(
     *,
     setup: ExperimentSetup | None = None,
     mix_names: list[str] | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Figure 12: gains hold across cache size, block size, associativity.
 
@@ -138,12 +119,6 @@ def _bimodal_cell(
     return GridCell(scheme="bimodal", mix=mix_name, setup=setup, bimodal_config=cfg)
 
 
-def _bimodal_stats(
-    mix_name: str, setup: ExperimentSetup, cfg: BiModalConfig
-) -> dict:
-    return drive_cell(_bimodal_cell(mix_name, setup, cfg))
-
-
 def _base_config(setup: ExperimentSetup) -> BiModalConfig:
     return BiModalConfig(
         locator_index_bits=scaled_locator_bits(scale=setup.scale),
@@ -153,85 +128,97 @@ def _base_config(setup: ExperimentSetup) -> BiModalConfig:
     )
 
 
-def ablation_threshold(
-    *,
-    setup: ExperimentSetup | None = None,
-    mix_name: str = "Q7",
-    thresholds: tuple[int, ...] = (2, 3, 5, 7, 8),
-    jobs: int | None = None,
-) -> list[dict]:
-    """Utilization threshold T sweep (paper fixes T=5, suggests stricter
-    T trades bandwidth for hit rate)."""
+def _sweep(
+    setup: ExperimentSetup | None,
+    mix_names: list[str] | None,
+    field: str,
+    values: tuple,
+    jobs: int,
+) -> list[tuple]:
+    """``(mix, value, stats)`` for every bimodal cell of a one-knob sweep.
+
+    One cell per (mix, value) with ``field`` of the base configuration
+    set to the value; a failed cell drops only its own row.
+    """
     setup = setup or ExperimentSetup()
+    names = mix_names or ["Q7"]
+    base = _base_config(setup)
+    keys = [(name, value) for name in names for value in values]
     cells = [
-        _bimodal_cell(
-            mix_name, setup, replace(_base_config(setup), utilization_threshold=t)
-        )
-        for t in thresholds
+        _bimodal_cell(name, setup, replace(base, **{field: value}))
+        for name, value in keys
     ]
     results = run_grid(drive_cell, cells, jobs=jobs)
     return [
+        (name, value, stats)
+        for (name, value), (stats,) in complete_groups(keys, results, 1)
+    ]
+
+
+def ablation_threshold(
+    *,
+    setup: ExperimentSetup | None = None,
+    mix_names: list[str] | None = None,
+    thresholds: tuple[int, ...] = (2, 3, 5, 7, 8),
+    jobs: int = 1,
+) -> list[dict]:
+    """Utilization threshold T sweep (paper fixes T=5, suggests stricter
+    T trades bandwidth for hit rate)."""
+    return [
         {
+            "mix": name,
             "T": t,
             "hit_rate": stats["hit_rate"],
             "offchip_mb": stats["offchip_fetched_bytes"] / (1 << 20),
             "small_fraction": stats["small_access_fraction"],
         }
-        for t, (stats,) in complete_groups(thresholds, results, 1)
+        for name, t, stats in _sweep(
+            setup, mix_names, "utilization_threshold", thresholds, jobs
+        )
     ]
 
 
 def ablation_weight(
     *,
     setup: ExperimentSetup | None = None,
-    mix_name: str = "Q7",
+    mix_names: list[str] | None = None,
     weights: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0, 1.5),
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Adaptation weight W sweep (paper fixes W=0.75)."""
-    setup = setup or ExperimentSetup()
-    cells = [
-        _bimodal_cell(
-            mix_name, setup, replace(_base_config(setup), adaptation_weight=w)
-        )
-        for w in weights
-    ]
-    results = run_grid(drive_cell, cells, jobs=jobs)
     return [
         {
+            "mix": name,
             "W": w,
             "hit_rate": stats["hit_rate"],
             "small_fraction": stats["small_access_fraction"],
             "global_state": str(stats["global_state"]),
         }
-        for w, (stats,) in complete_groups(weights, results, 1)
+        for name, w, stats in _sweep(
+            setup, mix_names, "adaptation_weight", weights, jobs
+        )
     ]
 
 
 def ablation_sampling(
     *,
     setup: ExperimentSetup | None = None,
-    mix_name: str = "Q7",
+    mix_names: list[str] | None = None,
     rates: tuple[int, ...] = (1, 2, 8, 32),
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Tracker set-sampling sweep (paper uses ~4% of sets)."""
-    setup = setup or ExperimentSetup()
-    cells = [
-        _bimodal_cell(
-            mix_name, setup, replace(_base_config(setup), tracker_sample_every=every)
-        )
-        for every in rates
-    ]
-    results = run_grid(drive_cell, cells, jobs=jobs)
     return [
         {
+            "mix": name,
             "sample_every": every,
             "hit_rate": stats["hit_rate"],
             "predictor_accuracy": stats["predictor_accuracy"],
             "small_fraction": stats["small_access_fraction"],
         }
-        for every, (stats,) in complete_groups(rates, results, 1)
+        for name, every, stats in _sweep(
+            setup, mix_names, "tracker_sample_every", rates, jobs
+        )
     ]
 
 
@@ -239,7 +226,7 @@ def ablation_parallel_tag(
     *,
     setup: ExperimentSetup | None = None,
     mix_names: list[str] | None = None,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[dict]:
     """Parallel vs serial tag+data issue on way locator misses."""
     setup = setup or ExperimentSetup()

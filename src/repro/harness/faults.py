@@ -220,11 +220,6 @@ class FaultPolicy:
             backoff_s=_float_env(BACKOFF_ENV, _BACKOFF_DEFAULT_S) or 0.0,
         )
 
-    @property
-    def is_default(self) -> bool:
-        """No retries and no timeout: the engine's zero-overhead case."""
-        return self.retries <= 0 and self.timeout_s is None
-
     def backoff(self, index: int, attempt: int) -> float:
         """Deterministic exponential backoff with jitter, in seconds.
 

@@ -12,26 +12,23 @@ Worker processes return plain floats/dicts, never simulator objects:
 caches hold posted-operation lambdas that do not pickle, and shipping a
 few numbers keeps IPC negligible next to simulation time.
 
-Job-count resolution: an explicit ``jobs`` argument wins, then the
-``REPRO_JOBS`` environment variable, else serial. ``0`` or ``"auto"``
-means one worker per CPU. ``jobs=1`` (the default everywhere) runs the
-cells inline with no pool, and any failure to *create* the pool (e.g. a
-sandbox forbidding fork) falls back to the serial path with a one-line
+Job count: ``jobs`` (default 1) is the worker count, and ``jobs <= 0``
+means one worker per CPU. One worker, or a single pending cell, runs
+in-process with no pool; a failure to *create* the pool (e.g. a sandbox
+forbidding fork) falls back to in-process execution with a one-line
 warning naming the exception.
 
-Fault tolerance (see :mod:`repro.harness.faults` and
-``docs/robustness.md``): when any of the fault features are active —
-retries/timeouts via ``REPRO_CELL_RETRIES``/``REPRO_CELL_TIMEOUT_S``, a
-failure collector (installed by ``repro run``), an attached checkpoint,
-or a fault-injection plan — cells route through a hardened engine with
-per-cell isolation: a worker exception, a broken pool (worker killed by
-signal/OOM) or a wall-clock timeout fails only that cell, retries with
-deterministic backoff, and is finally recorded as a structured
-:class:`~repro.harness.faults.CellFailure` while every other cell
-completes. Failed cells yield ``None`` in the result list; completed
-cells are appended to the attached checkpoint so a killed campaign
-resumes where it stopped. With no fault feature active the seed fast
-path runs unchanged (worker exceptions propagate, zero overhead).
+Every grid runs through one engine with per-cell isolation (see
+:mod:`repro.harness.faults` and ``docs/robustness.md``). A worker
+exception, a broken pool (worker killed by signal/OOM, raised as
+:class:`~repro.harness.faults.WorkerCrashError`) or a wall-clock
+timeout is retried per ``REPRO_CELL_RETRIES``/``REPRO_CELL_TIMEOUT_S``
+with deterministic backoff. With a failure collector installed (the
+``repro.api`` facade always installs one) a cell whose retries run out
+is recorded as a structured :class:`~repro.harness.faults.CellFailure`
+and yields ``None`` while every other cell completes; without one its
+exception propagates. Completed cells are appended to an attached
+checkpoint so a killed campaign resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -108,43 +105,25 @@ _Result = TypeVar("_Result")
 _MARK_DIR_ENV = "REPRO_GRID_MARK_DIR"
 
 
-def resolve_jobs(jobs: int | str | None = None) -> int:
-    """Effective worker count: explicit argument > ``REPRO_JOBS`` > 1."""
-    if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if not env:
-            return 1
-        jobs = env
-    if isinstance(jobs, str):
-        if jobs.lower() == "auto":
-            jobs = 0
-        else:
-            try:
-                jobs = int(jobs)
-            except ValueError:
-                return 1
+def resolve_jobs(jobs: int) -> int:
+    """Effective worker count: ``jobs``, or one per CPU when ``jobs <= 0``."""
     if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    return max(1, jobs)
+        return os.cpu_count() or 1
+    return jobs
 
 
 def run_grid(
     func: Callable[[_Cell], _Result],
     cells: Iterable[_Cell],
     *,
-    jobs: int | str | None = None,
+    jobs: int = 1,
 ) -> list:
     """Apply ``func`` to every cell, optionally across processes.
 
     Results come back in the order the cells were given regardless of
-    completion order. With ``jobs`` resolving to 1 (the default when
-    ``REPRO_JOBS`` is unset) or fewer than two cells, no pool is created
-    at all. Pool-level failures (fork refused, workers killed) degrade
-    to the serial path with a warning; exceptions raised *by the worker
-    function* propagate unchanged in both modes — unless a failure
-    collector is active (see the module docstring), in which case the
-    failing cell is isolated, retried per policy, recorded, and returned
-    as ``None``.
+    completion order. A cell's exception propagates once its retries
+    are spent, unless a failure collector is active (see the module
+    docstring): then the cell is recorded and returned as ``None``.
 
     Observability: with tracing on (``REPRO_TRACE`` / ``--trace-out``)
     the grid streams one progress line per finished cell to stderr and
@@ -154,44 +133,17 @@ def run_grid(
     worker *around* the cell function, so cell results are identical to
     the uninstrumented run.
     """
-    cell_list = list(cells)
     workers = resolve_jobs(jobs)
-    tracer = get_tracer()
-    prof = profile_dir()
-    policy = FaultPolicy.from_env()
-    collector = faults.active_collector()
-    ckpt = checkpoint.active()
-    plan = faults.active_plan()
-    plain = (
-        not tracer.enabled
-        and prof is None
-        and policy.is_default
-        and collector is None
-        and ckpt is None
-        and plan is None
-        and faults.deadline_remaining() is None
-    )
-    if plain:
-        if workers <= 1 or len(cell_list) <= 1:
-            return [func(cell) for cell in cell_list]
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(cell_list))
-            ) as pool:
-                return list(pool.map(func, cell_list))
-        except (OSError, PermissionError, BrokenProcessPool) as exc:
-            _warn_pool_fallback(exc, tracer)
-            return [func(cell) for cell in cell_list]
-    return _run_grid_engine(
-        func,
-        cell_list,
-        workers,
-        tracer=tracer,
-        prof=prof,
-        policy=policy,
-        collector=collector,
-        ckpt=ckpt,
-    )
+    engine = _GridEngine(func, list(cells))
+    with engine.tracer.span(
+        "grid", cells=engine.total, workers=min(workers, max(engine.total, 1))
+    ):
+        pending = engine.pending_cells()
+        if workers <= 1 or len(pending) <= 1:
+            _serial_cells(engine, pending)
+        else:
+            _pool_cells(engine, pending, min(workers, len(pending)))
+    return engine.results
 
 
 def complete_groups(names: Iterable, results: list, size: int) -> list[tuple]:
@@ -275,15 +227,16 @@ def _cell_attrs(cell) -> dict:
 class _GridEngine:
     """State machine for one fault-tolerant grid execution."""
 
-    def __init__(self, func, cell_list, *, tracer, prof, policy, collector, ckpt):
+    def __init__(self, func, cell_list):
         self.func = func
         self.cells = cell_list
         self.total = len(cell_list)
-        self.tracer = tracer
-        self.policy = policy
-        self.collector = collector
-        self.ckpt = ckpt
+        self.tracer = get_tracer()
+        self.policy = FaultPolicy.from_env()
+        self.collector = faults.active_collector()
+        self.ckpt = checkpoint.active()
         self.registry = get_metrics()
+        prof = profile_dir()
         self.call = _CellCall(func, str(prof) if prof is not None else None)
         self.results: list = [None] * self.total
         self.done = [False] * self.total
@@ -291,7 +244,7 @@ class _GridEngine:
         self.attempts = [0] * self.total
         self.keys = (
             [checkpoint.cell_key(func, cell) for cell in cell_list]
-            if ckpt is not None
+            if self.ckpt is not None
             else None
         )
 
@@ -385,31 +338,6 @@ class _GridEngine:
                 f"[repro] cell {index + 1}/{self.total} {wall:7.2f}s {label}".rstrip(),
                 file=sys.stderr,
             )
-
-
-def _run_grid_engine(
-    func, cell_list, workers, *, tracer, prof, policy, collector, ckpt
-) -> list:
-    engine = _GridEngine(
-        func,
-        cell_list,
-        tracer=tracer,
-        prof=prof,
-        policy=policy,
-        collector=collector,
-        ckpt=ckpt,
-    )
-    with tracer.span(
-        "grid", cells=engine.total, workers=min(workers, max(engine.total, 1))
-    ):
-        pending = engine.pending_cells()
-        if not pending:
-            return engine.results
-        if workers <= 1 or len(pending) <= 1:
-            _serial_cells(engine, pending)
-        else:
-            _pool_cells(engine, pending, min(workers, len(pending)))
-    return engine.results
 
 
 def _effective_timeout(policy_timeout: float | None) -> float | None:

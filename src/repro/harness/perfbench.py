@@ -370,7 +370,8 @@ def gate_against_history(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Measure drive-loop throughput (records simulated/sec)."
+        prog="perfbench",
+        description="Measure drive-loop throughput (records simulated/sec).",
     )
     parser.add_argument("--scheme", default="bimodal")
     parser.add_argument("--mix", default="Q1")

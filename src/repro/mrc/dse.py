@@ -39,7 +39,7 @@ from repro.harness.runner import (
     drive_cache,
     scaled_locator_bits,
 )
-from repro.mrc.engine import MRCSpec, mrc_pass, record_pass_metrics, sample_addresses
+from repro.mrc.engine import record_pass_metrics, sample_addresses
 from repro.mrc.ghost import AdaptiveGhost, LRUGhost, ghost_pass
 from repro.workloads.trace_cache import materialized_columns
 
@@ -254,18 +254,18 @@ def run_design_space(
     space: tuple[DesignPoint, ...] | None = None,
     sample_rate: float = 1.0,
     max_frontier: int = 8,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> dict:
     """Explore the design space: estimate all, simulate the frontier.
 
     Returns ``{"rows": [...], "winner": {...} | None, "stats": {...}}``:
     one row per design point carrying its estimate (``est_hit_rate``,
-    ``est_stderr``, best (X, Y)), whether it made the frontier, the
-    fraction of a full simulation it received (0, 0.25 or 1.0) and —
-    when simulated — its measured ``hit_rate``/``end_time``. ``stats``
-    carries the cost accounting, including ``speedup`` (exhaustive
-    full-sim count over full-sim equivalents actually spent) and
-    ``full_sims_avoided``.
+    ``est_hits``/``est_accesses``, best (X, Y)), whether it made the
+    frontier, the fraction of a full simulation it received (0, 0.25
+    or 1.0) and — when simulated — its measured ``hit_rate`` and
+    ``end_time``. ``stats`` carries the cost accounting, including
+    ``speedup`` (exhaustive full-sim count over full-sim equivalents
+    actually spent) and ``full_sims_avoided``.
     """
     setup = setup or ExperimentSetup()
     names = mix_names or list(setup.mixes())
@@ -393,44 +393,3 @@ def run_design_space(
     }
     return {"rows": rows, "winner": winner, "stats": stats}
 
-
-def mrc_curves_for_mix(
-    mix: str,
-    *,
-    setup: ExperimentSetup | None = None,
-    capacities: tuple[int, ...] = (),
-    block_sizes: tuple[int, ...] = (),
-    associativities: tuple[int, ...] = (),
-    xy_capacities: tuple[int, ...] = (),
-    base_capacity: int | None = None,
-    base_block_size: int = 64,
-    base_associativity: int = 8,
-    sample_rate: float = 1.0,
-    warmup_fraction: float = 0.0,
-):
-    """Convenience wrapper: one :func:`mrc_pass` over a mix's trace."""
-    setup = setup or ExperimentSetup()
-    addresses, _, _ = materialized_columns(
-        mix,
-        accesses_per_core=setup.accesses_per_core,
-        seed=setup.seed,
-        footprint_scale=setup.footprint_scale,
-        intensity_scale=setup.intensity_scale,
-    )
-    spec = MRCSpec(
-        capacities=capacities,
-        block_sizes=block_sizes,
-        associativities=associativities,
-        base_capacity=(
-            base_capacity
-            if base_capacity is not None
-            else setup.system.dram_cache.capacity
-        ),
-        base_block_size=base_block_size,
-        base_associativity=base_associativity,
-        xy_capacities=xy_capacities,
-        sample_rate=sample_rate,
-        seed=setup.seed,
-        warmup_fraction=warmup_fraction,
-    )
-    return mrc_pass(addresses, spec)

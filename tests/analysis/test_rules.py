@@ -576,6 +576,7 @@ class TestSyntaxHandling:
             ("determinism", "mod.py"),
         ]
         assert "unreadable file" in result.violations[0].message
+        assert result.files_scanned == 2
 
 
 def test_strict_fixture_config_is_strict():

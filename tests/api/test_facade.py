@@ -1,6 +1,5 @@
-"""The repro.api facade: validation, execution, env scoping."""
+"""The repro.api facade: validation, execution, request-only config."""
 
-import os
 import warnings
 
 import pytest
@@ -148,11 +147,36 @@ class TestExecution:
         assert all(e.stage == "cell" for e in events)
         assert events[-1].completed == events[-1].total
 
-    def test_run_grid_scopes_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        request = api.grid_request("fig10", mixes=("Q1",), accesses_per_core=600)
-        api.run_grid(request)
-        assert "REPRO_JOBS" not in os.environ
+    def test_run_grid_passes_request_jobs(self, monkeypatch):
+        # The worker count travels as an argument, down to the grid.
+        from repro.harness.experiments import bandwidth
+
+        seen = []
+        real = bandwidth.run_grid
+
+        def spy(func, cells, *, jobs=1):
+            seen.append(jobs)
+            return real(func, cells, jobs=jobs)
+
+        monkeypatch.setattr(bandwidth, "run_grid", spy)
+        request = api.grid_request(
+            "fig10", mixes=("Q1",), accesses_per_core=600, jobs=2
+        )
+        assert api.run_grid(request).status == "ok"
+        assert seen == [2]
+
+    def test_ablation_honours_mixes(self):
+        from repro.harness.experiments import ablation_threshold
+
+        request = api.grid_request(
+            "abl-threshold", mixes=("Q2",), accesses_per_core=300
+        )
+        rows = api.run_grid(request).rows
+        direct = ablation_threshold(
+            setup=api.grid_setup(request), mix_names=["Q2"]
+        )
+        assert list(rows) == direct
+        assert rows and all(row["mix"] == "Q2" for row in rows)
 
     def test_run_grid_checkpoint_resume(self, tmp_path):
         path = str(tmp_path / "grid.ckpt.jsonl")

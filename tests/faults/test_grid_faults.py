@@ -40,7 +40,6 @@ def clean_fault_env(monkeypatch):
         faults.RETRIES_ENV,
         faults.TIMEOUT_ENV,
         faults.INJECT_ENV,
-        "REPRO_JOBS",
     ):
         monkeypatch.delenv(name, raising=False)
     # Fast deterministic backoff so retry tests don't sleep for real.

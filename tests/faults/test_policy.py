@@ -20,7 +20,6 @@ class TestFaultPolicy:
         policy = FaultPolicy.from_env()
         assert policy.retries == 0
         assert policy.timeout_s is None
-        assert policy.is_default
 
     def test_env_knobs(self, monkeypatch):
         monkeypatch.setenv(faults.RETRIES_ENV, "3")
@@ -30,7 +29,6 @@ class TestFaultPolicy:
         assert policy.retries == 3
         assert policy.timeout_s == 2.5
         assert policy.backoff_s == 0.01
-        assert not policy.is_default
 
     def test_garbage_env_falls_back(self, monkeypatch):
         monkeypatch.setenv(faults.RETRIES_ENV, "many")

@@ -22,28 +22,21 @@ def _square(x):
     return x * x
 
 
+def _pid(_):
+    return os.getpid()
+
+
+def _boom(x):
+    raise ValueError(f"cell {x}")
+
+
 class TestResolveJobs:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs() == 1
+    def test_default_is_serial(self):
+        # No jobs argument: every cell runs in this process.
+        assert run_grid(_pid, range(3)) == [os.getpid()] * 3
 
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "7")
-        assert resolve_jobs(3) == 3
-
-    def test_env_used_when_unspecified(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "5")
-        assert resolve_jobs() == 5
-
-    def test_auto_and_zero_mean_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        expected = os.cpu_count() or 1
-        assert resolve_jobs(0) == expected
-        assert resolve_jobs("auto") == expected
-
-    def test_garbage_env_is_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "lots")
-        assert resolve_jobs() == 1
+    def test_auto_and_zero_mean_cpu_count(self):
+        assert resolve_jobs(0) == (os.cpu_count() or 1)
 
 
 class TestRunGrid:
@@ -67,11 +60,14 @@ class TestRunGrid:
         assert run_grid(_square, range(6), jobs=4) == [x * x for x in range(6)]
 
     def test_worker_exception_propagates(self):
-        def boom(x):
-            raise ValueError(f"cell {x}")
-
         with pytest.raises(ValueError):
-            run_grid(boom, range(3), jobs=1)
+            run_grid(_boom, range(3), jobs=1)
+
+    def test_worker_exception_propagates_from_pool(self):
+        # No failure collector installed: the pool path raises the
+        # cell's own exception, as the in-process path does.
+        with pytest.raises(ValueError, match="cell 0"):
+            run_grid(_boom, range(3), jobs=2)
 
 
 class TestSimulationCells:
@@ -98,12 +94,10 @@ class TestSimulationCells:
         assert fanned == serial
         assert all(antt >= 1.0 for antt in serial)
 
-    def test_env_jobs_routes_figures(self, monkeypatch):
-        """A figure grid under REPRO_JOBS equals its serial run, dict-equal."""
+    def test_jobs_argument_routes_figures(self):
+        """A figure grid at jobs=4 equals its serial run, dict-equal."""
         from repro.harness.experiments.performance import fig8b_hit_rate
 
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
         serial = fig8b_hit_rate(setup=SETUP, mix_names=["Q1"])
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        fanned = fig8b_hit_rate(setup=SETUP, mix_names=["Q1"])
+        fanned = fig8b_hit_rate(setup=SETUP, mix_names=["Q1"], jobs=4)
         assert fanned == serial

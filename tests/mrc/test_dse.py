@@ -12,7 +12,8 @@ from repro.mrc.dse import (
     pareto_frontier,
     run_design_space,
 )
-from repro.mrc.engine import MRCSpec, mrc_pass
+from repro.mrc.engine import sample_addresses
+from repro.mrc.ghost import AdaptiveGhost, LRUGhost, ghost_pass
 from repro.obs import get_metrics
 
 TINY = ExperimentSetup(num_cores=4, accesses_per_core=800)
@@ -106,44 +107,41 @@ class TestEstimateCell:
 
     @pytest.mark.parametrize("rate", [0.5, 0.25])
     def test_sampled_rows_match_mrc_pass(self, rate):
-        # Both callers share one SHARDS capacity scaling: a sampled dse
-        # row is the matching mrc_pass curve point. Q23 at 4 cores × 4k
-        # is large enough that the scaled capacities change the rows.
+        # A sampled dse row is the matching count of a sampled MRC pass
+        # (sample_addresses, then ghost_pass with the SHARDS capacity
+        # scaling): it fails if the cell stops passing its rate on.
+        # Q23 at 4 cores × 4k is large enough that the scaled
+        # capacities change the rows.
         setup = ExperimentSetup(num_cores=4, accesses_per_core=4000)
         space = default_space()
         rows = dse_estimate_cell(
             DseEstimateCell(mix="Q23", setup=setup, space=space, sample_rate=rate)
         )
         addresses = setup.trace_records("Q23").addresses
+        stream = sample_addresses(addresses, rate, setup.seed)
         capacities = tuple(sorted({p.cache_mb << 20 for p in space}))
         for block_size, assoc in sorted({(p.block_size, p.associativity) for p in space}):
-            result = mrc_pass(
-                addresses,
-                MRCSpec(
-                    capacities=capacities,
-                    xy_capacities=capacities,
-                    base_block_size=block_size,
-                    base_associativity=assoc,
-                    set_size=block_size * assoc,
-                    big_block_size=block_size,
-                    sample_rate=rate,
-                    seed=setup.seed,
-                    warmup_fraction=0.5,
-                ),
+            fixed = [LRUGhost(c, assoc, block_size) for c in capacities]
+            xy = [
+                AdaptiveGhost(c, set_size=block_size * assoc, big_block_size=block_size)
+                for c in capacities
+            ]
+            result = ghost_pass(
+                stream, fixed + xy, warmup=int(len(stream) * 0.5), sample_rate=rate
             )
-            fixed = {p.param: p for p in result.capacity}
-            xy = {p.param: p for p in result.xy}
+            counts = dict(zip(capacities, result.counts[: len(capacities)]))
+            best = dict(zip(capacities, result.counts[len(capacities) :]))
             for point, row in zip(space, rows):
                 if (point.block_size, point.associativity) != (block_size, assoc):
                     continue
                 capacity = point.cache_mb << 20
                 if point.policy == "fixed":
-                    expected = [fixed[capacity].hits, fixed[capacity].accesses, 0, 0]
+                    expected = [counts[capacity].hits, counts[capacity].accesses, 0, 0]
                 else:
                     expected = [
-                        xy[capacity].hits,
-                        xy[capacity].accesses,
-                        *result.best_xy[capacity],
+                        best[capacity].hits,
+                        best[capacity].accesses,
+                        *best[capacity].best_state,
                     ]
                 assert row == expected, point.label()
 

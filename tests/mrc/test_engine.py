@@ -1,11 +1,11 @@
-"""MRC engine: deterministic sampling and one-pass curve estimation."""
+"""Deterministic sampling and the one shared ghost pass over a trace."""
 
 import numpy as np
 import pytest
 
 from repro.harness.runner import ExperimentSetup
-from repro.mrc.engine import MRCSpec, mrc_pass, sample_addresses
-from repro.obs import get_metrics
+from repro.mrc.engine import sample_addresses
+from repro.mrc.ghost import AdaptiveGhost, LRUGhost, ghost_pass
 from tests.mrc.oracle import GhostCache
 
 SETUP = ExperimentSetup(num_cores=4, accesses_per_core=1500)
@@ -60,109 +60,71 @@ class TestSampling:
         assert kept == [a for a in addresses.tolist() if a in members]
 
 
-class TestSpecValidation:
-    def test_empty_spec_rejected(self):
-        with pytest.raises(ValueError, match="no curves"):
-            MRCSpec().validate()
-
-    @pytest.mark.parametrize("rate", [0.0, -0.5, 1.5])
-    def test_bad_sample_rate_rejected(self, rate):
-        with pytest.raises(ValueError, match="sample_rate"):
-            MRCSpec(block_sizes=(64,), sample_rate=rate).validate()
-
-    @pytest.mark.parametrize("fraction", [-0.1, 1.0])
-    def test_bad_warmup_fraction_rejected(self, fraction):
-        with pytest.raises(ValueError, match="warmup_fraction"):
-            MRCSpec(block_sizes=(64,), warmup_fraction=fraction).validate()
-
-
 class TestMrcPass:
+    """A miss-ratio-curve pass: sample the stream, then one ghost_pass."""
+
     def test_one_pass_yields_every_curve(self, addresses):
-        result = mrc_pass(
-            addresses,
-            MRCSpec(
-                capacities=(1 << 20, 1 << 22),
-                block_sizes=(64, 512),
-                associativities=(4, 8),
-                xy_capacities=(1 << 20,),
-                base_capacity=1 << 22,
-                seed=SETUP.seed,
-            ),
-        )
-        assert [p.param for p in result.capacity] == [1 << 20, 1 << 22]
-        assert [p.param for p in result.block_size] == [64, 512]
-        assert [p.param for p in result.associativity] == [4, 8]
-        assert [p.param for p in result.xy] == [1 << 20]
-        assert result.total_records == result.sampled_records == len(addresses)
-        # One (X, Y) sweep fans out to a ghost per allowed state.
-        assert result.ghosts > 6
-        assert set(result.best_xy) == {1 << 20}
+        # Capacity, block-size, associativity and (X, Y) points resolve
+        # together; the counts line up with the requested ghosts.
+        ghosts = [
+            LRUGhost(1 << 20, 8),
+            LRUGhost(1 << 22, 8),
+            LRUGhost(1 << 22, 8, 512),
+            LRUGhost(1 << 22, 4),
+            AdaptiveGhost(1 << 20, set_size=2048, big_block_size=512),
+        ]
+        result = ghost_pass(addresses, ghosts)
+        assert len(result.counts) == len(ghosts)
+        assert all(c.accesses == len(addresses) for c in result.counts)
+        assert [c.best_state for c in result.counts[:4]] == [(0, 0)] * 4
+        assert result.counts[4].best_state != (0, 0)
+        # One (X, Y) sweep fans out to a walk per allowed state.
+        assert result.walks > 6
 
     def test_ghosts_counts_distinct_walks(self, addresses):
         # The 1 MB 4-way 512 B LRU point is the (4, 0) state of the
         # 1 MB (X, Y) sweep: three states plus the 64 B point run, not
-        # five ghosts.
-        spec = MRCSpec(
-            block_sizes=(64, 512),
-            base_capacity=1 << 20,
-            base_associativity=4,
-            xy_capacities=(1 << 20,),
-        )
-        before = get_metrics().counters().get("mrc.ghosts", 0)
-        result = mrc_pass(addresses, spec)
-        assert result.ghosts == 4
-        assert get_metrics().counters()["mrc.ghosts"] - before == 4
+        # five walks.
+        ghosts = [
+            LRUGhost(1 << 20, 4, 64),
+            LRUGhost(1 << 20, 4, 512),
+            AdaptiveGhost(1 << 20, set_size=2048, big_block_size=512),
+        ]
+        assert ghost_pass(addresses, ghosts).walks == 4
 
     def test_full_rate_points_are_exact(self, addresses):
-        # At sample rate 1.0 a curve point is the literal ghost walk —
-        # integer hits/accesses, zero standard error.
-        result = mrc_pass(
-            addresses, MRCSpec(block_sizes=(256,), base_capacity=1 << 22)
-        )
-        [point] = result.block_size
+        # At sample rate 1.0 a count is the literal ghost walk: integer
+        # hits/accesses, and the reference's rate arithmetic.
+        [count] = ghost_pass(addresses, [LRUGhost(1 << 22, 8, 256)]).counts
         ghost = GhostCache(1 << 22, 8, 256)
         ghost.consume(addresses.tolist())
-        assert (point.hits, point.accesses) == (ghost.hits, ghost.accesses)
-        assert point.stderr == 0.0
-        assert point.hit_rate == ghost.hit_rate
-        assert point.miss_rate == ghost.miss_rate
+        assert (count.hits, count.accesses) == (ghost.hits, ghost.accesses)
+        assert count.hit_rate == ghost.hit_rate
+        assert count.miss_rate == ghost.miss_rate
 
     def test_pass_is_deterministic(self, addresses):
-        spec = MRCSpec(block_sizes=(64, 512), sample_rate=0.5, seed=3)
-        assert mrc_pass(addresses, spec) == mrc_pass(addresses, spec)
+        ghosts = [LRUGhost(8 << 20, 8, 64), LRUGhost(8 << 20, 8, 512)]
 
-    def test_sampled_pass_reports_error_bars(self, addresses):
-        result = mrc_pass(
-            addresses,
-            MRCSpec(block_sizes=(64,), sample_rate=0.5, seed=1),
-        )
-        assert 0 < result.sampled_records < result.total_records
-        [point] = result.block_size
-        if 0.0 < point.hit_rate < 1.0:
-            assert point.stderr > 0.0
+        def sampled_pass():
+            stream = sample_addresses(addresses, 0.5, seed=3)
+            return ghost_pass(stream, ghosts, sample_rate=0.5)
+
+        assert sampled_pass() == sampled_pass()
 
     def test_sampled_estimate_tracks_full_pass(self, addresses):
-        spec = MRCSpec(
-            block_sizes=(512,), base_capacity=SETUP.system.dram_cache.capacity
-        )
-        full = mrc_pass(addresses, spec).block_size[0]
-        sampled = mrc_pass(
-            addresses,
-            MRCSpec(
-                block_sizes=(512,),
-                base_capacity=SETUP.system.dram_cache.capacity,
-                sample_rate=0.5,
-                seed=SETUP.seed,
-            ),
-        ).block_size[0]
+        ghosts = [LRUGhost(SETUP.system.dram_cache.capacity, 8, 512)]
+        [full] = ghost_pass(addresses, ghosts).counts
+        stream = sample_addresses(addresses, 0.5, SETUP.seed)
+        assert 0 < len(stream) < len(addresses)
+        [sampled] = ghost_pass(stream, ghosts, sample_rate=0.5).counts
         # Loose bound: the scaled-capacity sampled estimate stays in
         # the neighbourhood of the exact curve (tight 2% bound is the
         # dse_smoke CI gate at rate 1.0; docs/dse.md).
         assert abs(sampled.hit_rate - full.hit_rate) < 0.15
 
     def test_warmup_fraction_shrinks_measured_window(self, addresses):
-        warmed = mrc_pass(
-            addresses, MRCSpec(block_sizes=(64,), warmup_fraction=0.5)
-        ).block_size[0]
         n = len(addresses)
+        [warmed] = ghost_pass(
+            addresses, [LRUGhost(8 << 20, 8, 64)], warmup=int(n * 0.5)
+        ).counts
         assert warmed.accesses == n - n // 2 + 1

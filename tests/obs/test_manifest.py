@@ -23,12 +23,12 @@ class TestConfigHash:
 
 class TestCollect:
     def test_collect_captures_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "4")
+        monkeypatch.setenv("REPRO_CELL_RETRIES", "4")
         monkeypatch.setenv("UNRELATED", "x")
         manifest = RunManifest.collect(
             "fig2", config=ExperimentSetup(), seed=1, argv=["run", "fig2"]
         )
-        assert manifest.env.get("REPRO_JOBS") == "4"
+        assert manifest.env.get("REPRO_CELL_RETRIES") == "4"
         assert "UNRELATED" not in manifest.env
         assert manifest.experiment == "fig2"
         assert manifest.python and manifest.repro_version

@@ -120,13 +120,26 @@ class TestSubcommands:
         assert "unrecognized arguments: --backend" in err
 
     def test_jobs_flag_does_not_leak_env(self, monkeypatch, capsys):
-        # The api facade scopes REPRO_JOBS to the request (workers
-        # inherit it) and restores the environment after.
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        # --jobs travels as an argument from the request to the grid;
+        # the process environment is left exactly as it was.
         import os
 
-        assert main(["run", "table1", "--jobs", "2"]) == 0
-        assert "REPRO_JOBS" not in os.environ
+        from repro.harness.experiments import bandwidth
+
+        seen = []
+        real = bandwidth.run_grid
+
+        def spy(func, cells, *, jobs=1):
+            seen.append(jobs)
+            return real(func, cells, jobs=jobs)
+
+        monkeypatch.setattr(bandwidth, "run_grid", spy)
+        before = dict(os.environ)
+        assert main([
+            "run", "fig10", "--mixes", "Q1", "--accesses", "600", "--jobs", "2",
+        ]) == 0
+        assert seen == [2]
+        assert dict(os.environ) == before
         capsys.readouterr()
 
 
@@ -161,14 +174,23 @@ class TestConfigValidation:
         rc = main(["run", "fig10", "--scale", "0"])
         self._assert_usage_error(capsys, rc, "scale must be >= 1")
 
+    # `bench` is perfbench: its own one-line `perfbench: error:` message.
+    def _assert_bench_error(self, capsys, rc, needle):
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "Traceback" not in captured.err
+        [line] = captured.err.splitlines()
+        assert line.startswith("perfbench: error:")
+        assert needle in line
+
     def test_bench_unknown_scheme(self, capsys):
         rc = main(["bench", "--scheme", "turbocache"])
-        self._assert_usage_error(capsys, rc, "unknown scheme 'turbocache'")
+        self._assert_bench_error(capsys, rc, "unknown scheme(s): turbocache")
 
     def test_bench_bad_cores(self, capsys):
         rc = main(["bench", "--cores", "3"])
-        self._assert_usage_error(capsys, rc, "cores must be 4, 8 or 16")
+        self._assert_bench_error(capsys, rc, "--cores must be 4, 8 or 16")
 
     def test_bench_unknown_mix(self, capsys):
         rc = main(["bench", "--mix", "Z9"])
-        self._assert_usage_error(capsys, rc, "unknown mix 'Z9'")
+        self._assert_bench_error(capsys, rc, "unknown mix(es) for 4 cores: Z9")
