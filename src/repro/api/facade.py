@@ -231,6 +231,15 @@ def validate_grid(request: GridRequest) -> None:
         spec = catalog.get_experiment(request.experiment)
     except KeyError as exc:
         raise RequestError(str(exc).strip("'\"")) from None
+    if not spec.needs_setup:
+        # Tables and Figure 3 run no workload: a mix or core count would
+        # be validated and then silently ignored.
+        ignored = [name for name in ("mixes", "cores") if getattr(request, name)]
+        if ignored:
+            raise RequestError(
+                f"{spec.name} runs no workload, so it takes no "
+                f"{' or '.join(ignored)}"
+            )
     if request.cores and request.cores not in _VALID_CORES:
         raise RequestError(f"cores must be 4, 8 or 16 (got {request.cores})")
     if request.jobs < 0:

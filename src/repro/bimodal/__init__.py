@@ -6,14 +6,7 @@ from repro.bimodal.dueling import SetDuelingController
 from repro.bimodal.victim import VictimBuffer, VictimProbeWrapper
 from repro.bimodal.global_state import GlobalStateController
 from repro.bimodal.metadata import MetadataLayout
-from repro.bimodal.sets import (
-    SMALLS_PER_BIG,
-    BigBlock,
-    BiModalSet,
-    EvictedBlock,
-    SmallBlock,
-    allowed_states,
-)
+from repro.bimodal.sets import SMALLS_PER_BIG, BiModalSet, allowed_states
 from repro.bimodal.size_predictor import BlockSizePredictor, UtilizationTracker
 from repro.bimodal.way_locator import WayLocator, WayLocatorEntry
 
@@ -28,10 +21,7 @@ __all__ = [
     "GlobalStateController",
     "MetadataLayout",
     "SMALLS_PER_BIG",
-    "BigBlock",
     "BiModalSet",
-    "EvictedBlock",
-    "SmallBlock",
     "allowed_states",
     "BlockSizePredictor",
     "UtilizationTracker",

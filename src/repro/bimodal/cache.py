@@ -32,7 +32,7 @@ from repro.dramcache.base import DRAMCacheBase
 from repro.bimodal.dueling import SetDuelingController
 from repro.bimodal.global_state import GlobalStateController
 from repro.bimodal.metadata import MetadataLayout
-from repro.bimodal.sets import BiModalSet, EvictedBlock, allowed_states
+from repro.bimodal.sets import BiModalSet, allowed_states
 from repro.bimodal.size_predictor import BlockSizePredictor, UtilizationTracker
 from repro.bimodal.way_locator import WayLocator
 
@@ -185,36 +185,6 @@ class BiModalCache(DRAMCacheBase):
         block_number = (tag << self.addr_map.set_index_bits) | set_index
         return block_number // self._blocks_per_granule
 
-    def _target_rank(self, set_index: int) -> int:
-        """The (X, Y) rank this set should drift toward.
-
-        Under set dueling, leader sets stay pinned to their candidate
-        state; followers (and all sets under the demand controller) use
-        the cache-wide elected/adapted rank.
-        """
-        leader = self._leader_rank
-        if leader is not None:
-            pinned = leader(set_index)
-            if pinned is not None:
-                return pinned
-        return self.global_ctrl.rank
-
-    def _victim_chooser(self, candidates, protected) -> int:
-        """Random-not-recent: avoid the top-2 MRU ways when possible."""
-        pool = [w for w in candidates if w not in protected] or list(candidates)
-        return pool[self._rng.randrange(len(pool))]
-
-    def _read_metadata(self, set_index: int, now: int) -> int:
-        """Tag-array read from the metadata bank; returns tags-known time."""
-        channel, bank, row = self._meta_locs[set_index]
-        end = self._dram_fast(channel, bank, row, now, self._meta_bursts)
-        rbh = self.metadata_rbh
-        if self.dram.last_outcome == 0:
-            rbh.hits += 1
-        else:
-            rbh.misses += 1
-        return end + _TAG_COMPARE_CYCLES
-
     def _touch_metadata(self, set_index: int, now: int) -> None:
         """Posted metadata update (dirty bits / fills); off critical path.
 
@@ -237,62 +207,29 @@ class BiModalCache(DRAMCacheBase):
             )
 
     def _handle_evictions(
-        self, set_index: int, evictions: list[EvictedBlock], now: int
+        self, set_index: int, evictions: list[tuple], now: int
     ) -> None:
-        for record in evictions:
-            if record.dirty_bursts:
-                victim_addr = self.addr_map.rebuild(
-                    record.tag, set_index, record.sub_offset
-                )
-                self._writeback_offchip(victim_addr, now, bursts=record.dirty_bursts)
-            if record.big:
-                self._account_waste(record.unused_sub_blocks)
-                self.utilization_hist.add(record.utilization)
-                self.tracker.observe_eviction(
-                    set_index, self._block_key(set_index, record.tag), record.utilization
-                )
-            if self.locator is not None:
-                self.locator.invalidate(
-                    set_index, record.tag, record.sub_offset, is_big=record.big
-                )
+        """Settle a fill's eviction tuples (see :class:`BiModalSet`).
 
-    # ------------------------------------------------------------------
-    # Table II replacement
-    # ------------------------------------------------------------------
-    def _allocate(
-        self, entry: BiModalSet, set_index: int, tag: int, sub: int, predicted_big: bool
-    ) -> tuple[bool, int, list[EvictedBlock]]:
-        """Apply Table II; returns (is_big, way, evictions)."""
-        evictions: list[EvictedBlock] = []
-        set_rank = entry.state_rank()
-        glob_rank = self._target_rank(set_index)
-
-        if predicted_big:
-            if set_rank > glob_rank:
-                # Set has more small ways than the global state wants:
-                # evict 8 small blocks, reclaim a big way, insert there.
-                evictions.extend(entry.grow_big())
-                self.set_state_transitions.add()
-            way, more = entry.allocate_big(tag, self._victim_chooser)
-            evictions.extend(more)
-            return True, way, evictions
-
-        # predicted small
-        if set_rank < glob_rank:
-            # Set has more big ways than preferred: convert one.
-            evictions.extend(entry.grow_small())
-            self.set_state_transitions.add()
-        if entry.y == 0:
-            # Aligned at the all-big state: there is no small way to
-            # replace, so the fill proceeds as a big block (the demand
-            # counters will move the global state if this persists).
-            self.small_pred_overridden.add()
-            way, more = entry.allocate_big(tag, self._victim_chooser)
-            evictions.extend(more)
-            return True, way, evictions
-        way, more = entry.allocate_small(tag, sub, self._victim_chooser)
-        evictions.extend(more)
-        return False, way, evictions
+        Dirty sub-blocks write back off-chip; an evicted big block
+        reports its waste and utilization, and trains the size
+        predictor when its set is sampled; the locator forgets it.
+        """
+        locator = self.locator
+        tracker = self.tracker
+        for big, tag, sub_offset, dirty_bursts, unused, utilization in evictions:
+            if dirty_bursts:
+                victim_addr = self.addr_map.rebuild(tag, set_index, sub_offset)
+                self._writeback_offchip(victim_addr, now, bursts=dirty_bursts)
+            if big:
+                self._account_waste(unused)
+                self.utilization_hist.add(utilization)
+                if tracker.is_sampled(set_index):
+                    tracker.observe_eviction(
+                        set_index, self._block_key(set_index, tag), utilization
+                    )
+            if locator is not None:
+                locator.invalidate(set_index, tag, sub_offset, is_big=big)
 
     def resident(self, address: int) -> bool:
         """State-only residency probe (prefetch bypass support)."""
@@ -311,10 +248,10 @@ class BiModalCache(DRAMCacheBase):
         The way-locator hit branch serves >90% of warm accesses, so it is
         written out flat: it inlines ``WayLocator.lookup`` (kept as the
         reference definition; ``tests/bimodal/test_cache.py`` checks the
-        two agree access by access), and
-        :meth:`_record_block_touch`, ``BiModalSet.touch_mru`` and
-        ``small_access.record``, which the cold path calls. A locator miss
-        continues in :meth:`_access_cold`.
+        two agree access by access), the block's use and dirty update on
+        the set's way lists, ``BiModalSet.touch_mru`` and the
+        small-access count. A locator miss continues in
+        :meth:`_access_cold`.
         """
         ticks = self._interval_ticks + 1
         if ticks >= self._interval:
@@ -351,21 +288,21 @@ class BiModalCache(DRAMCacheBase):
                 observe = self._observe_leader
                 if observe is not None:
                     observe(set_index, miss=False)
-                # Inline of _record_block_touch.
+                small_access = self.small_access
                 if is_big:
-                    block = entry.big_ways[way]
-                    if block is None:
+                    if entry.big_tags[way] is None:
                         raise RuntimeError("way locator pointed at an empty big way")
                     bit = 1 << sub
-                    block.used_mask |= bit
+                    entry.big_used[way] |= bit
                     if is_write:
-                        block.dirty_mask |= bit
+                        entry.big_dirty[way] |= bit
+                    small_access.misses += 1
                 else:
-                    small = entry.small_ways[way]
-                    if small is None:
+                    if entry.small_keys[way] is None:
                         raise RuntimeError("way locator pointed at an empty small way")
                     if is_write:
-                        small.dirty = True
+                        entry.small_dirty[way] = True
+                    small_access.hits += 1
                 # Inline of BiModalSet.touch_mru.
                 mru = entry._mru
                 mru_key = (is_big, way)
@@ -373,11 +310,6 @@ class BiModalCache(DRAMCacheBase):
                     mru.remove(mru_key)
                 mru.insert(0, mru_key)
                 del mru[2:]
-                small_access = self.small_access
-                if is_big:
-                    small_access.misses += 1
-                else:
-                    small_access.hits += 1
                 channel, bank, row = self._data_locs[set_index]
                 data_end = self._dram_fast(channel, bank, row, t_after_locator, 1)
                 if is_write:
@@ -401,57 +333,122 @@ class BiModalCache(DRAMCacheBase):
         t_after_locator: int,
         is_write: bool,
     ) -> int:
-        """Locator-miss continuation of :meth:`_access_fast`."""
-        locator = self.locator
-        # -- 2. metadata read (+ concurrent data-row activation) ----------
-        tags_known = self._read_metadata(set_index, t_after_locator)
-        data_channel, data_bank, data_row = self._data_locs[set_index]
-        if self._parallel_tags:
-            self.dram.activate_direct(
-                data_channel, data_bank, data_row, t_after_locator
-            )
+        """Locator-miss continuation of :meth:`_access_fast`.
 
-        found = entry.lookup(tag, sub)
-        if found is not None:
-            is_big, way = found
-            self._observe_outcome(set_index, miss=False)
-            self._record_block_touch(entry, is_big, way, sub, is_write)
-            self.small_access.record(not is_big)
+        Reads the set's tags from the metadata bank (activating the data
+        row alongside when tags and data go in parallel), finds the block
+        on the set's way lists, and on a miss applies Table II: the set
+        steps toward its target (X, Y) state, then the predicted block
+        size is filled.
+        """
+        locator = self.locator
+        dram = self.dram
+        observe = self._observe_leader
+        # -- 2. metadata read (+ concurrent data-row activation) ----------
+        channel, bank, row = self._meta_locs[set_index]
+        tags_known = (
+            self._dram_fast(channel, bank, row, t_after_locator, self._meta_bursts)
+            + _TAG_COMPARE_CYCLES
+        )
+        rbh = self.metadata_rbh
+        if dram.last_outcome == 0:
+            rbh.hits += 1
+        else:
+            rbh.misses += 1
+        data_channel, data_bank, data_row = self._data_locs[set_index]
+        parallel = self._parallel_tags
+        if parallel:
+            dram.activate_direct(data_channel, data_bank, data_row, t_after_locator)
+
+        big_tags = entry.big_tags
+        small_keys = entry.small_keys
+        key = tag * self.smalls_per_big + sub
+        is_big = tag in big_tags
+        if is_big or key in small_keys:
+            if observe is not None:
+                observe(set_index, miss=False)
+            if is_big:
+                way = big_tags.index(tag)
+                bit = 1 << sub
+                entry.big_used[way] |= bit
+                if is_write:
+                    entry.big_dirty[way] |= bit
+                self.small_access.misses += 1
+            else:
+                way = small_keys.index(key)
+                if is_write:
+                    entry.small_dirty[way] = True
+                self.small_access.hits += 1
+            entry.touch_mru(is_big, way)
             if locator is not None:
                 locator.insert(set_index, tag, sub, is_big=is_big, way=way)
             self._hit = True
-            if self._parallel_tags:
-                return self.dram.column_direct_fast(data_channel, data_bank, tags_known)
+            if parallel:
+                return dram.column_direct_fast(data_channel, data_bank, tags_known)
             return self._dram_fast(data_channel, data_bank, data_row, tags_known, 1)
 
         # -- 3. DRAM cache miss --------------------------------------------
-        self._observe_outcome(set_index, miss=True)
-        block_key = self._block_key(set_index, tag)
+        if observe is not None:
+            observe(set_index, miss=True)
         predicted_big = (
-            self.predictor.predict_big(block_key)
+            self.predictor.predict_big(self._block_key(set_index, tag))
             if self.config.enable_bimodal
             else True
         )
-        self.global_ctrl.record_miss(predicted_big=predicted_big)
+        global_ctrl = self.global_ctrl
+        global_ctrl.record_miss(predicted_big=predicted_big)
 
-        is_big, way, evictions = self._allocate(
-            entry, set_index, tag, sub, predicted_big
-        )
-        fetch_addr = (address & ~self._sub_mask) if is_big else (address & ~63)
-        bursts = self.smalls_per_big if is_big else 1
+        # Table II: under set dueling a leader set stays pinned to its
+        # candidate state; every other set drifts toward the cache-wide
+        # rank, one step per miss.
+        leader = self._leader_rank
+        target = leader(set_index) if leader is not None else None
+        if target is None:
+            target = global_ctrl._rank
+        set_rank = entry._state_index
+        evictions: list[tuple] = []
+        if predicted_big:
+            if set_rank > target:
+                # More small ways than wanted: evict 8 small blocks and
+                # reclaim a big way.
+                evictions = entry.grow_big()
+                self.set_state_transitions.value += 1
+        elif set_rank < target:
+            # More big ways than wanted: convert one to small ways.
+            evictions = entry.grow_small()
+            self.set_state_transitions.value += 1
+        if predicted_big or not entry.small_keys:
+            if not predicted_big:
+                # Aligned at the all-big state: there is no small way to
+                # replace, so the fill proceeds as a big block (the
+                # demand counters move the global state if this persists).
+                self.small_pred_overridden.value += 1
+            is_big = True
+            way, more = entry.allocate_big(tag, self._rng)
+            fetch_addr = address & ~self._sub_mask
+            bursts = self.smalls_per_big
+        else:
+            is_big = False
+            way, more = entry.allocate_small(tag, sub, self._rng)
+            fetch_addr = address & ~63
+            bursts = 1
+        if more:
+            evictions += more
         fetch_end = self._fetch_offchip(fetch_addr, tags_known, bursts=bursts)
-
-        self._handle_evictions(set_index, evictions, fetch_end)
-        (self.big_fills if is_big else self.small_fills).add()
-        self.small_access.record(not is_big)
+        if evictions:
+            self._handle_evictions(set_index, evictions, fetch_end)
 
         # install + touch the new block
         if is_big:
-            block = entry.big_ways[way]
-            block.touch(sub, is_write=is_write)
+            self.big_fills.value += 1
+            self.small_access.misses += 1
+            bit = 1 << sub
+            entry.big_used[way] = bit
+            entry.big_dirty[way] = bit if is_write else 0
         else:
-            small = entry.small_ways[way]
-            small.dirty = is_write
+            self.small_fills.value += 1
+            self.small_access.hits += 1
+            entry.small_dirty[way] = is_write
         entry.touch_mru(is_big, way)
         if locator is not None:
             locator.insert(set_index, tag, sub, is_big=is_big, way=way)
@@ -465,27 +462,6 @@ class BiModalCache(DRAMCacheBase):
         self._touch_metadata(set_index, fetch_end)
         self._hit = False
         return fetch_end
-
-    def _observe_outcome(self, set_index: int, *, miss: bool) -> None:
-        observe = self._observe_leader
-        if observe is not None:
-            observe(set_index, miss=miss)
-
-    def _record_block_touch(
-        self, entry: BiModalSet, is_big: bool, way: int, sub: int, is_write: bool
-    ) -> None:
-        if is_big:
-            block = entry.big_ways[way]
-            if block is None:
-                raise RuntimeError("way locator pointed at an empty big way")
-            block.touch(sub, is_write=is_write)
-        else:
-            small = entry.small_ways[way]
-            if small is None:
-                raise RuntimeError("way locator pointed at an empty small way")
-            if is_write:
-                small.dirty = True
-        entry.touch_mru(is_big, way)
 
     # ------------------------------------------------------------------
     # reporting

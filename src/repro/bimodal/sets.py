@@ -11,16 +11,9 @@ the DRAM page) stays valid without data movement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
 
-__all__ = [
-    "SMALLS_PER_BIG",
-    "allowed_states",
-    "BigBlock",
-    "SmallBlock",
-    "EvictedBlock",
-    "BiModalSet",
-]
+__all__ = ["SMALLS_PER_BIG", "allowed_states", "BiModalSet"]
 
 SMALLS_PER_BIG = 8  # 512 B / 64 B
 
@@ -44,67 +37,32 @@ def allowed_states(set_size: int, big_block_size: int = 512) -> tuple[tuple[int,
     return tuple(states)
 
 
-@dataclass(slots=True)
-class BigBlock:
-    """A resident 512 B block: tag plus per-sub-block use/dirty vectors."""
-
-    tag: int
-    used_mask: int = 0
-    dirty_mask: int = 0
-    fetched_mask: int = (1 << SMALLS_PER_BIG) - 1
-
-    def touch(self, sub_block: int, *, is_write: bool) -> None:
-        bit = 1 << sub_block
-        self.used_mask |= bit
-        if is_write:
-            self.dirty_mask |= bit
-
-    @property
-    def utilization(self) -> int:
-        return self.used_mask.bit_count()
-
-    @property
-    def dirty_sub_blocks(self) -> int:
-        return self.dirty_mask.bit_count()
-
-
-@dataclass(slots=True)
-class SmallBlock:
-    """A resident 64 B block: big-block tag + the 3 high offset bits."""
-
-    tag: int
-    sub_offset: int
-    dirty: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class EvictedBlock:
-    """Eviction record handed back to the cache for writebacks/locator."""
-
-    big: bool
-    tag: int
-    way: int
-    sub_offset: int = 0  # small blocks only
-    dirty_bursts: int = 0  # 64 B writebacks owed
-    unused_sub_blocks: int = 0  # fetched-but-unreferenced (waste)
-    utilization: int = 0  # used sub-block count (tracker food)
-
-
 class BiModalSet:
-    """One bi-modal set: X big ways + Y small ways.
+    """One bi-modal set: X big ways + Y small ways, kept as flat lists.
 
     Way numbering follows the paper's layout: big ways 0..X-1 from the
-    left of the DRAM page, small ways 0..Y-1 from the right. The MRU pair
-    (the information the way locator would hold for this set) is kept for
-    the random-not-recent replacement policy.
+    left of the DRAM page, small ways 0..Y-1 from the right. Big way ``w``
+    holds tag ``big_tags[w]`` (None when empty) and the per-sub-block use
+    and dirty bit vectors ``big_used[w]`` and ``big_dirty[w]``; small way
+    ``w`` holds the key ``small_keys[w] = tag * smalls_per_big + sub``
+    (None when empty) and the flag ``small_dirty[w]``. Empty ways keep
+    zero vectors and a clean flag. The MRU pair (the information the way
+    locator would hold for this set) is kept for the random-not-recent
+    replacement policy.
+
+    An eviction is reported as the tuple ``(big, tag, sub_offset,
+    dirty_bursts, unused_sub_blocks, utilization)``.
     """
 
     __slots__ = (
         "_states",
         "smalls_per_big",
         "_state_index",
-        "big_ways",
-        "small_ways",
+        "big_tags",
+        "big_used",
+        "big_dirty",
+        "small_keys",
+        "small_dirty",
         "_mru",
     )
 
@@ -118,8 +76,11 @@ class BiModalSet:
         self.smalls_per_big = smalls_per_big
         self._state_index = 0  # start at (max X, 0): all blocks big
         x, y = states[0]
-        self.big_ways: list[BigBlock | None] = [None] * x
-        self.small_ways: list[SmallBlock | None] = [None] * y
+        self.big_tags: list[int | None] = [None] * x
+        self.big_used = [0] * x
+        self.big_dirty = [0] * x
+        self.small_keys: list[int | None] = [None] * y
+        self.small_dirty = [False] * y
         self._mru: list[tuple[bool, int]] = []  # [(is_big, way)], newest first
 
     # ------------------------------------------------------------------
@@ -141,29 +102,23 @@ class BiModalSet:
 
     # ------------------------------------------------------------------
     def find_big(self, tag: int) -> int | None:
-        for way, block in enumerate(self.big_ways):
-            if block is not None and block.tag == tag:
-                return way
-        return None
+        tags = self.big_tags
+        return tags.index(tag) if tag in tags else None
 
     def find_small(self, tag: int, sub_offset: int) -> int | None:
-        for way, block in enumerate(self.small_ways):
-            if (
-                block is not None
-                and block.tag == tag
-                and block.sub_offset == sub_offset
-            ):
-                return way
-        return None
+        key = tag * self.smalls_per_big + sub_offset
+        keys = self.small_keys
+        return keys.index(key) if key in keys else None
 
     def lookup(self, tag: int, sub_offset: int) -> tuple[bool, int] | None:
         """(is_big, way) of the block covering (tag, sub_offset), if any."""
-        way = self.find_big(tag)
-        if way is not None:
-            return True, way
-        way = self.find_small(tag, sub_offset)
-        if way is not None:
-            return False, way
+        tags = self.big_tags
+        if tag in tags:
+            return True, tags.index(tag)
+        key = tag * self.smalls_per_big + sub_offset
+        keys = self.small_keys
+        if key in keys:
+            return False, keys.index(key)
         return None
 
     def touch_mru(self, is_big: bool, way: int) -> None:
@@ -182,121 +137,148 @@ class BiModalSet:
         if key in self._mru:
             self._mru.remove(key)
 
+    def _victim(self, is_big: bool, ways: int, rng: random.Random) -> int:
+        """Random-not-recent: a uniform draw over the unprotected ways.
+
+        The protected ways are the set's MRU ways of the wanted kind (at
+        most two). The draw indexes the ascending list of the other
+        ways, or all ``ways`` when every one is protected; stepping it
+        past the protected ways in ascending order turns it into a way
+        number without building that list.
+        """
+        protected = 0
+        low = high = ways
+        for big, way in self._mru:
+            if big == is_big:
+                protected += 1
+                if way < low:
+                    low, high = way, low
+                else:
+                    high = way
+        if protected >= ways:
+            return rng.randrange(ways)
+        way = rng.randrange(ways - protected)
+        if low <= way:
+            way += 1
+            if high <= way:
+                way += 1
+        return way
+
     # ------------------------------------------------------------------
-    # eviction primitives (all produce EvictedBlock records)
+    # eviction primitives (all produce eviction tuples)
     # ------------------------------------------------------------------
-    def _evict_big_way(self, way: int) -> EvictedBlock | None:
-        block = self.big_ways[way]
-        self.big_ways[way] = None
+    def _evict_big_way(self, way: int) -> tuple | None:
+        tag = self.big_tags[way]
         self._drop_mru(True, way)
-        if block is None:
+        if tag is None:
             return None
-        return EvictedBlock(
-            big=True,
-            tag=block.tag,
-            way=way,
-            dirty_bursts=block.dirty_sub_blocks,
-            unused_sub_blocks=self.smalls_per_big - block.utilization,
-            utilization=block.utilization,
+        utilization = self.big_used[way].bit_count()
+        record = (
+            True,
+            tag,
+            0,
+            self.big_dirty[way].bit_count(),
+            self.smalls_per_big - utilization,
+            utilization,
         )
+        self.big_tags[way] = None
+        self.big_used[way] = 0
+        self.big_dirty[way] = 0
+        return record
 
-    def _evict_small_way(self, way: int) -> EvictedBlock | None:
-        block = self.small_ways[way]
-        self.small_ways[way] = None
+    def _evict_small_way(self, way: int) -> tuple | None:
+        key = self.small_keys[way]
         self._drop_mru(False, way)
-        if block is None:
+        if key is None:
             return None
-        return EvictedBlock(
-            big=False,
-            tag=block.tag,
-            way=way,
-            sub_offset=block.sub_offset,
-            dirty_bursts=1 if block.dirty else 0,
-            unused_sub_blocks=0,
-            utilization=1,
-        )
+        tag, sub_offset = divmod(key, self.smalls_per_big)
+        record = (False, tag, sub_offset, 1 if self.small_dirty[way] else 0, 0, 1)
+        self.small_keys[way] = None
+        self.small_dirty[way] = False
+        return record
 
-    def grow_small(self) -> list[EvictedBlock]:
+    def grow_small(self) -> list[tuple]:
         """(X, Y) -> (X-1, Y+8): convert the highest big way to 8 smalls."""
         if self._state_index + 1 >= len(self._states):
             raise RuntimeError("already at the smallest-X state")
-        victim_way = self.x - 1
-        evicted = self._evict_big_way(victim_way)
+        evicted = self._evict_big_way(len(self.big_tags) - 1)
         self._state_index += 1
-        self.big_ways.pop()
-        self.small_ways.extend([None] * self.smalls_per_big)
+        self.big_tags.pop()
+        self.big_used.pop()
+        self.big_dirty.pop()
+        step = self.smalls_per_big
+        self.small_keys += [None] * step
+        self.small_dirty += [False] * step
         return [evicted] if evicted else []
 
-    def grow_big(self) -> list[EvictedBlock]:
+    def grow_big(self) -> list[tuple]:
         """(X, Y) -> (X+1, Y-8): evict the 8 highest small ways."""
         if self._state_index == 0:
             raise RuntimeError("already at the all-big state")
         evictions = []
         for _ in range(self.smalls_per_big):
-            way = len(self.small_ways) - 1
-            record = self._evict_small_way(way)
+            record = self._evict_small_way(len(self.small_keys) - 1)
             if record:
                 evictions.append(record)
-            self.small_ways.pop()
+            self.small_keys.pop()
+            self.small_dirty.pop()
         self._state_index -= 1
-        self.big_ways.append(None)
+        self.big_tags.append(None)
+        self.big_used.append(0)
+        self.big_dirty.append(0)
         return evictions
 
     # ------------------------------------------------------------------
     # allocation (Table II)
     # ------------------------------------------------------------------
-    def allocate_big(
-        self, tag: int, victim_chooser
-    ) -> tuple[int, list[EvictedBlock]]:
+    def allocate_big(self, tag: int, rng: random.Random) -> tuple[int, list[tuple]]:
         """Install a big block; returns (way, evictions).
 
-        Idempotent: allocating an already-resident tag returns its way.
+        The block starts with empty use and dirty vectors. Idempotent:
+        allocating an already-resident tag returns its way.
         """
-        existing = self.find_big(tag)
-        if existing is not None:
-            return existing, []
-        for way, block in enumerate(self.big_ways):
-            if block is None:
-                self.big_ways[way] = BigBlock(tag)
-                return way, []
-        candidates = list(range(len(self.big_ways)))
-        protected = {w for big, w in self.mru_ways() if big}
-        way = victim_chooser(candidates, protected)
+        tags = self.big_tags
+        if tag in tags:
+            return tags.index(tag), []
+        if None in tags:
+            way = tags.index(None)
+            tags[way] = tag
+            return way, []
+        way = self._victim(True, len(tags), rng)
         record = self._evict_big_way(way)
-        self.big_ways[way] = BigBlock(tag)
-        return way, [record] if record else []
+        tags[way] = tag
+        return way, [record]
 
     def allocate_small(
-        self, tag: int, sub_offset: int, victim_chooser
-    ) -> tuple[int, list[EvictedBlock]]:
-        """Install a small block; returns (way, evictions).
+        self, tag: int, sub_offset: int, rng: random.Random
+    ) -> tuple[int, list[tuple]]:
+        """Install a clean small block; returns (way, evictions).
 
         Idempotent: allocating an already-resident block returns its way.
         """
-        existing = self.find_small(tag, sub_offset)
-        if existing is not None:
-            return existing, []
-        for way, block in enumerate(self.small_ways):
-            if block is None:
-                self.small_ways[way] = SmallBlock(tag, sub_offset)
-                return way, []
-        candidates = list(range(len(self.small_ways)))
-        protected = {w for big, w in self.mru_ways() if not big}
-        way = victim_chooser(candidates, protected)
+        key = tag * self.smalls_per_big + sub_offset
+        keys = self.small_keys
+        if key in keys:
+            return keys.index(key), []
+        if None in keys:
+            way = keys.index(None)
+            keys[way] = key
+            return way, []
+        way = self._victim(False, len(keys), rng)
         record = self._evict_small_way(way)
-        self.small_ways[way] = SmallBlock(tag, sub_offset)
-        return way, [record] if record else []
+        keys[way] = key
+        return way, [record]
 
     # ------------------------------------------------------------------
     def resident_bytes(self) -> int:
-        big = sum(1 for b in self.big_ways if b is not None)
-        small = sum(1 for b in self.small_ways if b is not None)
+        big = len(self.big_tags) - self.big_tags.count(None)
+        small = len(self.small_keys) - self.small_keys.count(None)
         return big * 512 + small * 64
 
     def used_bytes(self) -> int:
         """Bytes actually referenced (space-utilization metric)."""
-        big = sum(b.utilization for b in self.big_ways if b is not None)
-        small = sum(1 for b in self.small_ways if b is not None)
+        big = sum(map(int.bit_count, self.big_used))
+        small = len(self.small_keys) - self.small_keys.count(None)
         return big * 64 + small * 64
 
     @property

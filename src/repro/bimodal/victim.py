@@ -79,15 +79,12 @@ class VictimProbeWrapper:
 
         def hooked(set_index, evictions, now):
             am = self.cache.addr_map
-            for record in evictions:
-                base = am.rebuild(record.tag, set_index, record.sub_offset)
-                if record.big:
+            for big, tag, sub_offset, *_ in evictions:
+                if big:
                     for sub in range(self.cache.smalls_per_big):
-                        self.buffer.insert(
-                            am.rebuild(record.tag, set_index, sub)
-                        )
+                        self.buffer.insert(am.rebuild(tag, set_index, sub))
                 else:
-                    self.buffer.insert(base)
+                    self.buffer.insert(am.rebuild(tag, set_index, sub_offset))
             original(set_index, evictions, now)
 
         self.cache._handle_evictions = hooked

@@ -127,22 +127,24 @@ class WayLocator:
         self, set_index: int, tag: int, sub_offset: int, *, is_big: bool, way: int
     ) -> None:
         """Install the way of a just-accessed block (LRU within the pair)."""
-        self._tick += 1
-        index, key = self._split(set_index, tag)
-        bucket = self._table[index]
+        tick = self._tick + 1
+        self._tick = tick
+        combined = (tag << self.set_index_bits) | set_index
+        key = combined >> self.index_bits
+        bucket = self._table[combined & self._mask]
         for entry in bucket:
             if entry.key == key and entry.is_big == is_big and (
                 is_big or entry.sub_offset == sub_offset
             ):
                 entry.way = way
-                entry.last_use = self._tick
+                entry.last_use = tick
                 return
-        entry = WayLocatorEntry(key, is_big, 0 if is_big else sub_offset, way, self._tick)
+        entry = WayLocatorEntry(key, is_big, 0 if is_big else sub_offset, way, tick)
         if len(bucket) < 2:
             bucket.append(entry)
         else:
-            lru = min(range(2), key=lambda i: bucket[i].last_use)
-            bucket[lru] = entry
+            # Replace the older of the pair (the first on a tie).
+            bucket[1 if bucket[1].last_use < bucket[0].last_use else 0] = entry
         self.insertions += 1
 
     def invalidate(self, set_index: int, tag: int, sub_offset: int, *, is_big: bool) -> bool:

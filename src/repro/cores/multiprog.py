@@ -96,13 +96,16 @@ class MultiProgramRunner:
         # a low-intensity core running far ahead must never stamp bank
         # state that earlier-in-time requests from slower cores then
         # queue behind.
+        base_cpi = self.core_config.base_cpi
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        access = cache.access
         heap: list[tuple[float, int, tuple]] = []
         for slot in range(len(cores)):
             record = next(streams[slot], None)
             if record is not None:
-                address, is_write, icount = record
-                arrival = cores[slot].cycles + icount * self.core_config.base_cpi
-                heapq.heappush(heap, (arrival, slot, record))
+                arrival = cores[slot].cycles + record[2] * base_cpi
+                heappush(heap, (arrival, slot, record))
         # Warm-up protocol (Section IV): the core clocks ANTT is computed
         # from cover only each core's *own* measured region — the first
         # ``warmup_fraction`` of its accesses fills caches and trains
@@ -116,11 +119,11 @@ class MultiProgramRunner:
         served = [0] * len(cores)
         cycle_marks = [0.0] * len(cores)
         while heap:
-            _, slot, record = heapq.heappop(heap)
+            _, slot, record = heappop(heap)
             address, is_write, icount = record
             core = cores[slot]
             core.advance_compute(icount)
-            result = cache.access(address, core.now, is_write=is_write)
+            result = access(address, core.now, is_write=is_write)
             if is_write:
                 core.note_write()
             else:
@@ -133,8 +136,7 @@ class MultiProgramRunner:
                 cache.reset_stats()
             nxt = next(streams[slot], None)
             if nxt is not None:
-                arrival = core.cycles + nxt[2] * self.core_config.base_cpi
-                heapq.heappush(heap, (arrival, slot, nxt))
+                heappush(heap, (core.cycles + nxt[2] * base_cpi, slot, nxt))
         return RunResult(
             per_core_cycles=[
                 core.cycles - mark for core, mark in zip(cores, cycle_marks)

@@ -39,25 +39,26 @@ class MAPPredictor:
         self.correct = 0
         self.wrong = 0
 
-    def _index(self, address: int) -> int:
-        region = address >> 12
-        return ((region * 2_654_435_761) >> 15) & self._mask
+    def predict_and_update(self, address: int, was_miss: bool) -> bool:
+        """Predict whether ``address`` misses, then train on the outcome.
 
-    def predict_miss(self, address: int) -> bool:
-        return self._counters[self._index(address)] >= 2
-
-    def update(self, address: int, was_miss: bool) -> None:
-        idx = self._index(address)
-        predicted_miss = self._counters[idx] >= 2
+        Returns the prediction made before training: True means the
+        region's counter was at 2 or 3 (predict miss).
+        """
+        counters = self._counters
+        index = (((address >> 12) * 2_654_435_761) >> 15) & self._mask
+        count = counters[index]
+        predicted_miss = count >= 2
         if predicted_miss == was_miss:
             self.correct += 1
         else:
             self.wrong += 1
         if was_miss:
-            if self._counters[idx] < 3:
-                self._counters[idx] += 1
-        elif self._counters[idx] > 0:
-            self._counters[idx] -= 1
+            if count < 3:
+                counters[index] = count + 1
+        elif count > 0:
+            counters[index] = count - 1
+        return predicted_miss
 
     @property
     def accuracy(self) -> float:
@@ -70,97 +71,82 @@ class AlloyCache(DRAMCacheBase):
 
     name = "alloy"
 
-    def __init__(
-        self,
-        geometry: DRAMCacheGeometry,
-        offchip: MemoryController,
-        *,
-        use_map_predictor: bool = True,
-    ) -> None:
+    def __init__(self, geometry: DRAMCacheGeometry, offchip: MemoryController) -> None:
         super().__init__(geometry, offchip)
         rows = geometry.capacity // geometry.geometry.page_size
         self.num_slots = rows * _TADS_PER_ROW
         self._tags: dict[int, int] = {}  # slot -> block number
         self._dirty: set[int] = set()
-        self.predictor = MAPPredictor() if use_map_predictor else None
+        self.predictor = MAPPredictor()
         self._channels = geometry.geometry.channels
         self._banks = geometry.geometry.banks_per_channel
 
-    # ------------------------------------------------------------------
-    def _slot(self, address: int) -> tuple[int, int]:
-        """(slot index, block number) for a 64 B block address."""
-        block = address >> 6
-        return block % self.num_slots, block
-
-    def _location(self, slot: int) -> tuple[int, int, int]:
-        """Interleave TAD rows across channels then banks."""
-        row = slot // _TADS_PER_ROW
-        channel = row % self._channels
-        bank = (row // self._channels) % self._banks
-        bank_row = row // (self._channels * self._banks)
-        return channel, bank, bank_row
-
-    def _probe(self, slot: int, now: int) -> int:
-        """One TAD access (tag+data big burst); returns data-end time."""
-        channel, bank, row = self._location(slot)
-        return self.dram.access_direct_fast(
-            channel, bank, row, now, 1, _TAD_TRANSFER_CYCLES
-        )
-
-    def _fill(self, slot: int, block: int, now: int, *, dirty: bool) -> None:
-        """Install a block; dirty victims write back at 64 B granularity."""
-        victim = self._tags.get(slot)
-        if victim is not None and slot in self._dirty:
-            self._writeback_offchip(victim << 6, now, bursts=1)
-        self._dirty.discard(slot)
-        self._tags[slot] = block
-        if dirty:
-            self._dirty.add(slot)
-        channel, bank, row = self._location(slot)
-        self._post_call(
-            now,
-            self.dram.access_direct_fast,
-            channel, bank, row, now, 1, _TAD_TRANSFER_CYCLES,
-        )
-
     def resident(self, address: int) -> bool:
         """State-only residency probe (prefetch bypass support)."""
-        slot, block = self._slot(address)
-        return self._tags.get(slot) == block
+        block = address >> 6
+        return self._tags.get(block % self.num_slots) == block
 
     # ------------------------------------------------------------------
     def _access_fast(self, address: int, now: int, is_write: bool) -> int:
+        """One access: a TAD probe, plus a fill on a miss.
+
+        Reads consult MAP-I: a predicted miss starts the off-chip fetch
+        alongside the probe, a predicted hit only once the probe has
+        disproved residency. TAD rows interleave across channels, then
+        banks; the probe and the fill use the same row.
+        """
         block = address >> 6
         slot = block % self.num_slots
-        resident = self._tags.get(slot) == block
+        tags = self._tags
+        resident = tags.get(slot) == block
         self._hit = resident
-
-        predicted_miss = False
-        predictor = self.predictor
-        if predictor is not None and not is_write:
-            predicted_miss = predictor.predict_miss(address)
-            predictor.update(address, not resident)
-
-        probe_end = self._probe(slot, now) + _TAG_COMPARE_CYCLES
+        predicted_miss = not is_write and self.predictor.predict_and_update(
+            address, not resident
+        )
+        tad_row = slot // _TADS_PER_ROW
+        channels = self._channels
+        channel = tad_row % channels
+        bank = (tad_row // channels) % self._banks
+        row = tad_row // (channels * self._banks)
+        dram_access = self.dram.access_direct_fast
+        probe_end = (
+            dram_access(channel, bank, row, now, 1, _TAD_TRANSFER_CYCLES)
+            + _TAG_COMPARE_CYCLES
+        )
 
         if is_write:
             if resident:
                 self._dirty.add(slot)
-            else:
-                # write-allocate: fetch the rest of the line, then install
-                fetch_end = self._fetch_offchip(address, now, bursts=1)
-                self._fill(slot, block, fetch_end, dirty=True)
-            return probe_end
+                return probe_end
+            # write-allocate: fetch the rest of the line, then install
+            fetch_end = self._fetch_offchip(address, now, bursts=1)
+            complete = probe_end
+        else:
+            if resident:
+                # A false miss prediction also launched a useless memory read.
+                if predicted_miss:
+                    self._fetch_offchip(address, now, bursts=1)
+                return probe_end
+            # Actual miss: fetch starts at `now` when predicted (parallel
+            # access), else only once the probe disproved residency.
+            fetch_start = now if predicted_miss else probe_end
+            fetch_end = self._fetch_offchip(address, fetch_start, bursts=1)
+            complete = fetch_end
 
-        if resident:
-            # A false miss prediction also launched a useless memory read.
-            if predicted_miss:
-                self._fetch_offchip(address, now, bursts=1)
-            return probe_end
-
-        # Actual miss: fetch starts at `now` when predicted (parallel
-        # access), else only once the probe disproved residency.
-        fetch_start = now if predicted_miss else probe_end
-        fetch_end = self._fetch_offchip(address, fetch_start, bursts=1)
-        self._fill(slot, block, fetch_end, dirty=False)
-        return fetch_end
+        # Fill: a dirty victim writes back at 64 B granularity, and the
+        # TAD write is posted at fill time.
+        dirty = self._dirty
+        victim = tags.get(slot)
+        if victim is not None and slot in dirty:
+            self._writeback_offchip(victim << 6, fetch_end, bursts=1)
+        if is_write:
+            dirty.add(slot)
+        else:
+            dirty.discard(slot)
+        tags[slot] = block
+        self._post_call(
+            fetch_end,
+            dram_access,
+            channel, bank, row, fetch_end, 1, _TAD_TRANSFER_CYCLES,
+        )
+        return complete

@@ -101,9 +101,9 @@ def _fig2_row(cell: _Fig2Cell) -> dict:
     hist = Histogram()
     hist.buckets.update(cache.utilization_hist.buckets)
     for entry in cache._sets.values():
-        for block in entry.big_ways:
-            if block is not None and block.utilization:
-                hist.add(block.utilization)
+        for used in entry.big_used:
+            if used:
+                hist.add(used.bit_count())
     row: dict = {"mix": cell.mix}
     for level in range(1, 9):
         row[f"u{level}"] = hist.fraction(level)

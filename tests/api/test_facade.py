@@ -46,6 +46,17 @@ class TestValidation:
         with pytest.raises(api.RequestError, match="jobs must be >= 0"):
             api.grid_request("fig10", jobs=-1)
 
+    def test_setup_free_experiment_rejects_mixes_and_cores(self):
+        """Tables and Figure 3 run no workload: a mix or core count would
+        be ignored, so the request is refused, naming the experiment."""
+        with pytest.raises(api.RequestError, match="table1 .* takes no mixes$"):
+            api.grid_request("table1", mixes=("Q2",))
+        with pytest.raises(api.RequestError, match="table3 .* takes no cores$"):
+            api.grid_request("table3", cores=8)
+        with pytest.raises(api.RequestError, match="fig3 .* takes no mixes or cores"):
+            api.grid_request("fig3", mixes=("Q1",), cores=4)
+        assert api.grid_request("table1").experiment == "table1"
+
     def test_jobs_auto_resolves_to_zero(self):
         assert api.grid_request("fig10", jobs="auto").jobs == 0
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bimodal.cache import BiModalCache, BiModalConfig
 from repro.common.config import DRAMCacheGeometry, DRAMGeometry, DRAMTimingConfig
 from repro.dram.controller import MemoryController
+from tests.bimodal.oracle import record_block_touch
 
 
 def make_cache(**config_overrides) -> BiModalCache:
@@ -100,8 +101,8 @@ class TestWayLocatorIntegration:
 
     def test_hit_branch_matches_reference_lookup(self):
         """The locator probe inlined in ``_access_fast`` agrees with
-        ``WayLocator.lookup``, and its hit branch with the cold path's
-        ``_record_block_touch``, access by access."""
+        ``WayLocator.lookup``, and its hit branch with the reference
+        block touch on the set's way lists, access by access."""
         cache = make_cache(
             locator_index_bits=10, predictor_index_bits=12, adaptation_interval=1 << 30
         )
@@ -146,7 +147,7 @@ class TestWayLocatorIntegration:
             assert _probe_state(cache.locator, bucket) == _probe_state(oracle, bucket)
             assert cache.metadata_rbh.total == tag_reads
             assert cache._hit
-            cache._record_block_touch(entry, is_big, way, sub, is_write)
+            record_block_touch(entry, is_big, way, sub, is_write)
             assert _set_state(cache._sets[set_index]) == _set_state(entry)
             assert (cache.small_access.hits, cache.small_access.misses) == (
                 small[0] + (not is_big),
@@ -183,7 +184,14 @@ def _probe_state(locator, bucket):
 
 
 def _set_state(entry):
-    return entry.big_ways, entry.small_ways, entry._mru
+    return (
+        entry.big_tags,
+        entry.big_used,
+        entry.big_dirty,
+        entry.small_keys,
+        entry.small_dirty,
+        entry._mru,
+    )
 
 
 class TestBiModalBehaviour:

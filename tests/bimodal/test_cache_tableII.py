@@ -47,7 +47,7 @@ class TestAlignedState:
             t = r.complete + 10
         entry = cache._sets[7]
         assert entry.state == (4, 0)
-        resident = sum(1 for b in entry.big_ways if b is not None)
+        resident = sum(1 for t in entry.big_tags if t is not None)
         assert resident == 4
 
     def test_aligned_small_prediction_at_4_0_overridden_to_big(self):
@@ -109,7 +109,7 @@ class TestMisalignedStates:
             t = r.complete + 10
         entry = cache._sets[9]
         assert entry.state == (3, 8)
-        assert sum(1 for b in entry.big_ways if b is not None) == 3
+        assert sum(1 for t in entry.big_tags if t is not None) == 3
 
     def test_small_fill_lands_in_small_way_and_serves_64b(self):
         cache = make_cache()

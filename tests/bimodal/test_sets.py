@@ -1,21 +1,22 @@
 """Bi-modal set tests: (X, Y) states, Table II actions, invariants."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bimodal.sets import (
-    SMALLS_PER_BIG,
-    BigBlock,
-    BiModalSet,
-    SmallBlock,
-    allowed_states,
-)
+from repro.bimodal.sets import SMALLS_PER_BIG, BiModalSet, allowed_states
+from tests.bimodal.oracle import ReferenceSet, pool_chooser, record_block_touch
 
 
-def chooser_first(candidates, protected):
-    """Deterministic victim chooser for tests: lowest unprotected way."""
-    pool = [w for w in candidates if w not in protected] or list(candidates)
-    return pool[0]
+class _FirstDraw(random.Random):
+    """An RNG whose draws are always 0: the lowest unprotected way."""
+
+    def randrange(self, *args):
+        return 0
+
+
+first = _FirstDraw()
 
 
 class TestAllowedStates:
@@ -41,23 +42,28 @@ class TestAllowedStates:
             allowed_states(512, 512)
 
 
-class TestBlocks:
-    def test_big_block_touch(self):
-        b = BigBlock(tag=7)
-        b.touch(3, is_write=False)
-        b.touch(3, is_write=True)
-        b.touch(5, is_write=False)
-        assert b.utilization == 2
-        assert b.dirty_sub_blocks == 1
-
-    def test_small_block_fields(self):
-        s = SmallBlock(tag=7, sub_offset=5)
-        assert not s.dirty
-
-
 @pytest.fixture
 def bset():
     return BiModalSet(allowed_states(2048, 512))
+
+
+class TestBlocks:
+    def test_big_block_touch(self, bset):
+        for tag in range(4):
+            bset.allocate_big(tag, first)
+        assert (bset.big_used[3], bset.big_dirty[3]) == (0, 0)
+        record_block_touch(bset, True, 3, 3, is_write=False)
+        record_block_touch(bset, True, 3, 3, is_write=True)
+        record_block_touch(bset, True, 3, 5, is_write=False)
+        assert (bset.big_used[3], bset.big_dirty[3]) == (0b101000, 0b1000)
+        # (big, tag, sub_offset, dirty_bursts, unused_sub_blocks, utilization)
+        assert bset.grow_small() == [(True, 3, 0, 1, 6, 2)]
+
+    def test_small_block_fields(self, bset):
+        bset.grow_small()
+        way, _ = bset.allocate_small(7, 5, first)
+        assert bset.small_keys[way] == 7 * SMALLS_PER_BIG + 5
+        assert not bset.small_dirty[way]
 
 
 class TestLookupAndMRU:
@@ -66,19 +72,19 @@ class TestLookupAndMRU:
         assert bset.associativity == 4
 
     def test_allocate_and_find_big(self, bset):
-        way, evicted = bset.allocate_big(0xAB, chooser_first)
+        way, evicted = bset.allocate_big(0xAB, first)
         assert evicted == []
         assert bset.find_big(0xAB) == way
         assert bset.lookup(0xAB, 3) == (True, way)
 
     def test_big_block_covers_all_sub_offsets(self, bset):
-        bset.allocate_big(0xAB, chooser_first)
+        bset.allocate_big(0xAB, first)
         for sub in range(8):
             assert bset.lookup(0xAB, sub) is not None
 
     def test_small_block_requires_offset_match(self, bset):
         bset.grow_small()
-        way, _ = bset.allocate_small(0xCD, 3, chooser_first)
+        way, _ = bset.allocate_small(0xCD, 3, first)
         assert bset.lookup(0xCD, 3) == (False, way)
         assert bset.lookup(0xCD, 4) is None
 
@@ -98,13 +104,13 @@ class TestLookupAndMRU:
 class TestStateTransitions:
     def test_grow_small_converts_highest_way(self, bset):
         for tag in range(4):
-            bset.allocate_big(tag, chooser_first)
+            bset.allocate_big(tag, first)
         evicted = bset.grow_small()
         assert bset.state == (3, 8)
-        assert len(bset.big_ways) == 3
-        assert len(bset.small_ways) == 8
+        assert len(bset.big_tags) == 3
+        assert len(bset.small_keys) == 8
         assert len(evicted) == 1
-        assert evicted[0].way == 3  # highest-numbered big way
+        assert evicted[0][1] == 3  # the tag of the highest-numbered big way
 
     def test_grow_small_empty_way_no_eviction(self, bset):
         assert bset.grow_small() == []
@@ -114,11 +120,12 @@ class TestStateTransitions:
         bset.grow_small()
         assert bset.state == (2, 16)
         for i in range(16):
-            bset.allocate_small(i, 0, chooser_first)
+            bset.allocate_small(i, 0, first)
         evicted = bset.grow_big()
         assert bset.state == (3, 8)
         assert len(evicted) == SMALLS_PER_BIG
-        assert {e.way for e in evicted} == set(range(8, 16))
+        # Small ways fill in order, so ways 8..15 hold tags 8..15.
+        assert {tag for _, tag, *_ in evicted} == set(range(8, 16))
 
     def test_cannot_grow_past_bounds(self, bset):
         bset.grow_small()
@@ -131,52 +138,55 @@ class TestStateTransitions:
             bset.grow_big()
 
     def test_grow_small_eviction_reports_waste(self, bset):
-        way, _ = bset.allocate_big(9, chooser_first)
-        bset.big_ways[3] = bset.big_ways[way]
-        bset.big_ways[way] = None
-        bset.big_ways[3].touch(0, is_write=True)
-        evicted = bset.grow_small()
-        assert evicted[0].utilization == 1
-        assert evicted[0].unused_sub_blocks == 7
-        assert evicted[0].dirty_bursts == 1
+        for tag in range(4):
+            bset.allocate_big(tag, first)
+        record_block_touch(bset, True, 3, 0, is_write=True)
+        (big, tag, _, dirty_bursts, unused, utilization), = bset.grow_small()
+        assert (big, tag) == (True, 3)
+        assert utilization == 1
+        assert unused == 7
+        assert dirty_bursts == 1
 
 
 class TestReplacement:
     def test_big_replacement_prefers_empty(self, bset):
-        bset.allocate_big(1, chooser_first)
-        way, evicted = bset.allocate_big(2, chooser_first)
+        bset.allocate_big(1, first)
+        way, evicted = bset.allocate_big(2, first)
         assert evicted == []
         assert way != bset.find_big(1)
 
     def test_full_set_evicts(self, bset):
         for tag in range(4):
-            bset.allocate_big(tag, chooser_first)
-        way, evicted = bset.allocate_big(99, chooser_first)
+            bset.allocate_big(tag, first)
+        way, evicted = bset.allocate_big(99, first)
         assert len(evicted) == 1
         assert bset.find_big(99) == way
-        assert bset.find_big(evicted[0].tag) is None
+        assert bset.find_big(evicted[0][1]) is None
 
     def test_replacement_protects_mru(self, bset):
         for tag in range(4):
-            bset.allocate_big(tag, chooser_first)
+            bset.allocate_big(tag, first)
         bset.touch_mru(True, 0)
         bset.touch_mru(True, 1)
-        _, evicted = bset.allocate_big(99, chooser_first)
-        assert evicted[0].way not in (0, 1)
+        way, evicted = bset.allocate_big(99, first)
+        assert way == 2  # the lowest unprotected way
+        assert evicted[0][1] not in (0, 1)
 
     def test_small_eviction_reports_offset(self, bset):
         bset.grow_small()
         bset.grow_small()
         for i in range(16):
-            bset.allocate_small(100 + i, i % 8, chooser_first)
-        _, evicted = bset.allocate_small(999, 0, chooser_first)
+            bset.allocate_small(100 + i, i % 8, first)
+        _, evicted = bset.allocate_small(999, 0, first)
         assert len(evicted) == 1
-        assert evicted[0].big is False
-        assert 0 <= evicted[0].sub_offset < 8
+        big, tag, sub_offset, *_ = evicted[0]
+        assert big is False
+        assert 0 <= sub_offset < 8
+        assert (tag - 100) % 8 == sub_offset
 
     def test_eviction_drops_mru_entry(self, bset):
         for tag in range(4):
-            bset.allocate_big(tag, chooser_first)
+            bset.allocate_big(tag, first)
         bset.touch_mru(True, 2)
         bset._evict_big_way(2)
         assert (True, 2) not in bset.mru_ways()
@@ -184,15 +194,15 @@ class TestReplacement:
 
 class TestCapacityAccounting:
     def test_resident_bytes(self, bset):
-        bset.allocate_big(1, chooser_first)
+        bset.allocate_big(1, first)
         bset.grow_small()
-        bset.allocate_small(2, 0, chooser_first)
+        bset.allocate_small(2, 0, first)
         assert bset.resident_bytes() == 512 + 64
 
     def test_used_bytes(self, bset):
-        way, _ = bset.allocate_big(1, chooser_first)
-        bset.big_ways[way].touch(0, is_write=False)
-        bset.big_ways[way].touch(1, is_write=False)
+        way, _ = bset.allocate_big(1, first)
+        record_block_touch(bset, True, way, 0, is_write=False)
+        record_block_touch(bset, True, way, 1, is_write=False)
         assert bset.used_bytes() == 128
 
     def test_state_capacity_constant(self, bset):
@@ -221,24 +231,140 @@ def test_invariants_under_random_operations(ops):
     bset = BiModalSet(allowed_states(2048, 512))
     for op, arg in ops:
         if op == "big":
-            bset.allocate_big(arg, chooser_first)
+            bset.allocate_big(arg, first)
         elif op == "small":
             if bset.y > 0:
-                bset.allocate_small(arg, arg % 8, chooser_first)
+                bset.allocate_small(arg, arg % 8, first)
         elif op == "grow_small" and bset.state_rank() < 2:
             bset.grow_small()
         elif op == "grow_big" and bset.state_rank() > 0:
             bset.grow_big()
         x, y = bset.state
-        assert len(bset.big_ways) == x
-        assert len(bset.small_ways) == y
+        assert len(bset.big_tags) == len(bset.big_used) == len(bset.big_dirty) == x
+        assert len(bset.small_keys) == len(bset.small_dirty) == y
         assert x * 512 + y * 64 == 2048
-        big_tags = [b.tag for b in bset.big_ways if b is not None]
+        big_tags = [t for t in bset.big_tags if t is not None]
         assert len(big_tags) == len(set(big_tags))
-        small_keys = [
-            (b.tag, b.sub_offset) for b in bset.small_ways if b is not None
-        ]
+        small_keys = [k for k in bset.small_keys if k is not None]
         assert len(small_keys) == len(set(small_keys))
         for is_big, way in bset.mru_ways():
-            ways = bset.big_ways if is_big else bset.small_ways
+            ways = bset.big_tags if is_big else bset.small_keys
             assert way < len(ways)
+
+
+# ----------------------------------------------------------------------
+# the flat set against the block-object oracle
+# ----------------------------------------------------------------------
+# (set size, big block size): the shapes the figures and `repro dse` build.
+SHAPES = ((2048, 512), (4096, 512), (2048, 256), (8192, 1024))
+
+# Fills and MRU touches weigh more than state changes, so the larger
+# shapes' small ways fill up too.
+_OPS = (
+    ("lookup", "read", "write", "mru", "mru", "big", "big")
+    + ("small",) * 5
+    + ("grow_small", "grow_big")
+)
+_STEP = st.tuples(
+    st.sampled_from(_OPS),
+    st.integers(0, 19),  # tag: a few times the ways, so sets fill and evict
+    st.integers(0, 15),  # sub-block, taken modulo the shape's count
+)
+
+
+def _oracle_view(ref: ReferenceSet):
+    spb = ref.smalls_per_big
+    big = ref.big_ways
+    small = ref.small_ways
+    return (
+        ref.state,
+        [b.tag if b else None for b in big],
+        [b.used_mask if b else 0 for b in big],
+        [b.dirty_mask if b else 0 for b in big],
+        [b.tag * spb + b.sub_offset if b else None for b in small],
+        [b.dirty if b else False for b in small],
+        ref._mru,
+        ref.resident_bytes(),
+        ref.used_bytes(),
+    )
+
+
+def _flat_view(bset: BiModalSet):
+    return (
+        bset.state,
+        bset.big_tags,
+        bset.big_used,
+        bset.big_dirty,
+        bset.small_keys,
+        bset.small_dirty,
+        bset._mru,
+        bset.resident_bytes(),
+        bset.used_bytes(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from(SHAPES),
+    seed=st.integers(0, 2**32 - 1),
+    script=st.lists(_STEP, min_size=40, max_size=200),
+)
+def test_matches_block_oracle(shape, seed, script):
+    """Flat lists agree with the block-object set after every step.
+
+    Both sides draw their victims from their own ``random.Random(seed)``,
+    so equal way choices and equal RNG states show that the flat victim
+    draw picks what the candidate/protected/pool lists picked.
+    """
+    set_size, big_block = shape
+    states = allowed_states(set_size, big_block)
+    spb = big_block // 64
+    flat = BiModalSet(states, smalls_per_big=spb)
+    ref = ReferenceSet(states, smalls_per_big=spb)
+    flat_rng = random.Random(seed)
+    ref_rng = random.Random(seed)
+    choose = pool_chooser(ref_rng)
+    for op, tag, sub in script:
+        if op == "mru":
+            # Promote a resident way picked by number: big on an odd
+            # sub-block draw, small on an even one.
+            is_big = sub % 2 == 1
+            ways = flat.big_tags if is_big else flat.small_keys
+            if ways and ways[tag % len(ways)] is not None:
+                flat.touch_mru(is_big, tag % len(ways))
+                ref.touch_mru(is_big, tag % len(ways))
+        elif op in ("lookup", "read", "write"):
+            sub %= spb
+            found = flat.lookup(tag, sub)
+            assert found == ref.lookup(tag, sub)
+            if found is not None and op != "lookup":
+                is_big, way = found
+                record_block_touch(flat, is_big, way, sub, op == "write")
+                if is_big:
+                    ref.big_ways[way].touch(sub, is_write=op == "write")
+                elif op == "write":
+                    ref.small_ways[way].dirty = True
+                ref.touch_mru(is_big, way)
+        elif op == "big":
+            way, records = flat.allocate_big(tag, flat_rng)
+            ref_way, ref_records = ref.allocate_big(tag, choose)
+            assert way == ref_way
+            assert records == [r.as_tuple() for r in ref_records]
+        elif op == "small":
+            if not flat.small_keys:
+                continue  # the cache never fills small at Y = 0
+            sub %= spb
+            way, records = flat.allocate_small(tag, sub, flat_rng)
+            ref_way, ref_records = ref.allocate_small(tag, sub, choose)
+            assert way == ref_way
+            assert records == [r.as_tuple() for r in ref_records]
+        else:
+            try:
+                expected = getattr(ref, op)()
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    getattr(flat, op)()
+            else:
+                assert getattr(flat, op)() == [r.as_tuple() for r in expected]
+        assert _flat_view(flat) == _oracle_view(ref)
+        assert flat_rng.getstate() == ref_rng.getstate()

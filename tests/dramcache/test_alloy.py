@@ -1,5 +1,7 @@
 """AlloyCache tests."""
 
+import random
+
 import pytest
 
 from repro.common.config import DRAMCacheGeometry, DRAMGeometry, DRAMTimingConfig
@@ -7,7 +9,7 @@ from repro.dram.controller import MemoryController
 from repro.dramcache.alloy import AlloyCache, MAPPredictor
 
 
-def make_cache(**kw) -> AlloyCache:
+def make_cache() -> AlloyCache:
     geometry = DRAMCacheGeometry(
         capacity=1 << 20,
         geometry=DRAMGeometry(channels=2, banks_per_channel=8, page_size=2048),
@@ -16,27 +18,75 @@ def make_cache(**kw) -> AlloyCache:
         DRAMGeometry(channels=1, banks_per_channel=16, page_size=2048),
         DRAMTimingConfig.ddr3_1600h(),
     )
-    return AlloyCache(geometry, offchip, **kw)
+    return AlloyCache(geometry, offchip)
+
+
+class _TwoStepPredictor(MAPPredictor):
+    """MAP-I as a separate predict step and update step (the reference)."""
+
+    __slots__ = ()
+
+    def _index(self, address: int) -> int:
+        region = address >> 12
+        return ((region * 2_654_435_761) >> 15) & self._mask
+
+    def predict_miss(self, address: int) -> bool:
+        return self._counters[self._index(address)] >= 2
+
+    def update(self, address: int, was_miss: bool) -> None:
+        idx = self._index(address)
+        predicted_miss = self._counters[idx] >= 2
+        if predicted_miss == was_miss:
+            self.correct += 1
+        else:
+            self.wrong += 1
+        if was_miss:
+            if self._counters[idx] < 3:
+                self._counters[idx] += 1
+        elif self._counters[idx] > 0:
+            self._counters[idx] -= 1
+
+
+def train_toward_hit(cache: AlloyCache, address: int) -> None:
+    """Drop the region's MAP-I counter from its initial 3 to 1 (predict hit)."""
+    for _ in range(2):
+        cache.predictor.predict_and_update(address, was_miss=False)
 
 
 class TestMAPPredictor:
     def test_cold_predicts_miss(self):
-        assert MAPPredictor().predict_miss(0x1234)
+        assert MAPPredictor().predict_and_update(0x1234, was_miss=False)
 
     def test_hits_train_toward_hit(self):
         p = MAPPredictor()
         for _ in range(4):
-            p.update(0x1234, was_miss=False)
-        assert not p.predict_miss(0x1234)
+            p.predict_and_update(0x1234, was_miss=False)
+        assert not p.predict_and_update(0x1234, was_miss=False)
 
     def test_accuracy(self):
         p = MAPPredictor()
-        p.update(0x1234, was_miss=True)  # predicted miss -> correct
+        p.predict_and_update(0x1234, was_miss=True)  # predicted miss -> correct
         assert p.accuracy == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             MAPPredictor(0)
+
+    def test_predict_and_update_matches_two_steps(self):
+        """One pass gives the predict-then-update pair's answers and state."""
+        rng = random.Random(11)
+        one = MAPPredictor(256)
+        two = _TwoStepPredictor(256)
+        regions = [rng.randrange(1 << 28) << 12 for _ in range(40)]
+        for _ in range(5000):
+            address = rng.choice(regions) + rng.randrange(4096)
+            was_miss = rng.random() < 0.4
+            expected = two.predict_miss(address)
+            two.update(address, was_miss)
+            assert one.predict_and_update(address, was_miss) == expected
+            assert (one.correct, one.wrong) == (two.correct, two.wrong)
+        assert one._counters == two._counters
+        assert one.correct > 1000 and one.wrong > 1000
 
 
 class TestAlloyCache:
@@ -67,7 +117,8 @@ class TestAlloyCache:
         assert cache.offchip_wasted_bytes == 0
 
     def test_predicted_miss_overlaps_fetch(self):
-        slow = make_cache(use_map_predictor=False)
+        slow = make_cache()
+        train_toward_hit(slow, 0x4000)  # predicted hit -> serial fetch
         fast = make_cache()  # cold MAP predicts miss -> parallel fetch
         lat_serial = slow.access(0x4000, 0).latency
         lat_parallel = fast.access(0x4000, 0).latency
@@ -103,7 +154,7 @@ class TestAlloyCache:
 
     def test_hit_latency_single_access(self):
         """A hit is one DRAM access with a slightly larger burst."""
-        cache = make_cache(use_map_predictor=False)
+        cache = make_cache()
         cache.access(0x4000, 0)
         r = cache.access(0x4000, 100_000)
         t = cache.geometry.timing

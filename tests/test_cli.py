@@ -38,6 +38,17 @@ def test_static_experiment_prints_table(capsys):
     assert "bimodal" in out
 
 
+def test_static_experiment_rejects_mixes_and_cores(capsys):
+    assert main(["run", "table1", "--mixes", "Q2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "error: table1 runs no workload, so it takes no mixes"
+    ]
+    assert main(["run", "table3", "--cores", "8"]) == 2
+    assert "table3 runs no workload" in capsys.readouterr().err
+
+
 def test_dynamic_experiment_with_mixes(capsys):
     assert main(["run", "fig2", "--mixes", "Q2", "--accesses", "1500"]) == 0
     out = capsys.readouterr().out
