@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Full-system ANTT measurement (the paper's headline metric).
+"""ANTT on one mix (the paper's headline metric, Figure 7).
 
 Runs a multiprogrammed mix under AlloyCache and under the Bi-Modal cache
 — each program both shared and standalone, per the Section IV protocol —
-and reports the ANTT improvement (Figure 7's per-mix bars).
+and reports the ANTT improvement (one of Figure 7's per-mix bars). The
+row is the one ``python -m repro run fig7 --mixes <mix>`` prints.
 
 Usage:
     python examples/full_system_antt.py [mix-name] [accesses-per-core]
@@ -11,9 +12,8 @@ Usage:
 
 import sys
 
-from repro.cores.metrics import improvement_percent
 from repro.harness import ExperimentSetup, print_table
-from repro.harness.experiments import measure_antt
+from repro.harness.experiments import fig7_antt
 
 
 def main() -> None:
@@ -21,28 +21,11 @@ def main() -> None:
     accesses = int(sys.argv[2]) if len(sys.argv) > 2 else 10_000
     setup = ExperimentSetup(num_cores=4, accesses_per_core=accesses, seed=1)
 
-    rows = []
-    antts = {}
-    for scheme in ("alloy", "bimodal"):
-        antt_value, mp = measure_antt(scheme, mix_name, setup=setup)
-        antts[scheme] = antt_value
-        rows.append(
-            {
-                "scheme": scheme,
-                "antt": antt_value,
-                "hit_rate": mp.cache.hit_rate,
-                "avg_latency": mp.cache.avg_read_latency,
-                "per_core_mcycles": ", ".join(
-                    f"{c / 1e6:.1f}" for c in mp.per_core_cycles
-                ),
-            }
-        )
-
-    print_table(rows, title=f"ANTT on mix {mix_name} ({accesses} accesses/core)")
-    gain = improvement_percent(antts["alloy"], antts["bimodal"])
+    row = fig7_antt(setup=setup, mix_names=[mix_name])[0]
+    print_table([row], title=f"ANTT on mix {mix_name} ({accesses} accesses/core)")
     print(
-        f"\nBi-Modal ANTT improvement over AlloyCache: {gain:+.1f}% "
-        "(paper's 4-core average: +10.8%)"
+        f"\nBi-Modal ANTT improvement over AlloyCache: "
+        f"{row['improvement_pct']:+.1f}% (paper's 4-core average: +10.8%)"
     )
 
 

@@ -15,11 +15,10 @@ from repro.common.config import (
     DRAMCacheGeometry,
     DRAMGeometry,
     DRAMTimingConfig,
-    LLSCConfig,
     SystemConfig,
     system_config,
 )
-from repro.common.stats import Counter, Histogram, RateStat, RunningMean, StatGroup
+from repro.common.stats import Counter, Histogram, RateStat, RunningMean
 from repro.common.tables import (
     CPU_FREQ_HZ,
     PAPER_TABLE3_LATENCY_CYCLES,
@@ -43,14 +42,12 @@ __all__ = [
     "DRAMCacheGeometry",
     "DRAMGeometry",
     "DRAMTimingConfig",
-    "LLSCConfig",
     "SystemConfig",
     "system_config",
     "Counter",
     "Histogram",
     "RateStat",
     "RunningMean",
-    "StatGroup",
     "CPU_FREQ_HZ",
     "PAPER_TABLE3_LATENCY_CYCLES",
     "PAPER_TABLE3_STORAGE_KB",

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.common.addressing import is_power_of_two, log2_int
+from repro.common.addressing import is_power_of_two
 
 __all__ = [
     "DRAMTimingConfig",
     "DRAMGeometry",
-    "LLSCConfig",
     "CoreConfig",
     "DRAMCacheGeometry",
     "SystemConfig",
@@ -123,36 +122,9 @@ class DRAMGeometry:
 
 
 @dataclass(frozen=True)
-class LLSCConfig:
-    """Last-level SRAM cache (the paper's L2) per Table IV."""
-
-    size: int
-    associativity: int
-    block_size: int = 64
-    hit_latency: int = 7
-    mshrs: int = 128
-
-    def __post_init__(self) -> None:
-        if not is_power_of_two(self.size) or not is_power_of_two(self.block_size):
-            raise ValueError("size and block_size must be powers of two")
-        num_sets = self.size // (self.block_size * self.associativity)
-        if num_sets < 1 or not is_power_of_two(num_sets):
-            raise ValueError("size/assoc/block_size must give power-of-two sets")
-
-    @property
-    def num_sets(self) -> int:
-        return self.size // (self.block_size * self.associativity)
-
-    @property
-    def set_index_bits(self) -> int:
-        return log2_int(self.num_sets)
-
-
-@dataclass(frozen=True)
 class CoreConfig:
     """Interval-model core parameters (substitute for GEM5 OOO Alpha)."""
 
-    freq_hz: float = 3.2e9
     base_cpi: float = 0.6
     memory_level_parallelism: float = 2.2
 
@@ -179,16 +151,12 @@ class SystemConfig:
     """A full CMP configuration row from Table IV."""
 
     num_cores: int
-    llsc: LLSCConfig
-    core: CoreConfig
     dram_cache: DRAMCacheGeometry
     offchip_channels: int
     offchip_banks_per_channel: int
-    offchip_capacity: int
     offchip_timing: DRAMTimingConfig = field(
         default_factory=DRAMTimingConfig.ddr3_1600h
     )
-    address_bits: int = 40
 
     @property
     def offchip_geometry(self) -> DRAMGeometry:
@@ -204,11 +172,10 @@ class SystemConfig:
 
 
 _TABLE_IV = {
-    # cores: (llsc_size, llsc_assoc, llsc_lat, mshrs, cache_MB,
-    #         stacked_channels, offchip_channels, mem_GB)
-    4: (4 << 20, 8, 7, 128, 128, 2, 1, 4),
-    8: (8 << 20, 16, 9, 256, 256, 4, 2, 8),
-    16: (16 << 20, 32, 12, 512, 512, 8, 4, 16),
+    # cores: (cache_MB, stacked_channels, offchip_channels)
+    4: (128, 2, 1),
+    8: (256, 4, 2),
+    16: (512, 8, 4),
 }
 
 
@@ -220,15 +187,11 @@ def system_config(num_cores: int, *, dram_cache_mb: int | None = None) -> System
     """
     if num_cores not in _TABLE_IV:
         raise ValueError(f"num_cores must be one of {sorted(_TABLE_IV)}")
-    (llsc_size, assoc, lat, mshrs, cache_mb, st_ch, off_ch, mem_gb) = _TABLE_IV[
-        num_cores
-    ]
+    cache_mb, st_ch, off_ch = _TABLE_IV[num_cores]
     if dram_cache_mb is not None:
         cache_mb = dram_cache_mb
     return SystemConfig(
         num_cores=num_cores,
-        llsc=LLSCConfig(size=llsc_size, associativity=assoc, hit_latency=lat, mshrs=mshrs),
-        core=CoreConfig(),
         dram_cache=DRAMCacheGeometry(
             capacity=cache_mb << 20,
             geometry=DRAMGeometry(
@@ -237,5 +200,4 @@ def system_config(num_cores: int, *, dram_cache_mb: int | None = None) -> System
         ),
         offchip_channels=off_ch,
         offchip_banks_per_channel=16,
-        offchip_capacity=mem_gb << 30,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Counter", "RunningMean", "Histogram", "RateStat", "StatGroup"]
+__all__ = ["Counter", "RunningMean", "Histogram", "RateStat"]
 
 
 @dataclass(slots=True)
@@ -47,12 +47,6 @@ class RunningMean:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "RunningMean") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
 
     def reset(self) -> None:
         self.count = 0
@@ -126,62 +120,3 @@ class RateStat:
         self.hits = 0
         self.misses = 0
 
-
-class StatGroup:
-    """A named bag of stats with a uniform ``snapshot()`` for reporting.
-
-    Components register their counters once and the harness converts the
-    whole tree into plain dictionaries for table rendering.
-    """
-
-    __slots__ = ("name", "_stats")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._stats: dict[str, object] = {}
-
-    def counter(self, name: str) -> Counter:
-        return self._register(name, Counter())
-
-    def mean(self, name: str) -> RunningMean:
-        return self._register(name, RunningMean())
-
-    def histogram(self, name: str) -> Histogram:
-        return self._register(name, Histogram())
-
-    def rate(self, name: str) -> RateStat:
-        return self._register(name, RateStat())
-
-    def _register(self, name: str, stat):
-        if name in self._stats:
-            raise ValueError(f"duplicate stat {name!r} in group {self.name!r}")
-        self._stats[name] = stat
-        return stat
-
-    def __getitem__(self, name: str):
-        return self._stats[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._stats
-
-    def snapshot(self) -> dict[str, object]:
-        """Flatten to JSON-friendly values for reporting."""
-        out: dict[str, object] = {}
-        for name, stat in self._stats.items():
-            if isinstance(stat, Counter):
-                out[name] = stat.value
-            elif isinstance(stat, RunningMean):
-                out[name] = {"count": stat.count, "mean": stat.mean}
-            elif isinstance(stat, RateStat):
-                out[name] = {
-                    "hits": stat.hits,
-                    "misses": stat.misses,
-                    "rate": stat.rate,
-                }
-            elif isinstance(stat, Histogram):
-                out[name] = dict(sorted(stat.buckets.items()))
-        return out
-
-    def reset(self) -> None:
-        for stat in self._stats.values():
-            stat.reset()  # type: ignore[union-attr]

@@ -54,7 +54,6 @@ class MultiProgramRunner:
         mix: WorkloadMix,
         cache_factory: CacheFactory,
         *,
-        core_config: CoreConfig | None = None,
         accesses_per_core: int = 50_000,
         seed: int = 1,
         footprint_scale: float = 1.0,
@@ -71,7 +70,7 @@ class MultiProgramRunner:
         self.footprint_scale = footprint_scale
         self.intensity_scale = intensity_scale
         self.cache_factory = cache_factory
-        self.core_config = core_config or CoreConfig()
+        self.core_config = CoreConfig()
         self.accesses_per_core = accesses_per_core
         self.seed = seed
         self.warmup_fraction = warmup_fraction

@@ -60,7 +60,6 @@ class ATCache(LohHillCache):
             size=tag_cache_sets * tag_cache_assoc * 64,
             associativity=tag_cache_assoc,
             block_size=64,
-            name="atcache-tags",
         )
         self.tag_cache_stat = RateStat()
 
@@ -75,7 +74,7 @@ class ATCache(LohHillCache):
         entry = self._get_set(set_index)
         channel, bank, row = self._location(set_index)
 
-        tc_hit = self.tag_cache.access(self._group_key(set_index)).hit
+        tc_hit = self.tag_cache.access(self._group_key(set_index))
         tc_stat = self.tag_cache_stat
         if tc_hit:
             tc_stat.hits += 1

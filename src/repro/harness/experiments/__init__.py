@@ -26,7 +26,6 @@ from repro.harness.experiments.performance import (
     fig7_antt,
     fig8a_component_analysis,
     fig8b_hit_rate,
-    measure_antt,
 )
 from repro.harness.experiments.prefetch import table6_prefetch
 from repro.harness.experiments.sensitivity import (
@@ -66,6 +65,5 @@ __all__ = [
     "controller_comparison",
     "space_utilization_comparison",
     "victim_buffer_study",
-    "measure_antt",
     "LATENCY_SCHEMES",
 ]

@@ -146,10 +146,8 @@ def _fig5_row(cell: _Fig5Cell) -> dict:
     )
     records = cell.setup.trace_records(cell.mix)
     access = cache.access
-    for address, is_write in zip(
-        records.addresses.tolist(), records.is_write.tolist()
-    ):
-        access(address, is_write=is_write)
+    for address in records.addresses.tolist():
+        access(address)
     hist = cache.mru_hits
     row: dict = {"mix": cell.mix}
     for rank in range(cell.associativity):

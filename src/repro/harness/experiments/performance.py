@@ -16,7 +16,6 @@ rows still export.
 from __future__ import annotations
 
 from repro.cores.metrics import improvement_percent
-from repro.cores.multiprog import MultiProgramRunner
 from repro.harness.parallel import (
     AnttCell,
     GridCell,
@@ -26,42 +25,18 @@ from repro.harness.parallel import (
     run_grid,
 )
 from repro.harness.reporting import append_mean_row
-from repro.harness.runner import ExperimentSetup, build_cache
+from repro.harness.runner import ExperimentSetup
 from repro.workloads.mixes import mixes_for_cores
 
-__all__ = ["measure_antt", "fig7_antt", "fig8a_component_analysis", "fig8b_hit_rate"]
-
-
-def measure_antt(
-    scheme: str,
-    mix_name: str,
-    *,
-    setup: ExperimentSetup,
-    accesses_per_core: int | None = None,
-) -> tuple[float, object]:
-    """ANTT of one scheme on one mix under the scaled Table IV config."""
-    mixes = mixes_for_cores(setup.num_cores)
-    mix = mixes[mix_name]
-    total = (accesses_per_core or setup.accesses_per_core) * setup.num_cores
-    runner = MultiProgramRunner(
-        mix,
-        lambda: build_cache(
-            scheme,
-            setup.system,
-            scale=setup.scale,
-            adaptation_interval=max(1_000, total // 150),
-        ),
-        accesses_per_core=accesses_per_core or setup.accesses_per_core,
-        seed=setup.seed,
-        footprint_scale=setup.footprint_scale,
-        intensity_scale=setup.intensity_scale,
-        warmup_fraction=0.5,
-    )
-    return runner.run_antt()
+__all__ = ["fig7_antt", "fig8a_component_analysis", "fig8b_hit_rate"]
 
 
 def _fig_antt_cell(scheme: str, mix: str, setup: ExperimentSetup) -> AnttCell:
-    """Cell equivalent of :func:`measure_antt` (same protocol knobs)."""
+    """An ANTT cell under the Figure 7 protocol (Figure 8(a) shares it).
+
+    Warm-up covers the first half of each core's accesses, and the
+    programs run at the setup's intensity.
+    """
     return AnttCell(
         scheme=scheme,
         mix=mix,

@@ -1,13 +1,5 @@
-"""SRAM substrate: set-associative LRU caches, MSHRs, hierarchy."""
+"""SRAM substrate: the set-associative LRU cache."""
 
-from repro.sram.cache import AccessResult, SetAssociativeCache
-from repro.sram.hierarchy import CacheHierarchy, FilterOutcome
-from repro.sram.mshr import MSHRFile
+from repro.sram.cache import SetAssociativeCache
 
-__all__ = [
-    "AccessResult",
-    "SetAssociativeCache",
-    "CacheHierarchy",
-    "FilterOutcome",
-    "MSHRFile",
-]
+__all__ = ["SetAssociativeCache"]

@@ -2,8 +2,8 @@
 
 Every experiment cell re-drives a merged LLSC-miss stream that is fully
 determined by ``(mix, accesses_per_core, seed, footprint_scale,
-intensity_scale)``; ANTT and full-system runs read the same entry split
-back into per-program streams (:func:`program_streams`). A paper-figure
+intensity_scale)``; ANTT runs read the same entry split back into
+per-program streams (:func:`program_streams`). A paper-figure
 grid revisits the same handful of streams dozens of times (one per
 scheme/config), and whole-suite re-runs revisit all of them — so the
 generated record arrays are memoized at two levels:
@@ -323,8 +323,8 @@ def program_streams(
     merge is a stable sort on (instruction time, core), so selecting the
     records with ``address // CORE_ADDRESS_STRIDE == i`` keeps program
     ``i``'s records in their original order. Same memoization as
-    :func:`materialized_trace`: the ANTT and full-system drivers share
-    its entries with the trace-driven experiments.
+    :func:`materialized_trace`: the ANTT driver shares its entries with
+    the trace-driven experiments.
     """
     if isinstance(mix, str):
         mix = get_mix(mix)

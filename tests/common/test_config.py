@@ -7,7 +7,6 @@ from repro.common.config import (
     CoreConfig,
     DRAMGeometry,
     DRAMTimingConfig,
-    LLSCConfig,
     system_config,
 )
 
@@ -49,20 +48,9 @@ class TestGeometry:
             DRAMGeometry(channels=1, banks_per_channel=8, page_size=1000)
 
 
-class TestLLSC:
-    def test_sets(self):
-        cfg = LLSCConfig(size=4 << 20, associativity=8)
-        assert cfg.num_sets == (4 << 20) // (64 * 8)
-
-    def test_rejects_non_power_of_two_sets(self):
-        with pytest.raises(ValueError):
-            LLSCConfig(size=4 << 20, associativity=3)
-
-
 class TestCoreConfig:
     def test_defaults(self):
         cfg = CoreConfig()
-        assert cfg.freq_hz == 3.2e9
         assert cfg.memory_level_parallelism >= 1.0
 
     def test_validation(self):
@@ -77,10 +65,8 @@ class TestSystemConfig:
     def test_table_iv_rows(self, cores):
         cfg = system_config(cores)
         assert cfg.num_cores == cores
-        # Table IV: 4/8/16 cores -> 128/256/512 MB cache, 4/8/16 GB memory
+        # Table IV: 4/8/16 cores -> 128/256/512 MB cache
         assert cfg.dram_cache.capacity == (128 << 20) * (cores // 4)
-        assert cfg.offchip_capacity == (4 << 30) * (cores // 4)
-        assert cfg.llsc.size == (4 << 20) * (cores // 4)
 
     def test_channel_scaling(self):
         assert system_config(4).offchip_channels == 1

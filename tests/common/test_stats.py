@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.stats import Counter, Histogram, RateStat, RunningMean, StatGroup
+from repro.common.stats import Counter, Histogram, RateStat, RunningMean
 
 
 class TestCounter:
@@ -28,14 +28,6 @@ class TestRunningMean:
         assert m.minimum == 2.0
         assert m.maximum == 9.0
         assert m.count == 3
-
-    def test_merge(self):
-        a, b = RunningMean(), RunningMean()
-        a.add(1.0)
-        b.add(3.0)
-        a.merge(b)
-        assert a.count == 2
-        assert a.mean == pytest.approx(2.0)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_mean_matches_reference(self, samples):
@@ -92,36 +84,3 @@ class TestRateStat:
         if hits:
             assert r.rate + r.miss_rate == pytest.approx(1.0)
 
-
-class TestStatGroup:
-    def test_registration_and_snapshot(self):
-        g = StatGroup("x")
-        g.counter("events").add(3)
-        g.rate("hits").record(True)
-        g.mean("lat").add(10.0)
-        g.histogram("dist").add(4)
-        snap = g.snapshot()
-        assert snap["events"] == 3
-        assert snap["hits"]["rate"] == 1.0
-        assert snap["lat"]["mean"] == 10.0
-        assert snap["dist"] == {4: 1}
-
-    def test_duplicate_name_rejected(self):
-        g = StatGroup("x")
-        g.counter("a")
-        with pytest.raises(ValueError):
-            g.rate("a")
-
-    def test_contains_and_getitem(self):
-        g = StatGroup("x")
-        c = g.counter("a")
-        assert "a" in g
-        assert g["a"] is c
-
-    def test_reset_clears_all(self):
-        g = StatGroup("x")
-        g.counter("a").add(2)
-        g.rate("b").record(False)
-        g.reset()
-        assert g.snapshot()["a"] == 0
-        assert g.snapshot()["b"]["misses"] == 0

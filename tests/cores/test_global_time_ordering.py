@@ -1,6 +1,6 @@
 """Regression tests for global-time-ordered request delivery.
 
-The multiprogrammed runners must deliver requests to the shared memory
+The multiprogrammed runner must deliver requests to the shared memory
 system in non-decreasing arrival-time order even when per-core clocks
 diverge wildly (a low-intensity core races ahead in cycle count). An
 earlier implementation keyed its scheduling heap on post-access core
@@ -12,7 +12,6 @@ orders of magnitude on heterogeneous mixes.
 
 from repro.cores.multiprog import MultiProgramRunner
 from repro.harness.runner import ExperimentSetup, build_cache
-from repro.harness.system import System
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.profile import ProgramProfile
 
@@ -95,18 +94,3 @@ def test_heterogeneous_mix_latencies_stay_sane():
     runner.run_multiprogrammed()
     assert cache.avg_read_latency < 600
 
-
-def test_system_runner_ordered_too():
-    setup = ExperimentSetup(num_cores=4, accesses_per_core=1500)
-    config = setup.system
-    probe = _ArrivalProbe(build_cache("alloy", config, scale=setup.scale))
-    system = System(config, probe)
-    system.run(
-        heterogeneous_mix().scaled(1.0), accesses_per_core=1500
-    )
-    if probe.arrivals:
-        max_backstep = max(
-            (a - b for a, b in zip(probe.arrivals, probe.arrivals[1:]) if b < a),
-            default=0,
-        )
-        assert max_backstep < 2_000

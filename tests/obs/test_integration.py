@@ -133,32 +133,6 @@ class TestProfileHooks:
         assert (tmp_path / "t.prof").exists()
 
 
-class TestSystemTrace:
-    def test_run_system_antt_emits_phase_spans(self, traced):
-        from repro.harness.system import run_system_antt
-        from repro.workloads.mixes import mixes_for_cores
-
-        setup = ExperimentSetup(num_cores=4, accesses_per_core=400)
-        config = setup.system
-        mix = mixes_for_cores(4)["Q1"]
-        antt, stats = run_system_antt(
-            config,
-            mix,
-            lambda: build_cache("alloy", config, scale=setup.scale),
-            accesses_per_core=400,
-        )
-        assert antt >= 1.0
-        events = _events(traced)
-        names = [e["name"] for e in events if e["ev"] == "end"]
-        assert names.count("system.multiprog") == 1
-        assert names.count("system.standalone") == mix.num_cores
-        points = [e for e in events if e["name"] == "system.antt"]
-        assert points and points[0]["antt"] == antt
-        flat = stats.to_dict()
-        assert flat["num_cores"] == 4
-        assert "dram_cache.hit_rate" in flat
-
-
 class TestStatsProtocol:
     def test_drive_result_to_dict_is_flat(self):
         from repro.harness.export import flatten_stats

@@ -1,7 +1,7 @@
 """Reference set-associative LRU cache: one line object per way.
 
 This is the straightforward model ``repro.sram.cache.SetAssociativeCache``
-replaced: every way holds a tag, valid and dirty bits and a last-use
+replaced: every way holds a tag, a valid bit and a last-use
 timestamp, a lookup walks the ways, a miss fills the first invalid way or
 else the valid way with the oldest timestamp, and Figure 5's MRU rank of
 a hit is the number of valid ways used more recently. It is kept as the
@@ -12,21 +12,19 @@ from __future__ import annotations
 
 from repro.common.addressing import log2_int
 from repro.common.stats import Histogram, RateStat
-from repro.sram.cache import AccessResult
 
 
 class _Line:
-    __slots__ = ("tag", "valid", "dirty", "last_use")
+    __slots__ = ("tag", "valid", "last_use")
 
     def __init__(self) -> None:
         self.tag = 0
         self.valid = False
-        self.dirty = False
         self.last_use = 0
 
 
 class ReferenceCache:
-    """Write-back, write-allocate LRU cache with per-way line objects."""
+    """Allocate-on-miss LRU cache with per-way line objects."""
 
     def __init__(
         self, size: int, associativity: int, block_size: int = 64, *, track_mru=False
@@ -41,7 +39,6 @@ class ReferenceCache:
         self._tick = 0
         self.accesses = RateStat()
         self.evictions = 0
-        self.writebacks = 0
         self.mru_hits = Histogram() if track_mru else None
 
     def _locate(self, address: int) -> tuple[int, int, int | None]:
@@ -57,7 +54,7 @@ class ReferenceCache:
     def contains(self, address: int) -> bool:
         return self._locate(address)[2] is not None
 
-    def access(self, address: int, *, is_write: bool = False) -> AccessResult:
+    def access(self, address: int) -> bool:
         self._tick += 1
         tag, index, way = self._locate(address)
         ways = self._sets[index]
@@ -72,10 +69,8 @@ class ReferenceCache:
                     )
                 )
             line.last_use = self._tick
-            if is_write:
-                line.dirty = True
             self.accesses.record(True)
-            return AccessResult(hit=True)
+            return True
 
         self.accesses.record(False)
         free = [w for w, line in enumerate(ways) if not line.valid]
@@ -86,28 +81,12 @@ class ReferenceCache:
                 range(self.associativity), key=lambda w: ways[w].last_use
             )
         line = ways[victim_way]
-        writeback = None
-        victim = None
         if line.valid:
-            victim = ((line.tag << self._index_bits) | index) << self._offset_bits
             self.evictions += 1
-            if line.dirty:
-                writeback = victim
-                self.writebacks += 1
         line.tag = tag
         line.valid = True
-        line.dirty = is_write
         line.last_use = self._tick
-        return AccessResult(
-            hit=False, writeback_address=writeback, victim_address=victim
-        )
-
-    def invalidate(self, address: int) -> bool:
-        _, index, way = self._locate(address)
-        if way is None:
-            return False
-        self._sets[index][way].valid = False
-        return True
+        return False
 
     def resident_blocks(self) -> int:
         return sum(1 for ways in self._sets for line in ways if line.valid)
@@ -115,4 +94,3 @@ class ReferenceCache:
     def reset_stats(self) -> None:
         self.accesses.reset()
         self.evictions = 0
-        self.writebacks = 0

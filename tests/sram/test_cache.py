@@ -14,13 +14,13 @@ def make_cache(size=8192, assoc=2, block=64, **kw):
 class TestBasics:
     def test_cold_miss_then_hit(self):
         cache = make_cache()
-        assert not cache.access(0x1000).hit
-        assert cache.access(0x1000).hit
+        assert not cache.access(0x1000)
+        assert cache.access(0x1000)
 
     def test_same_block_different_bytes_hit(self):
         cache = make_cache()
         cache.access(0x1000)
-        assert cache.access(0x103F).hit
+        assert cache.access(0x103F)
 
     def test_contains_has_no_side_effects(self):
         cache = make_cache()
@@ -50,42 +50,16 @@ class TestEvictionAndWriteback:
         cache.access(0x000)
         cache.access(0x400)
         cache.access(0x000)  # refresh LRU
-        result = cache.access(0x800)  # evicts 0x400
-        assert result.victim_address == 0x400
-
-    def test_dirty_victim_produces_writeback(self):
-        cache = make_cache(size=128, assoc=1, block=64)
-        cache.access(0x000, is_write=True)
-        result = cache.access(0x1000)
-        assert result.writeback_address == 0x000
-
-    def test_clean_victim_no_writeback(self):
-        cache = make_cache(size=128, assoc=1, block=64)
-        cache.access(0x000)
-        result = cache.access(0x1000)
-        assert result.writeback_address is None
-        assert result.victim_address == 0x000
-
-    def test_write_hit_marks_dirty(self):
-        cache = make_cache(size=128, assoc=1, block=64)
-        cache.access(0x000)
-        cache.access(0x000, is_write=True)
-        result = cache.access(0x1000)
-        assert result.writeback_address == 0x000
-
-    def test_invalidate(self):
-        cache = make_cache()
-        cache.access(0x1000)
-        assert cache.invalidate(0x1000)
-        assert not cache.contains(0x1000)
-        assert not cache.invalidate(0x1000)
+        assert not cache.access(0x800)  # evicts 0x400
+        assert not cache.contains(0x400)
+        assert cache.contains(0x000)
+        assert cache.contains(0x800)
 
     def test_eviction_counters(self):
         cache = make_cache(size=128, assoc=1, block=64)
-        cache.access(0x000, is_write=True)
+        cache.access(0x000)
         cache.access(0x1000)
         assert cache.evictions == 1
-        assert cache.writebacks == 1
 
 
 class TestMRUTracking:
@@ -132,7 +106,7 @@ def test_fully_associative_matches_lru_reference(addresses):
     reference: list[int] = []  # MRU first
     for addr in addresses:
         block = addr // 64 * 64
-        hit = cache.access(addr).hit
+        hit = cache.access(addr)
         ref_hit = block in reference
         assert hit == ref_hit
         if ref_hit:
@@ -145,24 +119,21 @@ def test_fully_associative_matches_lru_reference(addresses):
 
 @settings(max_examples=30, deadline=None)
 @given(
-    ops=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=2047).map(lambda b: b * 64),
-            st.booleans(),
-        ),
+    addresses=st.lists(
+        st.integers(min_value=0, max_value=2047).map(lambda b: b * 64),
         max_size=400,
     )
 )
-def test_set_mapped_residency_model(ops):
+def test_set_mapped_residency_model(addresses):
     """Every set behaves as an independent LRU of its own blocks."""
     cache = SetAssociativeCache(4096, 2, 64)
     num_sets = cache.num_sets
     model: dict[int, list[int]] = {}
-    for addr, is_write in ops:
+    for addr in addresses:
         block = addr // 64
         set_idx = block % num_sets
         stack = model.setdefault(set_idx, [])
-        hit = cache.access(addr, is_write=is_write).hit
+        hit = cache.access(addr)
         assert hit == (block in stack)
         if block in stack:
             stack.remove(block)
@@ -173,12 +144,11 @@ def test_set_mapped_residency_model(ops):
 # (size, associativity): 1-set 4-way, 1-set 16-way (ATCache's tag cache at
 # the default scale), 16-set 2-way and 64-set direct-mapped.
 ORACLE_GEOMETRIES = [(256, 4), (1024, 16), (2048, 2), (4096, 1)]
-ORACLE_OPS = ("read", "write", "contains", "invalidate", "reset_stats")
+ORACLE_OPS = ("access", "contains", "reset_stats")
 
 
 def _assert_same_state(cache, oracle):
     assert cache.evictions == oracle.evictions
-    assert cache.writebacks == oracle.writebacks
     assert (cache.accesses.hits, cache.accesses.misses) == (
         oracle.accesses.hits,
         oracle.accesses.misses,
@@ -217,15 +187,10 @@ def test_matches_line_oracle(size, associativity, track_mru, script):
     for op, set_index, tag, offset in script:
         block = (tag % (2 * associativity)) * num_sets + set_index % num_sets
         address = block * 64 + offset
-        if op in ("read", "write"):
-            is_write = op == "write"
-            assert cache.access(address, is_write=is_write) == oracle.access(
-                address, is_write=is_write
-            )
+        if op == "access":
+            assert cache.access(address) == oracle.access(address)
         elif op == "contains":
             assert cache.contains(address) == oracle.contains(address)
-        elif op == "invalidate":
-            assert cache.invalidate(address) == oracle.invalidate(address)
         else:
             cache.reset_stats()
             oracle.reset_stats()
