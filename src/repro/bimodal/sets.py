@@ -273,7 +273,7 @@ class BiModalSet:
     def resident_bytes(self) -> int:
         big = len(self.big_tags) - self.big_tags.count(None)
         small = len(self.small_keys) - self.small_keys.count(None)
-        return big * 512 + small * 64
+        return (big * self.smalls_per_big + small) * 64
 
     def used_bytes(self) -> int:
         """Bytes actually referenced (space-utilization metric)."""

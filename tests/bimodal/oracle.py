@@ -250,7 +250,7 @@ class ReferenceSet:
     def resident_bytes(self) -> int:
         big = sum(1 for b in self.big_ways if b is not None)
         small = sum(1 for b in self.small_ways if b is not None)
-        return big * 512 + small * 64
+        return (big * self.smalls_per_big + small) * 64
 
     def used_bytes(self) -> int:
         big = sum(b.utilization for b in self.big_ways if b is not None)

@@ -3,6 +3,7 @@
 import copy
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bimodal.cache import BiModalCache, BiModalConfig
@@ -368,3 +369,39 @@ def test_residency_model_consistency(accesses):
             )
             if located is not None:
                 assert cache.resident(addr)
+
+
+@pytest.mark.parametrize(
+    "set_size,big_block_size", [(2048, 256), (2048, 512), (8192, 1024)]
+)
+def test_space_utilization_counts_the_whole_big_block(set_size, big_block_size):
+    """One set, one big block, every sub-block touched: utilization 1.0.
+
+    A resident big block commits ``big_block_size`` bytes, so the 256 B
+    and 1 KB shapes must read the same as 512 B.
+    """
+    geometry = DRAMCacheGeometry(
+        capacity=set_size,  # a single set
+        geometry=DRAMGeometry(channels=1, banks_per_channel=2, page_size=set_size),
+    )
+    offchip = MemoryController(
+        DRAMGeometry(channels=1, banks_per_channel=16, page_size=2048),
+        DRAMTimingConfig.ddr3_1600h(),
+    )
+    cache = BiModalCache(
+        geometry,
+        offchip,
+        BiModalConfig(
+            set_size=set_size,
+            big_block_size=big_block_size,
+            address_bits=36,
+            locator_index_bits=4,
+            predictor_index_bits=4,
+        ),
+    )
+    now = 0
+    for sub in range(big_block_size // 64):
+        now = cache.access(sub * 64, now).complete + 10
+    assert cache.big_fills.value == 1
+    assert cache.space_utilization() == 1.0
+    assert cache.stats_snapshot()["space_utilization"] == 1.0
