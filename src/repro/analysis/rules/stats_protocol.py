@@ -1,8 +1,8 @@
 """Rule ``stats-protocol`` — ``to_dict`` keys stay flat and literal.
 
-Every result object (``DriveResult``, ``EnergyBreakdown``,
-manifests, cache snapshots) exports through one
-protocol: ``to_dict()``/``stats_snapshot()`` dictionaries that
+Every result object (``DriveResult``, ``EnergyBreakdown``, manifests,
+cache snapshots) exports through one protocol:
+``to_dict()``/``stats_snapshot()`` dictionaries that
 ``export.flatten_stats`` folds into a single dotted namespace consumed
 by the CSV/JSON exporters, the tracer and the metrics registry. A
 computed key or an intra-method collision silently drops or shadows a

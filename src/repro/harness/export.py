@@ -4,9 +4,9 @@ Experiments return lists of flat dictionaries; these helpers persist
 them with a small metadata header (experiment id, setup parameters,
 package version) so result files are self-describing.
 
-Result objects across the harness (``DriveResult``,
-``EnergyBreakdown``, ``RunManifest``) share one export protocol: a
-``to_dict()`` returning flat (or dot-nested) JSON-friendly keys.
+Result objects across the harness (``DriveResult``, ``EnergyBreakdown``,
+``RunManifest``) share one export protocol: a ``to_dict()`` returning
+flat (or dot-nested) JSON-friendly keys.
 :func:`flatten_stats` is the one consumer-side entry point — it accepts
 any such object *or* a plain mapping and yields a flat dict the
 exporters, the tracer and the metrics registry all agree on.
