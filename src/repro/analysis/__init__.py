@@ -13,14 +13,12 @@ Public surface:
 * :mod:`repro.analysis.cli` — the ``python -m repro lint`` front end.
 """
 
-from repro.analysis.config import LintConfig, load_config
-from repro.analysis.engine import LintResult, run_lint
+from repro.analysis.engine import LintConfig, LintResult, run_lint
 from repro.analysis.model import Violation
 
 __all__ = [
     "LintConfig",
     "LintResult",
     "Violation",
-    "load_config",
     "run_lint",
 ]

@@ -13,14 +13,59 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from fnmatch import fnmatch
 from pathlib import Path
 
-from repro.analysis.config import LintConfig
 from repro.analysis.model import ProjectModel, SourceFile, Violation
 from repro.analysis.rules import Rule, all_rules
 
-__all__ = ["LintResult", "discover_files", "find_repo_root", "run_lint"]
+__all__ = [
+    "LintConfig",
+    "LintResult",
+    "discover_files",
+    "find_repo_root",
+    "run_lint",
+]
+
+
+@dataclass(frozen=True)
+class LintConfig:
+    """Which modules the scoped rules apply to.
+
+    The defaults are the repository's configuration; tests pass other
+    values to :func:`run_lint` to point a rule at fixture modules.
+    Globs match either the repo-relative path (``src/repro/dram/bank.py``)
+    or the package-relative one (``dram/bank.py``), see
+    :meth:`SourceFile.matches`.
+    """
+
+    # determinism: modules allowed to touch wall clock / ambient entropy
+    # (observability, profiling and harness bookkeeping — never the sim
+    # core, whose results must replay bit-identically). determinism-flow
+    # treats them as taint sanitizers.
+    determinism_allow: tuple[str, ...] = (
+        "obs/*",
+        "analysis/*",
+        "harness/checkpoint.py",
+        "harness/perfbench.py",
+    )
+    # slots: modules whose record classes must be allocation-lean.
+    slots_modules: tuple[str, ...] = (
+        "bimodal/sets.py",
+        "bimodal/way_locator.py",
+        "sram/cache.py",
+        "dram/*.py",
+        "dramcache/*.py",
+        "common/stats.py",
+        "workloads/trace.py",
+    )
+    # api-stability: modules holding the frozen wire dataclasses, and
+    # globs where constructing them directly is allowed (the facade and
+    # its codec; everything else must go through the constructors).
+    api_types_modules: tuple[str, ...] = ("api/types.py",)
+    api_construction_allow: tuple[str, ...] = ("api/*",)
+    # async-safety: modules whose ``async def`` functions are treated as
+    # event-loop roots for blocking-reachability analysis.
+    async_scope: tuple[str, ...] = ("server/*", "api/client.py")
 
 
 @dataclass
@@ -48,22 +93,16 @@ def find_repo_root(start: Path) -> Path:
     return start
 
 
-def discover_files(paths: list[Path], config: LintConfig) -> list[Path]:
-    """All .py files under ``paths``, minus excluded globs, sorted."""
+def discover_files(paths: list[Path]) -> list[Path]:
+    """All .py files under ``paths``, sorted."""
     found: set[Path] = set()
     for path in paths:
         path = path.resolve()
         if path.is_file() and path.suffix == ".py":
             found.add(path)
-            continue
-        if path.is_dir():
-            for candidate in path.rglob("*.py"):
-                found.add(candidate)
-    def excluded(path: Path) -> bool:
-        posix = path.as_posix()
-        return any(fnmatch(posix, glob) for glob in config.exclude)
-
-    return sorted(p for p in found if not excluded(p))
+        elif path.is_dir():
+            found.update(path.rglob("*.py"))
+    return sorted(found)
 
 
 def _relative(path: Path, root: Path) -> str:
@@ -98,9 +137,9 @@ def run_lint(
     """Run the rule set over ``paths``; violations come back sorted."""
     config = config or LintConfig()
     root = (root or find_repo_root(paths[0] if paths else Path.cwd())).resolve()
-    active = rules if rules is not None else all_rules(config.select)
+    active = rules if rules is not None else all_rules()
 
-    files = discover_files(paths, config)
+    files = discover_files(paths)
     sources: list[SourceFile] = []
     violations: list[Violation] = []
     for path in files:

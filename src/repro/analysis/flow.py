@@ -48,8 +48,10 @@ __all__ = [
     "FunctionFact",
     "ClassFact",
     "ModuleFacts",
+    "attr_chain",
     "extract_facts",
     "module_name_for",
+    "resolve_with_imports",
     "CallGraph",
     "TaintAnalysis",
     "SOURCE_KINDS",
@@ -151,15 +153,19 @@ class ModuleFacts:
 
 def resolve_with_imports(imports: dict[str, str],
                          chain: tuple[str, ...]) -> str | None:
-    """Dotted name of ``a.b.c`` after applying a module's import table."""
+    """Dotted name of ``a.b.c`` after applying a module's import table.
+
+    A single name that is not imported stays as written (a builtin or a
+    same-module name). A longer chain whose head is not imported is an
+    attribute of a local (``self.x``, or a parameter named ``time``),
+    not a module path, and resolves to None.
+    """
     if not chain:
         return None
     target = imports.get(chain[0])
     if target is not None:
         return ".".join((target, *chain[1:]))
-    if len(chain) == 1:
-        return chain[0]  # builtin or same-module name
-    return None if chain[0] in ("self", "cls") else ".".join(chain)
+    return chain[0] if len(chain) == 1 else None
 
 
 def module_name_for(rel: str) -> str:
@@ -181,7 +187,8 @@ def module_name_for(rel: str) -> str:
 # ---------------------------------------------------------------------------
 # extraction
 # ---------------------------------------------------------------------------
-def _attr_chain(node: ast.expr) -> tuple[str, ...] | None:
+def attr_chain(node: ast.expr) -> tuple[str, ...] | None:
+    """``a.b.c`` -> ``("a", "b", "c")``; None when the root is not a name."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -221,7 +228,7 @@ class _FunctionExtractor:
         if isinstance(node, ast.Call):
             return [f"c:{self._register_call(node, awaited, discarded)}"]
         if isinstance(node, ast.Attribute):
-            chain = _attr_chain(node)
+            chain = attr_chain(node)
             if chain is not None:
                 self.reads.add(chain[0])
                 resolved = self.owner.resolve_chain(chain)
@@ -237,7 +244,7 @@ class _FunctionExtractor:
         if isinstance(node, ast.Subscript):
             out = self.deps(node.value)
             out += self.deps(node.slice)
-            chain = _attr_chain(node.value)
+            chain = attr_chain(node.value)
             if chain and self.owner.resolve_chain(chain) == "os.environ":
                 out.append(f"s:environment:{node.lineno}")
             return out
@@ -290,7 +297,7 @@ class _FunctionExtractor:
     def _register_call(self, node: ast.Call, awaited: bool,
                        discarded: bool) -> int:
         func = node.func
-        chain = _attr_chain(func)
+        chain = attr_chain(func)
         base_call: int | None = None
         if chain is None and isinstance(func, ast.Attribute):
             # a.submit(...).result() — chain hangs off an inner call
@@ -305,14 +312,14 @@ class _FunctionExtractor:
         func_refs = []
         for arg in node.args:
             arg_deps.append(tuple(self.deps(arg)))
-            ref = _attr_chain(arg) if isinstance(arg, (ast.Name, ast.Attribute)) else None
+            ref = attr_chain(arg) if isinstance(arg, (ast.Name, ast.Attribute)) else None
             func_refs.append(".".join(ref) if ref else None)
         kw_deps = []
         for kw in node.keywords:
             deps = tuple(self.deps(kw.value))
             kw_deps.append((kw.arg or "**", deps))
             if kw.arg == "target" and isinstance(kw.value, (ast.Name, ast.Attribute)):
-                ref = _attr_chain(kw.value)
+                ref = attr_chain(kw.value)
                 if ref:
                     func_refs.append(".".join(ref))
         resolved = self.owner.resolve_chain(chain) if chain else None
@@ -413,14 +420,14 @@ class _FunctionExtractor:
             for elt in target.elts:
                 self._assign_target(elt, deps, lineno)
         elif isinstance(target, ast.Attribute):
-            chain = _attr_chain(target)
+            chain = attr_chain(target)
             if chain and chain[0] == "self" and len(chain) == 2:
                 self.self_attrs.append((chain[1], lineno, deps))
             elif chain:
                 self.reads.add(chain[0])
         elif isinstance(target, ast.Subscript):
             self.deps(target.slice)
-            chain = _attr_chain(target.value)
+            chain = attr_chain(target.value)
             if chain is not None and len(chain) == 1:
                 # stats["k"] = tainted  — weak update: the container now
                 # carries the value's taint alongside whatever it held.
@@ -508,8 +515,8 @@ class _ModuleExtractor:
     def extract_class(self, node: ast.ClassDef, *, parent_qual: str) -> None:
         bases = []
         for base in node.bases:
-            chain = _attr_chain(base if not isinstance(base, ast.Subscript)
-                                else base.value)
+            chain = attr_chain(base if not isinstance(base, ast.Subscript)
+                               else base.value)
             if chain:
                 bases.append(chain[-1])
         methods = []

@@ -3,11 +3,10 @@
 Three layers:
 
 * :class:`Violation` — one finding, with a content fingerprint that
-  survives line renumbering (the baseline matches on it);
-* :class:`SourceFile` — a parsed module: source text, AST, per-line
-  ``# simlint: off=<rule>`` suppressions and an import table so rules
-  can resolve ``np.random`` / ``from random import randrange`` style
-  references without guessing;
+  survives line renumbering (SARIF consumers track findings by it);
+* :class:`SourceFile` — a parsed module: source text, AST and per-line
+  ``# simlint: off=<rule>`` suppressions (imports are resolved by
+  :mod:`repro.analysis.flow`);
 * :class:`ProjectModel` — the cross-file view (class hierarchy,
   dataclass inventory, scheme-registry instantiations) that the
   project-level rules (scheme-registry, slots) query.
@@ -22,7 +21,6 @@ from pathlib import Path
 
 __all__ = [
     "ClassInfo",
-    "ImportMap",
     "ProjectModel",
     "SourceFile",
     "Violation",
@@ -48,12 +46,11 @@ class Violation:
     snippet: str = ""  # stripped source line, for reports + fingerprints
 
     def fingerprint(self) -> str:
-        """Line-number-independent identity used for baseline matching.
+        """Line-number-independent identity (SARIF ``partialFingerprints``).
 
         Built from the rule, the file and the offending source line (not
-        the line *number*), so pure renumbering never invalidates a
-        baseline entry. Identical lines in one file share a fingerprint;
-        the baseline matcher treats entries as a multiset to cope.
+        the line *number*), so pure renumbering keeps a finding's
+        identity. Identical lines in one file share a fingerprint.
         """
         return f"{self.rule}|{self.path}|{self.snippet}"
 
@@ -61,44 +58,11 @@ class Violation:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
 
 
-class ImportMap:
-    """What each top-level name in a module refers to.
-
-    ``modules`` maps local alias -> dotted module (``np`` -> ``numpy``);
-    ``members`` maps local alias -> (module, original name) for
-    ``from module import name [as alias]``.
-    """
-
-    __slots__ = ("modules", "members")
-
-    def __init__(self, tree: ast.AST) -> None:
-        self.modules: dict[str, str] = {}
-        self.members: dict[str, tuple[str, str]] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    self.modules[local] = target
-            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    self.members[local] = (node.module, alias.name)
-
-    def resolves_to_module(self, name: str, module: str) -> bool:
-        """Does the local ``name`` refer to ``module`` (``import`` form)?"""
-        return self.modules.get(name) == module
-
-    def member_origin(self, name: str) -> tuple[str, str] | None:
-        """(module, original name) when ``name`` came from a from-import."""
-        return self.members.get(name)
-
-
 class SourceFile:
     """A parsed module plus everything rules need to inspect it."""
 
     __slots__ = ("path", "rel", "pkgrel", "text", "lines", "tree",
-                 "suppressions", "imports")
+                 "suppressions")
 
     def __init__(self, path: Path, rel: str, text: str, tree: ast.AST) -> None:
         self.path = path
@@ -108,7 +72,6 @@ class SourceFile:
         self.lines = text.splitlines()
         self.tree = tree
         self.suppressions = _parse_suppressions(self.lines)
-        self.imports = ImportMap(tree)
 
     def is_suppressed(self, rule: str, line: int) -> bool:
         active = self.suppressions.get(line)

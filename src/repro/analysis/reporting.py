@@ -11,7 +11,6 @@ pull requests inline.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 
 from repro.analysis.engine import LintResult
 from repro.analysis.model import Violation
@@ -19,63 +18,37 @@ from repro.analysis.model import Violation
 __all__ = ["render_json", "render_sarif", "render_text"]
 
 
-def render_text(
-    result: LintResult,
-    *,
-    new: Sequence[Violation],
-    tolerated: Sequence[Violation] = (),
-    stale_baseline_entries: int = 0,
-) -> str:
-    lines = [violation.render() for violation in new]
-    for violation in tolerated:
-        lines.append(f"{violation.render()} [baselined]")
+def render_text(result: LintResult) -> str:
+    lines = [violation.render() for violation in result.violations]
     summary = (
         f"simlint: {result.files_scanned} file(s), "
         f"{len(result.rules_run)} rule(s): "
-        f"{len(new)} finding(s)"
+        f"{len(result.violations)} finding(s)"
     )
-    if tolerated:
-        summary += f", {len(tolerated)} baselined"
     if result.suppressed:
         summary += f", {result.suppressed} suppressed inline"
-    if stale_baseline_entries:
-        summary += (
-            f"; {stale_baseline_entries} stale baseline entr"
-            f"{'y' if stale_baseline_entries == 1 else 'ies'} "
-            "(fixed findings — prune with --update-baseline)"
-        )
     lines.append(summary)
     return "\n".join(lines)
 
 
-def render_json(
-    result: LintResult,
-    *,
-    new: Sequence[Violation],
-    tolerated: Sequence[Violation] = (),
-    stale_baseline_entries: int = 0,
-) -> str:
-    def row(violation: Violation, baselined: bool) -> dict:
-        return {
-            "rule": violation.rule,
-            "path": violation.path,
-            "line": violation.line,
-            "col": violation.col,
-            "message": violation.message,
-            "snippet": violation.snippet,
-            "baselined": baselined,
-        }
-
+def render_json(result: LintResult) -> str:
     document = {
-        "violations": [row(v, False) for v in new]
-        + [row(v, True) for v in tolerated],
+        "violations": [
+            {
+                "rule": violation.rule,
+                "path": violation.path,
+                "line": violation.line,
+                "col": violation.col,
+                "message": violation.message,
+                "snippet": violation.snippet,
+            }
+            for violation in result.violations
+        ],
         "summary": {
             "files_scanned": result.files_scanned,
             "rules_run": list(result.rules_run),
-            "new": len(new),
-            "baselined": len(tolerated),
+            "findings": len(result.violations),
             "suppressed_inline": result.suppressed,
-            "stale_baseline_entries": stale_baseline_entries,
         },
     }
     return json.dumps(document, indent=2)
@@ -87,26 +60,20 @@ _SARIF_SCHEMA_URI = (
 )
 
 
-def render_sarif(
-    result: LintResult,
-    *,
-    new: Sequence[Violation],
-    tolerated: Sequence[Violation] = (),
-    stale_baseline_entries: int = 0,
-) -> str:
-    """One SARIF 2.1.0 run. Baselined findings carry a suppression.
+def render_sarif(result: LintResult) -> str:
+    """One SARIF 2.1.0 run.
 
     The rule catalog (descriptions + rationale from the registry) rides
     in ``tool.driver.rules``; each result references it by index and
     carries the simlint content fingerprint under
     ``partialFingerprints`` so code scanning tracks findings across
-    line renumbering exactly like the committed baseline does.
+    line renumbering.
     """
     from repro.analysis.rules import all_rules
 
     registered = all_rules()
     catalog: list[str] = sorted(
-        set(result.rules_run) | {v.rule for v in (*new, *tolerated)}
+        set(result.rules_run) | {v.rule for v in result.violations}
     )
     index = {name: i for i, name in enumerate(catalog)}
     driver_rules = []
@@ -123,11 +90,11 @@ def render_sarif(
             entry["fullDescription"] = {"text": rule.rationale}
         driver_rules.append(entry)
 
-    def sarif_result(violation: Violation, baselined: bool) -> dict:
-        entry = {
+    def sarif_result(violation: Violation) -> dict:
+        return {
             "ruleId": violation.rule,
             "ruleIndex": index[violation.rule],
-            "level": "note" if baselined else "error",
+            "level": "error",
             "message": {"text": violation.message},
             "locations": [
                 {
@@ -147,11 +114,6 @@ def render_sarif(
                 "simlintFingerprint/v1": violation.fingerprint()
             },
         }
-        if baselined:
-            entry["suppressions"] = [
-                {"kind": "external", "justification": "committed baseline"}
-            ]
-        return entry
 
     document = {
         "$schema": _SARIF_SCHEMA_URI,
@@ -169,8 +131,7 @@ def render_sarif(
                 "originalUriBaseIds": {
                     "SRCROOT": {"description": {"text": "repository root"}}
                 },
-                "results": [sarif_result(v, False) for v in new]
-                + [sarif_result(v, True) for v in tolerated],
+                "results": [sarif_result(v) for v in result.violations],
             }
         ],
     }

@@ -16,6 +16,12 @@ allowlisted observability/harness modules:
 * environment-dependent iteration order: looping directly over
   ``os.environ``, an unsorted ``os.listdir``/``os.scandir``/
   ``glob.glob``, or a set expression.
+
+Names are resolved through the module's import table, exactly as the
+flow rules resolve them (:func:`repro.analysis.flow.resolve_with_imports`),
+so ``from random import randrange`` and ``import numpy.random as npr``
+reach the same banned dotted names as ``random.randrange`` and
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -23,31 +29,86 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
+from repro.analysis.flow import attr_chain, resolve_with_imports
 from repro.analysis.model import ProjectModel, SourceFile, Violation
 from repro.analysis.rules import Rule, register_rule
 
-_WALLCLOCK_TIME_ATTRS = {"time", "time_ns", "localtime", "gmtime", "ctime"}
-_WALLCLOCK_DATETIME_ATTRS = {"now", "utcnow", "today"}
-# numpy.random members that are seeded-generator constructors, not the
-# legacy global-state API.
-_NUMPY_RANDOM_OK = {
-    "default_rng", "Generator", "SeedSequence", "BitGenerator",
-    "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
+_TIME = (
+    "reads the wall clock; sim-core results must be a pure function of "
+    "config + seed"
+)
+_DATETIME = (
+    "reads the wall clock; pass explicit timestamps through the config "
+    "instead"
+)
+
+#: Banned call targets, by dotted name after the module's imports are
+#: applied (:func:`repro.analysis.flow.resolve_with_imports`).
+_BANNED: dict[str, str] = {
+    "hash": (
+        "builtin hash() is randomized per process for str/bytes "
+        "(PYTHONHASHSEED); derive sampling and bucketing from a seeded "
+        "hash instead (see repro.mrc.engine.sample_addresses)"
+    ),
+    **{
+        f"time.{attr}": f"time.{attr} {_TIME}"
+        for attr in ("time", "time_ns", "localtime", "gmtime", "ctime",
+                     "strftime")
+    },
+    **{
+        name: f"datetime {name.rpartition('.')[2]}() {_DATETIME}"
+        for name in (
+            "datetime.now", "datetime.utcnow", "datetime.today",
+            "datetime.datetime.now", "datetime.datetime.utcnow",
+            "datetime.datetime.today", "datetime.date.today",
+        )
+    },
 }
-_RANDOM_MODULE_OK = {"Random"}
-_UNORDERED_LISTING = {("os", "listdir"), ("os", "scandir"),
-                      ("glob", "glob"), ("glob", "iglob")}
+
+#: Modules whose functions draw from a hidden global RNG: the members
+#: that build an explicit generator instead, and what to use.
+_GLOBAL_RNG: dict[str, tuple[frozenset[str], str]] = {
+    "random": (
+        frozenset({"Random"}),
+        "uses the global unseeded RNG; use a seeded random.Random instance",
+    ),
+    "numpy.random": (
+        frozenset({
+            "default_rng", "Generator", "SeedSequence", "BitGenerator",
+            "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
+        }),
+        "mutates/reads numpy's global RNG state; use "
+        "numpy.random.default_rng(seed)",
+    ),
+}
+
+#: Generator constructors that draw their seed from the OS when called
+#: without one.
+_UNSEEDED: dict[str, str] = {
+    "random.Random": "pass an explicit seed",
+    "numpy.random.default_rng": "pass an explicit seed or SeedSequence",
+}
+
+_UNORDERED_LISTING = {"os.listdir", "os.scandir", "glob.glob", "glob.iglob"}
 
 
-def _attr_chain(node: ast.expr) -> list[str] | None:
-    """``a.b.c`` -> ["a", "b", "c"]; None for non-name chains."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return list(reversed(parts))
+def _call_message(name: str, node: ast.Call) -> str | None:
+    """Why calling the resolved ``name`` reads ambient state, if it does."""
+    if name in _UNSEEDED:
+        if node.args or node.keywords:
+            return None
+        return f"{name}() without a seed draws from the OS; {_UNSEEDED[name]}"
+    if name == "time.strftime" and len(node.args) >= 2:
+        return None  # an explicit struct_time, not an implicit "now"
+    if name in _BANNED:
+        return _BANNED[name]
+    for module, (seeded, why) in _GLOBAL_RNG.items():
+        if name.startswith(module + "."):
+            member = name[len(module) + 1:].split(".")[0]
+            if member in seeded:
+                return None
+            imported = "from-imported " if isinstance(node.func, ast.Name) else ""
+            return f"{imported}{module}.{member} {why}"
     return None
 
 
@@ -79,147 +140,42 @@ def sample_latency(events, now):
     return now - events[-1]
 """
 
-    def check_file(
-        self, source: SourceFile, project: ProjectModel
-    ) -> Iterator[Violation]:
-        if any(source.matches(glob) for glob in project.config.determinism_allow):
-            return
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.Call):
-                yield from self._check_call(source, node)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                yield from self._check_iteration(source, node)
+    def check_project(self, project: ProjectModel) -> Iterator[Violation]:
+        allow = project.config.determinism_allow
+        for source, facts in zip(project.files, project.facts):
+            if any(source.matches(glob) for glob in allow):
+                continue
+            for node in ast.walk(source.tree):
+                if isinstance(node, ast.Call):
+                    chain = attr_chain(node.func) or ()
+                    name = resolve_with_imports(facts.imports, chain)
+                    message = _call_message(name, node) if name else None
+                    if message:
+                        yield source.violation(self.name, node, message)
+                elif isinstance(node, (ast.For, ast.AsyncFor)):
+                    yield from self._check_iteration(source, facts.imports, node)
 
-    # -- calls ---------------------------------------------------------
-    def _check_call(
-        self, source: SourceFile, node: ast.Call
-    ) -> Iterator[Violation]:
-        imports = source.imports
-        func = node.func
-        if isinstance(func, ast.Name):
-            origin = imports.member_origin(func.id)
-            if origin is None:
-                if func.id == "hash":
-                    yield source.violation(
-                        self.name, node,
-                        "builtin hash() is randomized per process for "
-                        "str/bytes (PYTHONHASHSEED); derive sampling and "
-                        "bucketing from a seeded hash instead (see "
-                        "repro.mrc.engine.sample_addresses)",
-                    )
-                return
-            module, original = origin
-            if module == "random" and original not in _RANDOM_MODULE_OK:
-                yield source.violation(
-                    self.name, node,
-                    f"from-imported random.{original} uses the global "
-                    "unseeded RNG; use a seeded random.Random instance",
-                )
-            elif module == "time" and original in _WALLCLOCK_TIME_ATTRS:
-                yield source.violation(
-                    self.name, node,
-                    f"time.{original} reads the wall clock; sim-core results "
-                    "must be a pure function of config + seed",
-                )
-            elif module == "datetime" and original in ("datetime", "date"):
-                pass  # constructor with explicit fields is fine
-            return
-        chain = _attr_chain(func)
-        if not chain:
-            return
-        head, attrs = chain[0], chain[1:]
-        if not attrs:
-            return
-        # time.* wall clock (incl. strftime's implicit localtime()).
-        if imports.resolves_to_module(head, "time"):
-            attr = attrs[0]
-            if attr in _WALLCLOCK_TIME_ATTRS or (
-                attr == "strftime" and len(node.args) < 2
-            ):
-                yield source.violation(
-                    self.name, node,
-                    f"time.{attr} reads the wall clock; sim-core results "
-                    "must be a pure function of config + seed",
-                )
-            return
-        # datetime.now / datetime.datetime.now / date.today ...
-        tail = attrs[-1]
-        if tail in _WALLCLOCK_DATETIME_ATTRS:
-            root_is_datetime = imports.resolves_to_module(head, "datetime")
-            origin = imports.member_origin(head)
-            member_is_datetime = origin is not None and origin[0] == "datetime"
-            if root_is_datetime or member_is_datetime:
-                yield source.violation(
-                    self.name, node,
-                    f"datetime {tail}() reads the wall clock; pass explicit "
-                    "timestamps through the config instead",
-                )
-                return
-        # random.<fn> on the module's hidden global RNG.
-        if imports.resolves_to_module(head, "random"):
-            attr = attrs[0]
-            if attr not in _RANDOM_MODULE_OK:
-                yield source.violation(
-                    self.name, node,
-                    f"random.{attr} uses the global unseeded RNG; use a "
-                    "seeded random.Random instance",
-                )
-            elif attr == "Random" and not node.args and not node.keywords:
-                yield source.violation(
-                    self.name, node,
-                    "random.Random() without a seed draws from the OS; "
-                    "pass an explicit seed",
-                )
-            return
-        # numpy.random.* global state / unseeded default_rng().
-        if (
-            imports.resolves_to_module(head, "numpy")
-            and len(attrs) >= 2
-            and attrs[0] == "random"
-        ):
-            attr = attrs[1]
-            if attr not in _NUMPY_RANDOM_OK:
-                yield source.violation(
-                    self.name, node,
-                    f"numpy.random.{attr} mutates/reads numpy's global RNG "
-                    "state; use numpy.random.default_rng(seed)",
-                )
-            elif attr == "default_rng" and not node.args and not node.keywords:
-                yield source.violation(
-                    self.name, node,
-                    "numpy.random.default_rng() without a seed draws from "
-                    "the OS; pass an explicit seed or SeedSequence",
-                )
-
-    # -- iteration order -----------------------------------------------
     def _check_iteration(
-        self, source: SourceFile, node: ast.For | ast.AsyncFor
+        self, source: SourceFile, imports: dict[str, str],
+        node: ast.For | ast.AsyncFor,
     ) -> Iterator[Violation]:
-        imports = source.imports
         iter_expr = node.iter
-        chain = _attr_chain(iter_expr)
-        # for k in os.environ / os.environ.keys()/values()/items()
+        chain = attr_chain(iter_expr)
         if isinstance(iter_expr, ast.Call):
-            call_chain = _attr_chain(iter_expr.func)
+            call_chain = attr_chain(iter_expr.func) or ()
+            name = resolve_with_imports(imports, call_chain)
+            if name in _UNORDERED_LISTING:
+                yield source.violation(
+                    self.name, node,
+                    f"iterating unsorted {name}() is filesystem-order "
+                    "dependent; wrap it in sorted()",
+                )
+                return
+            # for k in os.environ.keys()/values()/items()
             if call_chain and call_chain[-1] in ("keys", "values", "items"):
                 chain = call_chain[:-1]
-            if call_chain and len(call_chain) == 2:
-                for module, attr in _UNORDERED_LISTING:
-                    if call_chain[1] == attr and imports.resolves_to_module(
-                        call_chain[0], module
-                    ):
-                        yield source.violation(
-                            self.name, node,
-                            f"iterating unsorted {module}.{attr}() is "
-                            "filesystem-order dependent; wrap it in sorted()",
-                        )
-                        return
-        if (
-            chain
-            and len(chain) >= 2
-            and imports.resolves_to_module(chain[0], "os")
-            and chain[1] == "environ"
-        ):
+        name = resolve_with_imports(imports, chain or ())
+        if name == "os.environ" or (name or "").startswith("os.environ."):
             yield source.violation(
                 self.name, node,
                 "iterating os.environ is environment-dependent; sort or "

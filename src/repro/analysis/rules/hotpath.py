@@ -4,8 +4,8 @@ The PR 4 timing kernel's throughput rests on the ``*_fast`` entry
 points never hitting the allocator: the drive loop calls them hundreds
 of thousands of times per cell, and one comprehension or closure per
 access erases the batching win and reintroduces gc pauses (tracked per
-cell by ``perfbench``). Inside any function whose name matches a
-configured hot-path pattern this rule bans:
+cell by ``perfbench``). Inside any function whose name matches
+``*_fast`` this rule bans:
 
 * closures: ``lambda`` and nested ``def``;
 * comprehensions and generator expressions (each allocates a fresh
@@ -19,7 +19,6 @@ configured hot-path pattern this rule bans:
 from __future__ import annotations
 
 import ast
-from fnmatch import fnmatch
 from collections.abc import Iterator
 
 from repro.analysis.model import ProjectModel, SourceFile, Violation
@@ -57,11 +56,10 @@ def probe_fast(tags, tag):
     def check_file(
         self, source: SourceFile, project: ProjectModel
     ) -> Iterator[Violation]:
-        patterns = project.config.hotpath_patterns
         for node in ast.walk(source.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                fnmatch(node.name, pattern) for pattern in patterns
-            ):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ) and node.name.endswith("_fast"):
                 yield from self._check_function(source, project, node)
 
     def _check_function(

@@ -8,8 +8,8 @@ evaluate — and one that skips the ``_access_fast``/``self._hit``
 contract breaks the accounting shell for every caller. This rule
 checks, project-wide:
 
-* every concrete subclass of the configured scheme base (a class that
-  overrides ``_access_fast``) is instantiated somewhere in a module
+* every concrete ``DRAMCacheBase`` subclass (a class that overrides
+  ``_access_fast``) is instantiated somewhere in a module
   that calls ``register_scheme`` (directly in a lambda or inside a
   builder helper);
 * the override takes the contract signature
@@ -25,6 +25,7 @@ from collections.abc import Iterator
 from repro.analysis.model import ProjectModel, Violation
 from repro.analysis.rules import Rule, register_rule
 
+_BASE = "DRAMCacheBase"
 _CONTRACT_ARGS = ("self", "address", "now", "is_write")
 
 
@@ -56,12 +57,9 @@ class DirectCache(DRAMCacheBase):
 """
 
     def check_project(self, project: ProjectModel) -> Iterator[Violation]:
-        base = project.config.scheme_base
-        if not base:
-            return
         have_registry = bool(project.registry_files)
         for info in project.classes:
-            if not project.is_subclass_of(info, base):
+            if not project.is_subclass_of(info, _BASE):
                 continue
             hook = info.methods.get("_access_fast")
             if hook is None:
@@ -70,7 +68,7 @@ class DirectCache(DRAMCacheBase):
             if have_registry and info.name not in project.registry_instantiated:
                 yield source.violation(
                     self.name, info.node,
-                    f"{info.name} is a concrete {base} subclass but is never "
+                    f"{info.name} is a concrete {_BASE} subclass but is never "
                     "instantiated in a register_scheme module; register it "
                     "so the CLI and grids can reach it",
                 )

@@ -1,13 +1,10 @@
-"""DRAM substrate: the timing device, memory controller and test oracle."""
+"""DRAM substrate: the timing device and the memory controller."""
 
 from repro.dram.controller import MemoryController
 from repro.dram.device import DRAMDevice, DRAMLocation
-from repro.dram.reference import ReferenceAccess, ReferenceBank
 
 __all__ = [
     "MemoryController",
     "DRAMDevice",
     "DRAMLocation",
-    "ReferenceAccess",
-    "ReferenceBank",
 ]

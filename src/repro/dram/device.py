@@ -27,8 +27,8 @@ the ``last_outcome`` / ``last_data_start`` scratch attributes.
 The model is open-page with in-order service at each bank: a request
 waits for the bank's previous command, then pays CAS (hit), ACT + CAS
 (closed) or PRE + ACT + CAS (conflict). ``tests/dram/test_kernel_validation.py``
-checks every entry point against the command-level
-:class:`~repro.dram.reference.ReferenceBank`.
+checks every entry point against the command-level ``ReferenceBank``
+oracle in ``tests/dram/oracle.py``.
 
 Address decode is pure mask/shift: the field widths are precomputed in
 ``__init__`` and the modulo fold for non-power-of-two channel/bank

@@ -15,7 +15,6 @@ from repro.workloads.trace import (
     MultiProgramTrace,
     TraceRecord,
 )
-from repro.workloads.tracefile import SavedTrace, load_trace, replay, save_trace
 
 __all__ = [
     "ProgramTrace",
@@ -32,8 +31,4 @@ __all__ = [
     "CORE_ADDRESS_STRIDE",
     "MultiProgramTrace",
     "TraceRecord",
-    "SavedTrace",
-    "load_trace",
-    "replay",
-    "save_trace",
 ]

@@ -4,8 +4,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.config import LintConfig
-from repro.analysis.engine import run_lint
+from repro.analysis.engine import LintConfig, run_lint
 from repro.analysis.rules import all_rules
 
 # Strict configuration for fixtures: no determinism allowlist, every

@@ -123,7 +123,6 @@ def test_real_tree_is_clean_under_the_rule():
     """The shipped repro package satisfies its own api-stability rule."""
     from pathlib import Path
 
-    from repro.analysis.config import load_config
     from repro.analysis.engine import run_lint
     from repro.analysis.rules import all_rules
 
@@ -131,10 +130,5 @@ def test_real_tree_is_clean_under_the_rule():
 
     package = Path(repro.__file__).parent
     root = package.parent.parent
-    result = run_lint(
-        [package],
-        config=load_config(root),
-        root=root,
-        rules=all_rules(["api-stability"]),
-    )
+    result = run_lint([package], root=root, rules=all_rules(["api-stability"]))
     assert not result.violations, [v.render() for v in result.violations]

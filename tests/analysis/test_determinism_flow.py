@@ -48,6 +48,16 @@ class TestStatsExportSink:
         """)
         assert result.ok
 
+    def test_local_named_like_a_module_is_not_a_source(self, lint):
+        # ``time`` here is a parameter, not the module: only an imported
+        # head resolves to a module path.
+        result = run(lint, """
+            class Result:
+                def to_dict(self, time=None, os=None):
+                    return {"t": time.time(), "pid": os.getpid()}
+        """)
+        assert result.ok
+
 
 class TestWireEncodeSink:
     def test_object_address_into_wire(self, lint):

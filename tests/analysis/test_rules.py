@@ -3,8 +3,10 @@ stays quiet on the fixed form."""
 
 import inspect
 
+import pytest
+
 import repro.dram.device
-from repro.analysis.config import LintConfig
+from repro.analysis.engine import LintConfig
 
 from .conftest import STRICT
 
@@ -198,6 +200,33 @@ class TestDeterminism:
             rules=["determinism"],
         )
         assert good.ok
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from os import listdir\n\ndef walk(d):\n"
+            "    for name in listdir(d):\n        print(name)\n",
+            "import numpy.random as npr\n\ndef make():\n"
+            "    return npr.default_rng()\n",
+            "from random import Random\n\ndef make():\n    return Random()\n",
+            "from time import strftime\n\ndef stamp():\n"
+            "    return strftime('%Y')\n",
+        ],
+    )
+    def test_import_aliases_resolve_to_the_dotted_name(self, lint, source):
+        # Names resolve through the module's import table, so an alias
+        # or a from-import is banned exactly like its dotted form.
+        assert rules_of(lint(source, rules=["determinism"])) == ["determinism"]
+
+    def test_local_named_like_a_module_is_not_the_module(self, lint):
+        result = lint(
+            """
+            def pick(random, time):
+                return random.choice([time.time()])
+            """,
+            rules=["determinism"],
+        )
+        assert result.ok
 
     def test_set_iteration_flagged(self, lint):
         result = lint(

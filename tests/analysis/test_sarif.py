@@ -27,13 +27,13 @@ def make_violation(rule="determinism", path="src/mod.py", line=3):
     )
 
 
-def render(new, tolerated=()):
+def render(violations):
     result = LintResult(
-        violations=[*new, *tolerated],
+        violations=list(violations),
         files_scanned=1,
         rules_run=("determinism", "slots"),
     )
-    return json.loads(render_sarif(result, new=new, tolerated=tolerated))
+    return json.loads(render_sarif(result))
 
 
 class TestDocumentShape:
@@ -71,12 +71,6 @@ class TestDocumentShape:
         prints = document["runs"][0]["results"][0]["partialFingerprints"]
         assert prints["simlintFingerprint/v1"] == violation.fingerprint()
 
-    def test_baselined_findings_are_suppressed_notes(self):
-        document = render([], tolerated=[make_violation()])
-        result = document["runs"][0]["results"][0]
-        assert result["level"] == "note"
-        assert result["suppressions"][0]["kind"] == "external"
-
 
 class TestValidatorRejects:
     def test_wrong_version(self):
@@ -106,18 +100,13 @@ class TestValidatorRejects:
 
 class TestCliIntegration:
     def test_format_sarif_end_to_end(self, tmp_path, capsys):
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.simlint]\ndeterminism-allow = []\n"
-        )
         (tmp_path / "mod.py").write_text(textwrap.dedent("""
             import time
 
             def stamp():
                 return time.time()
         """))
-        assert lint_main(
-            [str(tmp_path), "--no-baseline", "--format", "sarif"]
-        ) == 1
+        assert lint_main([str(tmp_path), "--format", "sarif"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert sarif_check.validate(document) == []
         assert document["runs"][0]["results"][0]["ruleId"] == "determinism"

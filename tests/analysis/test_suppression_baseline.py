@@ -1,11 +1,4 @@
-"""Inline suppressions and the committed-baseline ratchet."""
-
-import json
-
-import pytest
-
-from repro.analysis.baseline import Baseline, BaselineError, split_by_baseline
-from repro.analysis.model import Violation
+"""Inline ``# simlint: off`` suppressions."""
 
 TIMED = """
     import time
@@ -52,76 +45,3 @@ class TestSuppression:
         )
         assert [v.rule for v in result.violations] == ["determinism"]
 
-
-def _violation(snippet="return time.time()", line=4):
-    return Violation(
-        rule="determinism",
-        path="mod.py",
-        line=line,
-        col=11,
-        message="time.time reads the wall clock",
-        snippet=snippet,
-    )
-
-
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        violation = _violation()
-        path = tmp_path / "simlint-baseline.json"
-        Baseline.from_violations([violation]).write(path)
-        loaded = Baseline.load(path)
-        new, tolerated, stale = split_by_baseline([violation], loaded)
-        assert new == []
-        assert tolerated == [violation]
-        assert stale == 0
-
-    def test_fingerprint_survives_renumbering(self, tmp_path):
-        path = tmp_path / "b.json"
-        Baseline.from_violations([_violation(line=4)]).write(path)
-        moved = _violation(line=40)  # same content, file renumbered
-        new, tolerated, stale = split_by_baseline([moved], Baseline.load(path))
-        assert new == [] and tolerated == [moved] and stale == 0
-
-    def test_new_findings_are_not_absorbed(self, tmp_path):
-        path = tmp_path / "b.json"
-        Baseline.from_violations([_violation()]).write(path)
-        fresh = _violation(snippet="return time.time_ns()")
-        new, tolerated, stale = split_by_baseline(
-            [_violation(), fresh], Baseline.load(path)
-        )
-        assert new == [fresh]
-        assert tolerated == [_violation()]
-
-    def test_fixed_entries_become_stale(self, tmp_path):
-        path = tmp_path / "b.json"
-        Baseline.from_violations([_violation()]).write(path)
-        new, tolerated, stale = split_by_baseline([], Baseline.load(path))
-        assert new == [] and tolerated == []
-        assert stale == 1
-
-    def test_identical_lines_match_as_multiset(self, tmp_path):
-        path = tmp_path / "b.json"
-        Baseline.from_violations([_violation(line=4)]).write(path)
-        twins = [_violation(line=4), _violation(line=9)]
-        new, tolerated, stale = split_by_baseline(twins, Baseline.load(path))
-        assert len(tolerated) == 1  # one budget entry consumed
-        assert len(new) == 1  # the twin is a genuine new finding
-
-    @pytest.mark.parametrize(
-        "document",
-        [
-            "not json at all",
-            json.dumps([1, 2, 3]),
-            json.dumps({"version": 99, "entries": []}),
-            json.dumps({"version": 1, "entries": [{"rule": "x"}]}),
-        ],
-    )
-    def test_malformed_baseline_raises(self, tmp_path, document):
-        path = tmp_path / "b.json"
-        path.write_text(document)
-        with pytest.raises(BaselineError):
-            Baseline.load(path)
-
-    def test_missing_baseline_raises(self, tmp_path):
-        with pytest.raises(BaselineError):
-            Baseline.load(tmp_path / "nope.json")

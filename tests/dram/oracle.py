@@ -3,10 +3,11 @@
 ``ReferenceBank`` simulates one DRAM bank at command granularity
 (PRE/ACT/CAS with explicit inter-command constraints). It is
 deliberately slow and simple: it is the oracle that
-``tests/dram/test_kernel_validation.py`` checks every
+``test_kernel_validation.py`` checks every
 :class:`~repro.dram.device.DRAMDevice` entry point against on
-randomized request sequences, which is the kind of evidence a timing
-model needs before anyone trusts the numbers built on top of it.
+randomized request sequences (and ``test_reference_validation.py``
+one bank against), which is the kind of evidence a timing model needs
+before anyone trusts the numbers built on top of it.
 """
 
 from __future__ import annotations

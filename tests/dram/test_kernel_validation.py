@@ -2,7 +2,7 @@
 
 The device resolves accesses at access granularity in one flat kernel.
 These tests check it against an independent oracle built in the test:
-one :class:`~repro.dram.reference.ReferenceBank` per bank (PRE/ACT/CAS
+one :class:`~tests.dram.oracle.ReferenceBank` per bank (PRE/ACT/CAS
 command schedule, refresh staggered 97 cycles per bank like the device)
 plus a per-channel data-bus horizon. Randomized sequences drive every
 entry point:
@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import DRAMGeometry, DRAMTimingConfig
 from repro.dram.device import DRAMDevice
-from repro.dram.reference import ReferenceBank
+from tests.dram.oracle import ReferenceBank
 
 REFRESH_STAGGER = 97
 ALLOY_TAD_CYCLES = 5

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import DRAMGeometry, DRAMTimingConfig
 from repro.dram.device import DRAMDevice
-from repro.dram.reference import ReferenceBank
+from tests.dram.oracle import ReferenceBank
 
 
 @settings(max_examples=120, deadline=None)
