@@ -19,7 +19,6 @@ from repro.api.catalog import (
     experiment_ids,
     get_experiment,
 )
-from repro.api.client import AsyncServiceClient, ServiceClient
 from repro.api.errors import (
     ERR_BAD_REQUEST,
     ERR_BAD_SCHEMA,
@@ -75,6 +74,16 @@ from repro.api.wire import (
     loads_strict,
     to_wire,
 )
+
+
+def __getattr__(name: str):
+    """Import the socket client (asyncio, ssl, socket) on first use only."""
+    if name in ("ServiceClient", "AsyncServiceClient"):
+        from repro.api import client
+
+        return getattr(client, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "API_SCHEMA",

@@ -53,31 +53,15 @@ class MetadataLayout:
         """DRAM bursts to read one set's full tag array (paper: 2 or 3)."""
         return (self.meta_bytes_per_set + 63) // 64
 
-    @cached_property
-    def _data_locations(self) -> dict[int, tuple[int, int, int]]:
-        return {}
-
-    @cached_property
-    def _metadata_locations(self) -> dict[int, tuple[int, int, int]]:
-        return {}
-
     # ------------------------------------------------------------------
+    # BiModalCache tabulates both maps once per build (_data_locs,
+    # _meta_locs), so neither memoizes.
     def data_location(self, set_index: int) -> tuple[int, int, int]:
         """(channel, bank, row) of a set's 2 KB data page."""
-        cached = self._data_locations.get(set_index)
-        if cached is not None:
-            return cached
-        channel = set_index % self.channels
         ordinal = set_index // self.channels
-        if self.colocated:
-            bank = ordinal % self.banks_per_channel
-            row = ordinal // self.banks_per_channel
-        else:
-            bank = 1 + ordinal % self.data_banks_per_channel
-            row = ordinal // self.data_banks_per_channel
-        location = (channel, bank, row)
-        self._data_locations[set_index] = location
-        return location
+        banks = self.data_banks_per_channel
+        first = 0 if self.colocated else 1  # bank 0 holds the metadata
+        return set_index % self.channels, first + ordinal % banks, ordinal // banks
 
     def metadata_location(self, set_index: int) -> tuple[int, int, int]:
         """(channel, bank, row) of a set's metadata.
@@ -88,12 +72,6 @@ class MetadataLayout:
         """
         if self.colocated:
             return self.data_location(set_index)
-        cached = self._metadata_locations.get(set_index)
-        if cached is not None:
-            return cached
-        data_channel = set_index % self.channels
-        meta_channel = (data_channel + 1) % self.channels
+        meta_channel = (set_index % self.channels + 1) % self.channels
         ordinal = set_index // self.channels
-        location = (meta_channel, 0, ordinal // self.sets_per_metadata_page)
-        self._metadata_locations[set_index] = location
-        return location
+        return meta_channel, 0, ordinal // self.sets_per_metadata_page

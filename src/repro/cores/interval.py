@@ -10,47 +10,33 @@ This is the standard first-order model of multiprogrammed throughput:
 ANTT differences between cache schemes are driven by the average LLSC
 miss penalty each scheme produces, which is exactly the quantity our
 DRAM cache models compute in detail.
+
+:class:`~repro.cores.multiprog.MultiProgramRunner` applies the model on
+local per-core lists and writes each core's totals into an
+:class:`IntervalCore` when a drive ends; ``tests/cores/oracle.py`` keeps
+the per-record methods as its reference.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from repro.common.config import CoreConfig
 
 __all__ = ["IntervalCore"]
 
 
+@dataclass(slots=True)
 class IntervalCore:
-    """One core's retirement clock."""
+    """One core's retirement totals over a drive."""
 
-    def __init__(self, core_id: int, config: CoreConfig) -> None:
-        self.core_id = core_id
-        self.config = config
-        self.cycles = 0.0
-        self.instructions = 0
-        self.memory_stall_cycles = 0.0
-        self.reads = 0
-        self.writes = 0
-
-    def advance_compute(self, instructions: int) -> None:
-        """Retire ``instructions`` of non-stalled work."""
-        self.instructions += instructions
-        self.cycles += instructions * self.config.base_cpi
-
-    def apply_read_stall(self, latency: float) -> None:
-        """Account one blocking LLSC-miss read of ``latency`` cycles."""
-        stall = latency / self.config.memory_level_parallelism
-        self.cycles += stall
-        self.memory_stall_cycles += stall
-        self.reads += 1
-
-    def note_write(self) -> None:
-        """Posted write: tracked but non-blocking."""
-        self.writes += 1
-
-    @property
-    def now(self) -> int:
-        """Current time in whole cycles (arrival stamp for requests)."""
-        return int(self.cycles)
+    core_id: int
+    config: CoreConfig
+    cycles: float = 0.0
+    instructions: int = 0
+    memory_stall_cycles: float = 0.0
+    reads: int = 0
+    writes: int = 0
 
     @property
     def cpi(self) -> float:

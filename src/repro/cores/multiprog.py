@@ -11,6 +11,12 @@ Each program's record stream is read from the shared trace cache
 (:func:`~repro.workloads.trace_cache.program_streams`), so the
 multiprogrammed and standalone runs of every scheme reuse one
 generation of the mix's merged trace.
+
+The drive keeps each core's interval state in local lists and reads
+only ``.complete`` from ``cache.access``; its totals become
+:class:`~repro.cores.interval.IntervalCore` records at the end.
+``tests/cores/oracle.py`` keeps the per-record method loop as its
+reference.
 """
 
 from __future__ import annotations
@@ -79,7 +85,6 @@ class MultiProgramRunner:
     def _drive(self, program_indices: list[int]) -> RunResult:
         """Run the given subset of the mix's programs on a fresh cache."""
         cache = self.cache_factory()
-        cores = [IntervalCore(i, self.core_config) for i in program_indices]
         programs = program_streams(
             self._trace_mix,
             accesses_per_core=self.accesses_per_core,
@@ -88,6 +93,7 @@ class MultiProgramRunner:
             intensity_scale=self.intensity_scale,
         )
         streams = [iter(programs[i]) for i in program_indices]
+        ncores = len(program_indices)
 
         # The heap is keyed on each core's *next access arrival time*
         # (clock + compute gap), so requests reach the shared memory
@@ -96,50 +102,62 @@ class MultiProgramRunner:
         # state that earlier-in-time requests from slower cores then
         # queue behind.
         base_cpi = self.core_config.base_cpi
+        mlp = self.core_config.memory_level_parallelism
         heappop = heapq.heappop
         heappush = heapq.heappush
         access = cache.access
         heap: list[tuple[float, int, tuple]] = []
-        for slot in range(len(cores)):
+        for slot in range(ncores):
             record = next(streams[slot], None)
             if record is not None:
-                arrival = cores[slot].cycles + record[2] * base_cpi
-                heappush(heap, (arrival, slot, record))
+                heappush(heap, (record[2] * base_cpi, slot, record))
         # Warm-up protocol (Section IV): the core clocks ANTT is computed
         # from cover only each core's *own* measured region — the first
         # ``warmup_fraction`` of its accesses fills caches and trains
         # predictors. Per-core marks matter because heterogeneous paces
         # mean cores cross their warm-up points at very different global
         # times. Cache statistics reset once, at the aggregate boundary.
-        total = self.accesses_per_core * len(cores)
+        total = self.accesses_per_core * ncores
         global_warm = int(total * self.warmup_fraction)
         per_core_warm = int(self.accesses_per_core * self.warmup_fraction)
         served_total = 0
-        served = [0] * len(cores)
-        cycle_marks = [0.0] * len(cores)
+        # Per-core interval state (repro.cores.interval); writes = served - reads.
+        cycles = [0.0] * ncores
+        instructions = [0] * ncores
+        stalls = [0.0] * ncores
+        reads = [0] * ncores
+        served = [0] * ncores
+        cycle_marks = [0.0] * ncores
         while heap:
             _, slot, record = heappop(heap)
             address, is_write, icount = record
-            core = cores[slot]
-            core.advance_compute(icount)
-            result = access(address, core.now, is_write=is_write)
-            if is_write:
-                core.note_write()
-            else:
-                core.apply_read_stall(result.latency)
+            instructions[slot] += icount
+            clock = cycles[slot] + icount * base_cpi
+            now = int(clock)
+            complete = access(address, now, is_write=is_write).complete
+            if not is_write:
+                stall = (complete - now) / mlp
+                clock += stall
+                stalls[slot] += stall
+                reads[slot] += 1
+            cycles[slot] = clock
             served_total += 1
             served[slot] += 1
             if per_core_warm and served[slot] == per_core_warm:
-                cycle_marks[slot] = core.cycles
+                cycle_marks[slot] = clock
             if global_warm and served_total == global_warm:
                 cache.reset_stats()
             nxt = next(streams[slot], None)
             if nxt is not None:
-                heappush(heap, (core.cycles + nxt[2] * base_cpi, slot, nxt))
+                heappush(heap, (clock + nxt[2] * base_cpi, slot, nxt))
+        config = self.core_config
+        totals = zip(program_indices, cycles, instructions, stalls, reads, served)
+        cores = [
+            IntervalCore(index, config, core_cycles, insts, stalled, nreads, nserved - nreads)
+            for index, core_cycles, insts, stalled, nreads, nserved in totals
+        ]
         return RunResult(
-            per_core_cycles=[
-                core.cycles - mark for core, mark in zip(cores, cycle_marks)
-            ],
+            per_core_cycles=[c - mark for c, mark in zip(cycles, cycle_marks)],
             cores=cores,
             cache=cache,
         )

@@ -14,15 +14,17 @@ Timing kernel
 The device *is* the per-access timing kernel: all bank state (open row,
 ready time, refresh clock, row-buffer counters) and channel state (bus
 free time, busy cycles) live in flat lists indexed by
-``channel * banks_per_channel + bank``. One private method,
-:meth:`_timed_fast`, resolves an access end to end — refresh, row-buffer
-case, CAS, bus serialization — without allocating. ``read_fast``,
-``write_fast`` and ``access_direct_fast`` call it;
-``activate_direct`` (ACT only) and ``column_direct_fast`` (CAS only)
-are the two halves of the Bi-Modal parallel tag/data issue. Every entry
-returns the plain-int data-end (or row-open) time and leaves the
-row-buffer outcome (0 hit / 1 closed / 2 conflict) and the data-start in
-the ``last_outcome`` / ``last_data_start`` scratch attributes.
+``channel * banks_per_channel + bank``. One method resolves an access
+end to end — refresh, row-buffer case, CAS, bus serialization — without
+allocating. It is public as :meth:`access_direct_fast`, which the
+schemes and the off-chip tail trains call directly, and private as
+:meth:`_timed_fast`, which ``read_fast`` and ``write_fast`` call after
+decoding an address. ``activate_direct`` (ACT only) and
+``column_direct_fast`` (CAS only) are the two halves of the Bi-Modal
+parallel tag/data issue. Every entry returns the plain-int data-end (or
+row-open) time and leaves the row-buffer outcome (0 hit / 1 closed /
+2 conflict) and the data-start in the ``last_outcome`` /
+``last_data_start`` scratch attributes.
 
 The model is open-page with in-order service at each bank: a request
 waits for the bank's previous command, then pays CAS (hit), ACT + CAS
@@ -185,17 +187,26 @@ class DRAMDevice:
     # the timing kernel
     # ------------------------------------------------------------------
     def _timed_fast(
-        self, channel: int, bank: int, row: int, now: int, bursts: int, cycles: int
+        self,
+        channel: int,
+        bank: int,
+        row: int,
+        now: int,
+        bursts: int = 1,
+        transfer_cycles: int | None = None,
     ) -> int:
         """Resolve one row-buffer-managed access; returns data-end time.
 
         Refresh stall, HIT/CLOSED/CONFLICT resolution, CAS pipelining
         (the bank takes its next command tCCD after this CAS) and CL,
-        then ``cycles`` of serialization on the channel's shared data
-        bus. Row-buffer and command counters are updated in place;
-        ``last_outcome`` / ``last_data_start`` keep the per-access
-        scratch that callers (metadata RBH) and tests read.
+        then ``transfer_cycles`` of serialization on the channel's shared
+        data bus: ``bursts`` beats unless given (AlloyCache's 72 B
+        tag-and-data burst). Row-buffer and command counters are updated
+        in place; ``last_outcome`` / ``last_data_start`` keep the
+        per-access scratch that callers (metadata RBH) and tests read.
         """
+        if transfer_cycles is None:
+            transfer_cycles = bursts * self._burst_cycles
         self.bytes_transferred += bursts * 64
         idx = channel * self._nbk + bank
         ready = self._ready_at
@@ -228,9 +239,9 @@ class DRAMDevice:
         start = bus_free[channel]
         if cas_done > start:
             start = cas_done
-        end = start + cycles
+        end = start + transfer_cycles
         bus_free[channel] = end
-        self._bus_busy[channel] += cycles
+        self._bus_busy[channel] += transfer_cycles
         self.last_data_start = start
         return end
 
@@ -273,32 +284,19 @@ class DRAMDevice:
             channel %= self._nch
         if self._mod_banks:
             bank %= self._nbk
-        return self._timed_fast(
-            channel, bank, row, now, bursts, bursts * self._burst_cycles
-        )
+        # The private name, not access_direct_fast: a wrapper that
+        # patches the public methods by name then records this access
+        # once, as a read, not a second time as a direct access.
+        return self._timed_fast(channel, bank, row, now, bursts)
 
     # Writes get the same row-buffer management as reads in this model.
     # The second name keeps write call sites readable and lets wrappers
     # that patch device methods by name record the two apart.
     write_fast = read_fast
 
-    def access_direct_fast(
-        self,
-        channel: int,
-        bank: int,
-        row: int,
-        now: int,
-        bursts: int = 1,
-        transfer_cycles: int | None = None,
-    ) -> int:
-        """Access an explicitly placed row (stacked-DRAM cache use).
-
-        ``transfer_cycles`` overrides the bus occupancy of ``bursts``
-        beats (AlloyCache's 72 B tag-and-data burst).
-        """
-        if transfer_cycles is None:
-            transfer_cycles = bursts * self._burst_cycles
-        return self._timed_fast(channel, bank, row, now, bursts, transfer_cycles)
+    # Access an explicitly placed row (stacked-DRAM cache use, off-chip
+    # tail beats): the kernel itself, with no frame in between.
+    access_direct_fast = _timed_fast
 
     def column_direct_fast(
         self, channel: int, bank: int, now: int, bursts: int = 1

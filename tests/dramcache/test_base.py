@@ -121,14 +121,21 @@ _SPREAD = _TIMINGS.burst_cycles
 
 
 class _RecordingDevice(DRAMDevice):
-    """DRAMDevice that logs every timed access to a shared list."""
+    """DRAMDevice that logs every timed access to a shared list.
+
+    The kernel has two names: ``read_fast``/``write_fast`` call
+    ``_timed_fast``, while the tail trains and stacked posts call
+    ``access_direct_fast`` directly, so both names log.
+    """
 
     __slots__ = ("log",)
 
-    def _timed_fast(self, channel, bank, row, now, bursts, cycles):
-        end = super()._timed_fast(channel, bank, row, now, bursts, cycles)
+    def _timed_fast(self, channel, bank, row, now, bursts=1, transfer_cycles=None):
+        end = super()._timed_fast(channel, bank, row, now, bursts, transfer_cycles)
         self.log.append((self.name, channel, bank, row, now, end))
         return end
+
+    access_direct_fast = _timed_fast
 
 
 class _ScriptedCache(DRAMCacheBase):
