@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="${PWD}/src${PYTHONPATH:+:${PYTHONPATH}}"
 
 echo "== static analysis (simlint) =="
-# The tree itself must be clean. The [perfbench] stderr line records
+# The tree itself must be clean. The [simlint] stderr line records
 # files= and wall_s= of the run.
 python -m repro lint
 
@@ -37,6 +37,8 @@ else
 fi
 
 echo "== tier-1 test suite =="
+# Includes the drive path's tight perf gate: Python calls per record
+# within 5% of committed figures (tests/harness/test_call_budget.py).
 python -m pytest -x -q
 
 echo "== benchmark smoke (repobench) =="
@@ -46,12 +48,14 @@ echo "== benchmark smoke (repobench) =="
 # breaks one fails here instead of at the next benchmark run.
 python3 -m pytest repobench/test_smoke.py -q
 
-echo "== benchmark outputs vs stored reference (repobench, seed 1) =="
+echo "== benchmark outputs and speed vs stored reference (repobench, seed 1) =="
 # The smoke test above runs at seed 3 and tiny sizes, where no stored
 # reference applies. Here each workload runs its minimum three passes
 # at the reference seed and size, and every cell's outputs must match
 # repobench/reference.json: the last line must read "correct": true
-# with 0 failed.
+# with 0 failed. The loose perf gate: the median pass time, wall_s in
+# host-speed-scaled reference seconds, must stay within 2x the
+# workload's committed median (how those were measured: CHANGES.md).
 for workload in sweep antt dse; do
     last="$(python3 repobench/run.py --workload "${workload}" --seed 1 \
         --seconds 0 --trace 0 | tail -n 1)"
@@ -60,7 +64,12 @@ import json, sys
 workload, result = sys.argv[1], json.loads(sys.argv[2])
 if result["correct"] is not True or result["failed"] != 0:
     sys.exit(f"repobench {workload}: outputs differ from the reference: {result}")
-print(f"[repobench] {workload} correct=true attempted={result['attempted']} failed=0")
+bound = 2 * {"sweep": 2.35, "antt": 2.48, "dse": 2.41}[workload]
+wall = result["metrics"]["wall_s"]["value"]
+if wall > bound:
+    sys.exit(f"repobench {workload}: wall_s {wall:.2f} exceeds {bound:.2f} reference s")
+print(f"[repobench] {workload} correct=true attempted={result['attempted']} failed=0"
+      f" wall_s={wall:.2f} (bound {bound:.2f})")
 EOF
 done
 
@@ -173,24 +182,5 @@ if python -c "import pytest_timeout" >/dev/null 2>&1; then
 else
     echo "pytest-timeout not on PATH; chaos tests already ran in tier-1"
 fi
-
-echo "== perf gate =="
-# Fast-path throughput vs the last committed BENCH_perf.json entry for
-# the same mode/scheme/mix; exits 4 when the measured rate drops below
-# 0.7x the committed one. The bimodal cell, the alloy baseline cell and
-# bimodal on Q7 are gated; on Q1 way-locator hits dominate, and Q7's
-# sparse streams send about a third of its accesses down the locator-miss
-# path. The gate prints the ratio either way so every CI log carries the
-# current numbers; gated runs take best-of-3 regardless of --repeats.
-python -m repro.harness.perfbench --modes fast --repeats 3 \
-    --gate BENCH_perf.json
-python -m repro.harness.perfbench --schemes alloy --mixes Q1 \
-    --repeats 3 --gate BENCH_perf.json
-python -m repro.harness.perfbench --schemes bimodal --mixes Q7 \
-    --repeats 3 --gate BENCH_perf.json
-# The MRC ghost pass is gated too: the dse driver's estimation phase
-# must stay fast enough to be worth the pruning it buys.
-python -m repro.harness.perfbench --modes mrc --repeats 3 \
-    --gate BENCH_perf.json
 
 echo "ci.sh: all checks passed"

@@ -7,11 +7,9 @@ to populate the paper-vs-measured table.
 """
 
 import json
-import pathlib
 import time
 
 import repro.harness.experiments as E
-from repro.harness.perfbench import append_bench_record, measure_drive_throughput
 from repro.harness.runner import ExperimentSetup
 
 QUAD = ExperimentSetup(num_cores=4, accesses_per_core=20_000, seed=1)
@@ -99,14 +97,5 @@ dump(E.victim_buffer_study(setup=QUAD, mix_names=["Q2", "Q7", "Q23"]))
 
 section("ext-spaceutil")
 dump(E.space_utilization_comparison(setup=QUAD_LONG, mix_names=["Q2", "Q7", "Q23"]))
-
-section("bench-perf")
-_bench = [
-    measure_drive_throughput(mode=mode, repeats=3) for mode in ("fast", "traced")
-]
-dump([r.row() for r in _bench])
-_bench_path = pathlib.Path(__file__).resolve().parent.parent / "BENCH_perf.json"
-append_bench_record(_bench, _bench_path)
-print(f"appended throughput entry to {_bench_path}", flush=True)
 
 section("done")

@@ -9,7 +9,6 @@ Examples::
     python -m repro serve --port 7914 --state-dir .repro-serve
     python -m repro list
     python -m repro list-schemes
-    python -m repro bench --repeats 5
 
 ``run`` and ``dse`` build a typed request through :mod:`repro.api` and
 execute it through the same facade the ``repro serve`` daemon uses, so
@@ -17,15 +16,14 @@ validation and defaulting happen in exactly one place and a CLI run
 is byte-identical to the same request answered by a warm server
 (``scripts/serve_smoke.py`` asserts this in CI). Both share one body:
 server dispatch, error mapping, table, export, manifest and failure
-table. ``lint`` and ``bench`` hand their arguments to simlint and
-perfbench, which own their flags and error messages. An experiment id
-is always spelled after ``run`` (``python -m repro run fig1``); a bare
-``python -m repro fig1`` is a usage error (exit code 2).
+table. ``lint`` hands its arguments to simlint, which owns its flags
+and error messages. An experiment id is always spelled after ``run``
+(``python -m repro run fig1``); a bare ``python -m repro fig1`` is a
+usage error (exit code 2).
 
-Exit codes (shared by run/bench/serve and the perfbench gate — see
-:mod:`repro.api.errors`): 0 success; 2 bad request/configuration (one
-clean line on stderr, never a traceback); 3 grid completed but cells
-permanently failed; 4 perf gate regression.
+Exit codes (shared by run/dse/serve — see :mod:`repro.api.errors`):
+0 success; 2 bad request/configuration (one clean line on stderr, never
+a traceback); 3 grid completed but cells permanently failed.
 
 Fault tolerance (see docs/robustness.md): ``run`` and ``dse`` always
 collect per-cell failures instead of dying on the first one. A grid
@@ -158,17 +156,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list experiment ids")
     sub.add_parser("list-schemes", help="list registered DRAM cache schemes")
-    # `lint` and `bench` are dispatched before parse_args so simlint and
-    # perfbench own their argument surfaces; these entries only make
-    # them show up in --help.
+    # `lint` is dispatched before parse_args so simlint owns its
+    # argument surface; this entry only makes it show up in --help.
     sub.add_parser(
         "lint",
         help="run simlint static analysis (see docs/static-analysis.md)",
-        add_help=False,
-    )
-    sub.add_parser(
-        "bench",
-        help="measure drive-loop throughput (perfbench; see its --help)",
         add_help=False,
     )
 
@@ -470,10 +462,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.analysis.cli import main as lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.harness.perfbench import main as bench_main
-
-        return bench_main(argv[1:])
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()

@@ -126,10 +126,9 @@ def _main(argv: list[str] | None) -> int:
     started = time.perf_counter()
     result = run_lint(paths, rules=rules)
     elapsed = time.perf_counter() - started
-    # perfbench-convention timing line, on stderr so json/sarif stdout
-    # stays machine-parseable.
+    # Timing line on stderr, so json/sarif stdout stays machine-parseable.
     print(
-        f"[perfbench] simlint.run files={result.files_scanned} "
+        f"[simlint] run files={result.files_scanned} "
         f"wall_s={elapsed:.3f}",
         file=sys.stderr,
     )

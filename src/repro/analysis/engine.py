@@ -46,7 +46,6 @@ class LintConfig:
         "obs/*",
         "analysis/*",
         "harness/checkpoint.py",
-        "harness/perfbench.py",
     )
     # slots: modules whose record classes must be allocation-lean.
     slots_modules: tuple[str, ...] = (

@@ -18,7 +18,7 @@ result payload. It runs the interprocedural taint engine of
   (``to_wire``/``encode_line``/``dumps_strict``), and the ``result=``
   payload of a checkpoint ``append``;
 * **sanitizers** — the ``determinism_allow`` module globs (obs,
-  analysis, perfbench bookkeeping): values returned *from* those
+  analysis, checkpoint bookkeeping): values returned *from* those
   modules are trusted, and flows whose sink lives there are exempt;
   ``sorted()`` neutralizes iteration-order taint.
 

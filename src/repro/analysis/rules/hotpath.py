@@ -3,9 +3,9 @@
 The PR 4 timing kernel's throughput rests on the ``*_fast`` entry
 points never hitting the allocator: the drive loop calls them hundreds
 of thousands of times per cell, and one comprehension or closure per
-access erases the batching win and reintroduces gc pauses (tracked per
-cell by ``perfbench``). Inside any function whose name matches
-``*_fast`` this rule bans:
+access erases the batching win and reintroduces gc pauses (repobench's
+traced run reports them as ``gc.gen0_per_krec``). Inside any function
+whose name matches ``*_fast`` this rule bans:
 
 * closures: ``lambda`` and nested ``def``;
 * comprehensions and generator expressions (each allocates a fresh

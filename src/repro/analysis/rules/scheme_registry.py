@@ -1,7 +1,7 @@
 """Rule ``scheme-registry`` — every cache organization is reachable.
 
 The scheme registry (PR 2) replaced the ``build_cache`` if/elif chain;
-since then the CLI, grids and perfbench all resolve schemes by name.
+since then the CLI, grids and benchmarks all resolve schemes by name.
 A concrete ``DRAMCacheBase`` subclass that never reaches
 ``register_scheme`` is dead weight the harness silently cannot
 evaluate — and one that skips the ``_access_fast``/``self._hit``
@@ -37,7 +37,7 @@ class SchemeRegistryRule(Rule):
         "register_scheme and honour the _access_fast/_hit contract"
     )
     rationale = (
-        "The CLI, grids and perfbench resolve cache organizations by "
+        "The CLI, grids and benchmarks resolve cache organizations by "
         "name through the scheme registry. A concrete subclass that "
         "never reaches register_scheme is dead weight the harness "
         "cannot evaluate; one that deviates from the _access_fast "

@@ -28,7 +28,6 @@ from repro.api.errors import (
     ERR_OVERLOADED,
     EXIT_OK,
     EXIT_PARTIAL,
-    EXIT_PERF_GATE,
     EXIT_USAGE,
     RETRYABLE_CODES,
     RequestError,
@@ -98,7 +97,6 @@ __all__ = [
     "ERR_OVERLOADED",
     "EXIT_OK",
     "EXIT_PARTIAL",
-    "EXIT_PERF_GATE",
     "EXIT_USAGE",
     "DseRequest",
     "DseResult",

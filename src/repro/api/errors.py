@@ -1,14 +1,13 @@
 """Error and exit-code contract shared by the CLI, facade and server.
 
 One table of process exit codes, used identically by ``repro run``,
-``repro bench``, ``repro serve`` and the perfbench gate, so scripting
-against any entry point reads the same contract:
+``repro dse`` and ``repro serve``, so scripting against any entry point
+reads the same contract:
 
 ======  ==========================================================
 0       success
 2       bad request/configuration (one-line ``error: ...`` on stderr)
 3       grid completed but one or more cells permanently failed
-4       perf gate: measured throughput regressed below the threshold
 ======  ==========================================================
 
 :class:`RequestError` is how the facade rejects invalid requests; it
@@ -26,7 +25,6 @@ __all__ = [
     "EXIT_OK",
     "EXIT_USAGE",
     "EXIT_PARTIAL",
-    "EXIT_PERF_GATE",
     "ERR_BAD_REQUEST",
     "ERR_BAD_SCHEMA",
     "ERR_DEADLINE",
@@ -41,7 +39,6 @@ __all__ = [
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARTIAL = 3
-EXIT_PERF_GATE = 4
 
 ERR_BAD_REQUEST = "bad-request"
 ERR_BAD_SCHEMA = "bad-schema"

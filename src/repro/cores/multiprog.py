@@ -10,7 +10,8 @@ exactly in proportion to their progress.
 Each program's record stream is read from the shared trace cache
 (:func:`~repro.workloads.trace_cache.program_streams`), so the
 multiprogrammed and standalone runs of every scheme reuse one
-generation of the mix's merged trace.
+generation of the mix's merged trace. A runner splits that trace once,
+on its first drive, and every later drive reuses the split.
 
 The drive keeps each core's interval state in local lists and reads
 only ``.complete`` from ``cache.access``; its totals become
@@ -29,7 +30,7 @@ from repro.common.config import CoreConfig
 from repro.cores.interval import IntervalCore
 from repro.cores.metrics import antt
 from repro.dramcache.base import DRAMCacheBase
-from repro.workloads.generator import ProgramTrace
+from repro.workloads.generator import ProgramTrace, TraceChunk
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.trace_cache import program_streams
 
@@ -80,19 +81,21 @@ class MultiProgramRunner:
         self.accesses_per_core = accesses_per_core
         self.seed = seed
         self.warmup_fraction = warmup_fraction
+        self._programs: list[TraceChunk] | None = None
 
     # ------------------------------------------------------------------
     def _drive(self, program_indices: list[int]) -> RunResult:
         """Run the given subset of the mix's programs on a fresh cache."""
         cache = self.cache_factory()
-        programs = program_streams(
-            self._trace_mix,
-            accesses_per_core=self.accesses_per_core,
-            seed=self.seed,
-            footprint_scale=self.footprint_scale,
-            intensity_scale=self.intensity_scale,
-        )
-        streams = [iter(programs[i]) for i in program_indices]
+        if self._programs is None:
+            self._programs = program_streams(
+                self._trace_mix,
+                accesses_per_core=self.accesses_per_core,
+                seed=self.seed,
+                footprint_scale=self.footprint_scale,
+                intensity_scale=self.intensity_scale,
+            )
+        streams = [iter(self._programs[i]) for i in program_indices]
         ncores = len(program_indices)
 
         # The heap is keyed on each core's *next access arrival time*

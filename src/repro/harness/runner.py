@@ -94,7 +94,7 @@ class ExperimentSetup:
     def trace_records(self, mix: WorkloadMix | str) -> TraceChunk:
         """Merged record arrays for ``mix``, via the trace cache.
 
-        Byte-identical to ``self.trace(mix)``'s record stream; repeated
+        Byte-identical to ``self.trace(mix).materialize()``; repeated
         cells and re-runs skip generation entirely.
         """
         return materialized_trace(
@@ -255,8 +255,8 @@ def _drive_fast(
     for chunk in chunks:
         if not isinstance(chunk, TraceChunk):
             raise TypeError(
-                "drive_cache takes a TraceChunk, a MultiProgramTrace or an "
-                f"iterable of TraceChunks, not an iterable of {type(chunk).__name__}"
+                "drive_cache takes a TraceChunk or an iterable of "
+                f"TraceChunks, not an iterable of {type(chunk).__name__}"
             )
         addresses = chunk.addresses.tolist()
         is_writes = chunk.is_write.tolist()
@@ -299,11 +299,10 @@ def drive_cache(
 ) -> DriveResult:
     """Feed (address, is_write, icount) records with bounded outstanding.
 
-    ``records`` is a :class:`~repro.workloads.generator.TraceChunk`, a
-    :class:`~repro.workloads.trace.MultiProgramTrace` or an iterable of
-    chunks; every form is driven by the same batched loop, and splitting
-    a record stream into chunks never changes the result. Anything else
-    raises :class:`TypeError`.
+    ``records`` is a :class:`~repro.workloads.generator.TraceChunk` or an
+    iterable of chunks; both forms are driven by the same batched loop,
+    and splitting a record stream into chunks never changes the result.
+    Anything else raises :class:`TypeError`.
 
     ``warmup`` > 0 drops all statistics gathered during the first that
     many records (cache contents and predictor training are kept).
@@ -326,8 +325,6 @@ def drive_cache(
     """
     if isinstance(records, TraceChunk):
         records = (records,)
-    elif isinstance(records, MultiProgramTrace):
-        records = records.merged_chunks()
     kwargs = dict(
         window=window,
         min_gap=min_gap,
@@ -353,7 +350,7 @@ def _tap_drive(tracer, cache: DRAMCacheBase, result: DriveResult, wall: float) -
 
     Pull-based: copies counters the simulation already maintains, so
     enabling tracing cannot perturb results (asserted by the
-    byte-identity tests and the perfbench ``traced`` mode).
+    byte-identity tests in ``tests/obs/test_integration.py``).
     """
     per_sec = result.accesses / wall if wall > 0 else 0.0
     tracer.emit(

@@ -18,9 +18,8 @@ matters:
 
 Cost accounting is explicit: one "full simulation equivalent" is one
 full-length scheme×mix drive, a quarter-length run charges 0.25, and
-``stats["speedup"]`` is exhaustive-grid cost over cost actually paid —
-the number the ``mrc`` perfbench mode commits to ``BENCH_perf.json``
-(the acceptance gate requires ≥ 5×).
+``stats["speedup"]`` is exhaustive-grid cost over cost actually paid
+(``scripts/dse_smoke.py`` requires ≥ 5×).
 
 Both phases fan out through :func:`repro.harness.parallel.run_grid`, so
 ``--jobs``, checkpoint/resume and progress events work exactly as they

@@ -10,11 +10,7 @@ from repro.workloads.mixes import (
     mixes_for_cores,
 )
 from repro.workloads.profile import PROGRAM_LIBRARY, ProgramProfile, program
-from repro.workloads.trace import (
-    CORE_ADDRESS_STRIDE,
-    MultiProgramTrace,
-    TraceRecord,
-)
+from repro.workloads.trace import CORE_ADDRESS_STRIDE, MultiProgramTrace
 
 __all__ = [
     "ProgramTrace",
@@ -30,5 +26,4 @@ __all__ = [
     "program",
     "CORE_ADDRESS_STRIDE",
     "MultiProgramTrace",
-    "TraceRecord",
 ]

@@ -11,66 +11,21 @@ stream downstream and applies real cycle times).
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from collections.abc import Iterator
-
 import numpy as np
 
 from repro.workloads.generator import ProgramTrace, TraceChunk
 from repro.workloads.mixes import WorkloadMix
 
-__all__ = ["TraceRecord", "MultiProgramTrace", "CORE_ADDRESS_STRIDE"]
+__all__ = ["MultiProgramTrace", "CORE_ADDRESS_STRIDE"]
 
 # Each core owns a disjoint 64 GB slice of the physical address space.
 CORE_ADDRESS_STRIDE = 1 << 36
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One interleaved access."""
-
-    core: int
-    address: int
-    is_write: bool
-    icount: int  # instructions on this core since its previous access
-
-
-class _CoreStream:
-    """Buffered per-core iterator over chunked trace generation."""
-
-    __slots__ = ("core", "_iter", "_chunk", "_pos", "instr_time")
-
-    def __init__(self, core: int, trace: ProgramTrace, accesses: int) -> None:
-        self.core = core
-        self._iter = trace.chunks(accesses)
-        self._chunk: TraceChunk | None = None
-        self._pos = 0
-        self.instr_time = 0
-
-    def next_record(self) -> TraceRecord | None:
-        if self._chunk is None or self._pos >= len(self._chunk):
-            try:
-                self._chunk = next(self._iter)
-            except StopIteration:
-                return None
-            self._pos = 0
-        i = self._pos
-        self._pos += 1
-        gap = int(self._chunk.icount[i])
-        self.instr_time += gap
-        return TraceRecord(
-            core=self.core,
-            address=int(self._chunk.addresses[i]),
-            is_write=bool(self._chunk.is_write[i]),
-            icount=gap,
-        )
-
-
 class MultiProgramTrace:
     """Instruction-time-ordered merge of a mix's per-core streams."""
 
-    __slots__ = ("mix", "accesses_per_core", "seed", "traces", "_streams")
+    __slots__ = ("mix", "accesses_per_core", "seed")
 
     def __init__(
         self,
@@ -84,51 +39,21 @@ class MultiProgramTrace:
         if accesses_per_core < 1:
             raise ValueError("accesses_per_core must be >= 1")
         scaled = mix.scaled(footprint_scale) if footprint_scale != 1.0 else mix
-        scaled = scaled.with_intensity_scale(intensity_scale)
-        self.mix = scaled
+        self.mix = scaled.with_intensity_scale(intensity_scale)
         self.accesses_per_core = accesses_per_core
         self.seed = seed
-        self.traces = [
-            ProgramTrace(
-                profile,
-                seed=seed + core,
-                base_address=core * CORE_ADDRESS_STRIDE,
-            )
-            for core, profile in enumerate(scaled.programs)
-        ]
-        self._streams = [
-            _CoreStream(core, trace, accesses_per_core)
-            for core, trace in enumerate(self.traces)
-        ]
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        """Yield records ordered by per-core instruction time."""
-        heap: list[tuple[int, int, TraceRecord]] = []
-        for stream in self._streams:
-            record = stream.next_record()
-            if record is not None:
-                heapq.heappush(heap, (stream.instr_time, stream.core, record))
-        while heap:
-            _, core, record = heapq.heappop(heap)
-            yield record
-            stream = self._streams[core]
-            nxt = stream.next_record()
-            if nxt is not None:
-                heapq.heappush(heap, (stream.instr_time, core, nxt))
 
     def materialize(self) -> TraceChunk:
         """The full merged stream as one :class:`TraceChunk`.
 
-        Produces exactly the record sequence :meth:`__iter__` yields, but
-        vectorized: per-core streams are generated in bulk and merged with
-        one stable lexsort on (instruction time, core) — the same key the
-        record-at-a-time heap orders by. Because each core's instruction
-        clock is strictly increasing, the k-way heap merge and the global
-        sort are equivalent, record for record.
-
-        Fresh :class:`ProgramTrace` instances are built from the stored
-        (mix, seed) so materialization does not consume the generator
-        state behind :meth:`__iter__`.
+        Per-core streams are generated in bulk and merged with one stable
+        lexsort on (instruction time, core). Because each core's
+        instruction clock is strictly increasing, the global sort equals
+        a record-at-a-time k-way heap merge on the same key, record for
+        record (``tests/workloads/oracle.py`` keeps that merge as the
+        reference). Each call builds fresh :class:`ProgramTrace`
+        instances from the stored (mix, seed), so repeated calls return
+        the same stream.
         """
         times_parts: list[np.ndarray] = []
         cores_parts: list[np.ndarray] = []
@@ -145,8 +70,8 @@ class MultiProgramTrace:
                 is_write=np.concatenate([p.is_write for p in parts]),
                 icount=np.concatenate([p.icount for p in parts]),
             )
-            # Instruction time *through* each record, matching the heap
-            # key (_CoreStream.instr_time is advanced before the push).
+            # Instruction time *through* each record: a record's own gap
+            # counts toward its key.
             times_parts.append(np.cumsum(chunk.icount, dtype=np.int64))
             cores_parts.append(np.full(len(chunk), core, dtype=np.int32))
             chunks.append(chunk)
@@ -161,17 +86,6 @@ class MultiProgramTrace:
             icount=np.concatenate([c.icount for c in chunks])[order],
         )
 
-    def merged_chunks(self, *, chunk_size: int = 1 << 16) -> Iterator[TraceChunk]:
-        """Chunked view of the merged stream (bounded peak memory)."""
-        merged = self.materialize()
-        for start in range(0, len(merged), chunk_size):
-            stop = start + chunk_size
-            yield TraceChunk(
-                addresses=merged.addresses[start:stop],
-                is_write=merged.is_write[start:stop],
-                icount=merged.icount[start:stop],
-            )
-
     @property
     def total_accesses(self) -> int:
-        return self.accesses_per_core * len(self.traces)
+        return self.accesses_per_core * self.mix.num_cores

@@ -92,11 +92,11 @@ def disk_cache_dir() -> str:
 
 
 def _disk_cap_bytes() -> int:
+    """The disk cap; a value that is not a finite number means 256 MB."""
     try:
-        mb = float(os.environ.get("REPRO_TRACE_CACHE_MB", "256"))
-    except ValueError:
-        mb = 256.0
-    return int(mb * (1 << 20))
+        return int(float(os.environ.get("REPRO_TRACE_CACHE_MB", "256")) * (1 << 20))
+    except (ValueError, OverflowError):  # unparsable, nan or inf
+        return 256 << 20
 
 
 def _mix_fingerprint(mix: WorkloadMix) -> str:

@@ -77,3 +77,18 @@ class TestRuns:
         b = runner.run_multiprogrammed()
         assert a.per_core_cycles == b.per_core_cycles
         assert a.cache is not b.cache
+
+    def test_run_antt_splits_the_trace_once(self, runner, monkeypatch):
+        """All five drives of run_antt reuse the runner's one split."""
+        import repro.cores.multiprog as multiprog
+
+        calls = []
+        split = multiprog.program_streams
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return split(*args, **kwargs)
+
+        monkeypatch.setattr(multiprog, "program_streams", counted)
+        runner.run_antt()
+        assert len(calls) == 1

