@@ -42,14 +42,6 @@ import sys
 from repro import api
 from repro.api.errors import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE
 
-#: Backwards-compatible aliases: scripts and tests import these from
-#: here; the canonical definitions live in :mod:`repro.api`.
-EXIT_CELL_FAILURES = EXIT_PARTIAL
-_EXPERIMENTS: dict[str, tuple[str, bool, int, str]] = {
-    spec.name: (spec.attr, spec.needs_setup, spec.default_cores, spec.description)
-    for spec in api.experiment_catalog().values()
-}
-
 
 def _request_flags(parser: argparse.ArgumentParser, *, cores: int | None) -> None:
     """The flags ``run`` and ``dse`` share (``cores`` is the default)."""

@@ -35,7 +35,7 @@ class LintConfig:
     values to :func:`run_lint` to point a rule at fixture modules.
     Globs match either the repo-relative path (``src/repro/dram/bank.py``)
     or the package-relative one (``dram/bank.py``), see
-    :meth:`SourceFile.matches`.
+    :func:`~repro.analysis.model.matches_any`.
     """
 
     # determinism: modules allowed to touch wall clock / ambient entropy
@@ -55,7 +55,6 @@ class LintConfig:
         "dram/*.py",
         "dramcache/*.py",
         "common/stats.py",
-        "workloads/trace.py",
     )
     # api-stability: modules holding the frozen wire dataclasses, and
     # globs where constructing them directly is allowed (the facade and

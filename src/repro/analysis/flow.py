@@ -5,14 +5,15 @@ Three layers, each feeding the next:
 * **Fact extraction** — one AST pass per module produces a
   :class:`ModuleFacts`: every function (including a synthetic
   ``<module>`` body), its calls, a condensed def-use skeleton
-  (assignments and returns as lists of *dep tokens*), ambient-entropy
-  source events, and an import table that resolves relative imports.
+  (assignments and returns as lists of *dependencies*), ambient-entropy
+  source events, each class's base names, and an import table that
+  resolves relative imports.
 
 * **Call graph** — :class:`CallGraph` resolves each call fact to a
   project function where it can (``from repro.x import f`` member
   imports, same-module names, ``self.method`` through the class
-  hierarchy, ``alias.f`` module attributes) and keeps the dotted
-  external name otherwise (``time.sleep``). Function *references*
+  hierarchy, ``alias.f`` module attributes); a call it cannot resolve
+  (``time.sleep``) makes no edge. Function *references*
   passed as arguments (``to_thread(self._flush)``) become ``deferred``
   edges: the callee runs, but not on the caller's stack — the
   async-safety rule must not follow them, the fork-safety rule must.
@@ -25,10 +26,10 @@ Three layers, each feeding the next:
   order taints) cut flows; everything external passes taint through
   conservatively (``round(time.time())`` is still wall-clock).
 
-Dep tokens are compact strings: ``n:x`` (local name), ``c:3`` (result
-of call #3 in this function), ``s:wallclock:17`` (source event of a
-kind at a line). Parameters are just names; the summary computation
-seeds them with symbolic kinds.
+A dependency is typed: a ``str`` is a local name, an ``int`` the
+result of the function's call with that index, and a one-tuple
+``(kind,)`` an ambient source of that kind. Parameters are just names;
+the summary computation seeds each with its index.
 
 The analysis is intentionally name-based and flow-insensitive inside a
 function: it trades soundness-in-the-limit for zero configuration and
@@ -41,12 +42,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from fnmatch import fnmatch
+
+from repro.analysis.model import matches_any, simple_base_name
 
 __all__ = [
     "CallFact",
     "FunctionFact",
-    "ClassFact",
     "ModuleFacts",
     "attr_chain",
     "extract_facts",
@@ -100,6 +101,10 @@ _EXECUTOR_WRAPPERS = {
 # ---------------------------------------------------------------------------
 # facts dataclasses
 # ---------------------------------------------------------------------------
+#: A local name, a call's index in its function, or a one-tuple source kind.
+Dep = str | int | tuple[str]
+
+
 @dataclass
 class CallFact:
     """One call expression inside a function."""
@@ -110,8 +115,8 @@ class CallFact:
     awaited: bool = False
     discarded: bool = False         # statement expression, value unused
     base_call: int | None = None    # chain hangs off call #N: a.submit(x).result()
-    arg_deps: tuple[tuple[str, ...], ...] = ()   # dep tokens per positional arg
-    kw_deps: tuple[tuple[str, tuple[str, ...]], ...] = ()  # (kwarg, deps)
+    arg_deps: tuple[tuple[Dep, ...], ...] = ()   # deps per positional arg
+    kw_deps: tuple[tuple[str, tuple[Dep, ...]], ...] = ()  # (kwarg, deps)
     func_refs: tuple[str, ...] = () # uncalled Name/Attribute args, dotted as written
 
 
@@ -126,18 +131,14 @@ class FunctionFact:
     is_async: bool
     params: tuple[str, ...]
     calls: tuple[CallFact, ...] = ()
-    assigns: tuple[tuple[str, tuple[str, ...]], ...] = ()  # (target, deps)
-    returns: tuple[str, ...] = ()   # union of return-expression deps
-    self_attr_assigns: tuple[tuple[str, int, tuple[str, ...]], ...] = ()
+    assigns: tuple[tuple[str, tuple[Dep, ...]], ...] = ()  # (target, deps)
+    returns: tuple[Dep, ...] = ()   # union of return-expression deps
+    self_attr_assigns: tuple[tuple[str, int, tuple[Dep, ...]], ...] = ()
     free_names: tuple[str, ...] = ()  # read but neither param nor assigned
 
-
-@dataclass
-class ClassFact:
-    name: str
-    lineno: int
-    bases: tuple[str, ...]          # simple (last-attr) names
-    methods: tuple[str, ...]
+    def calls_in(self, deps: tuple[Dep, ...]) -> list[CallFact]:
+        """The calls whose results ``deps`` carries."""
+        return [self.calls[dep] for dep in deps if isinstance(dep, int)]
 
 
 @dataclass
@@ -146,13 +147,14 @@ class ModuleFacts:
     rel: str                        # repo-relative posix path
     pkgrel: str                     # package-relative path (config globs)
     functions: tuple[FunctionFact, ...] = ()
-    classes: tuple[ClassFact, ...] = ()
+    # class name -> simple base names; the first definition wins.
+    bases: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # local alias -> dotted target; members resolved to "module.member".
     imports: dict[str, str] = field(default_factory=dict)
 
 
 def resolve_with_imports(imports: dict[str, str],
-                         chain: tuple[str, ...]) -> str | None:
+                         chain: tuple[str, ...] | None) -> str | None:
     """Dotted name of ``a.b.c`` after applying a module's import table.
 
     A single name that is not imported stays as written (a builtin or a
@@ -209,47 +211,47 @@ class _FunctionExtractor:
         self.fact_args = dict(qualname=qualname, name=name, cls=cls,
                               lineno=lineno, is_async=is_async, params=params)
         self.calls: list[CallFact] = []
-        self.assigns: list[tuple[str, tuple[str, ...]]] = []
-        self.returns: set[str] = set()
-        self.self_attrs: list[tuple[str, int, tuple[str, ...]]] = []
+        self.assigns: list[tuple[str, tuple[Dep, ...]]] = []
+        self.returns: set[Dep] = set()
+        self.self_attrs: list[tuple[str, int, tuple[Dep, ...]]] = []
         self.reads: set[str] = set()
 
     # -- dep computation ---------------------------------------------------
     def deps(self, node: ast.expr | None, *, awaited: bool = False,
-             discarded: bool = False) -> list[str]:
-        """Dep tokens of an expression, registering calls on the way."""
+             discarded: bool = False) -> list[Dep]:
+        """Dependencies of an expression, registering calls on the way."""
         if node is None:
             return []
         if isinstance(node, ast.Await):
             return self.deps(node.value, awaited=True, discarded=discarded)
         if isinstance(node, ast.Name):
             self.reads.add(node.id)
-            return [f"n:{node.id}"]
+            return [node.id]
         if isinstance(node, ast.Call):
-            return [f"c:{self._register_call(node, awaited, discarded)}"]
+            return [self._register_call(node, awaited, discarded)]
         if isinstance(node, ast.Attribute):
             chain = attr_chain(node)
             if chain is not None:
                 self.reads.add(chain[0])
-                resolved = self.owner.resolve_chain(chain)
-                kind = SOURCE_KINDS.get(resolved or "")
-                base = [f"n:{chain[0]}"]
+                resolved = resolve_with_imports(self.owner.imports, chain)
+                kind = SOURCE_KINDS.get(resolved)
+                base: list[Dep] = [chain[0]]
                 # bare ``os.environ`` attribute read (no call, no index)
                 if resolved == "os.environ":
-                    base.append(f"s:environment:{node.lineno}")
+                    base.append(("environment",))
                 if kind:
-                    base.append(f"s:{kind}:{node.lineno}")
+                    base.append((kind,))
                 return base
             return self.deps(node.value)
         if isinstance(node, ast.Subscript):
             out = self.deps(node.value)
             out += self.deps(node.slice)
             chain = attr_chain(node.value)
-            if chain and self.owner.resolve_chain(chain) == "os.environ":
-                out.append(f"s:environment:{node.lineno}")
+            if resolve_with_imports(self.owner.imports, chain) == "os.environ":
+                out.append(("environment",))
             return out
         if isinstance(node, (ast.Set,)):
-            out = [f"s:set-order:{node.lineno}"]
+            out = [("set-order",)]
             for elt in node.elts:
                 out += self.deps(elt)
             return out
@@ -265,15 +267,15 @@ class _FunctionExtractor:
                 if isinstance(sub, ast.Name) and sub.id not in bound
             }
             self.reads.update(free)
-            inner += [f"n:{name}" for name in sorted(free)]
-            return [d for d in inner if not (d.startswith("n:") and d[2:] in bound)]
+            inner += sorted(free)
+            return [d for d in inner if d not in bound]
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
                              ast.GeneratorExp)):
-            out: list[str] = []
+            out: list[Dep] = []
             for gen in node.generators:
                 out += self.deps(gen.iter)
                 if isinstance(gen.iter, (ast.Set,)) or self._is_set_call(gen.iter):
-                    out.append(f"s:set-order:{node.lineno}")
+                    out.append(("set-order",))
             if isinstance(node, ast.DictComp):
                 out += self.deps(node.key) + self.deps(node.value)
             else:
@@ -322,10 +324,9 @@ class _FunctionExtractor:
                 ref = attr_chain(kw.value)
                 if ref:
                     func_refs.append(".".join(ref))
-        resolved = self.owner.resolve_chain(chain) if chain else None
         fact = CallFact(
             chain=chain or ("<expr>",),
-            resolved=resolved,
+            resolved=resolve_with_imports(self.owner.imports, chain),
             lineno=node.lineno,
             awaited=awaited,
             discarded=discarded,
@@ -350,7 +351,7 @@ class _FunctionExtractor:
                 stmt, parent_qual=self.fact_args["qualname"],
                 cls=self.fact_args["cls"],
             )
-            self.assigns.append((stmt.name, (f"n:{stmt.name}",)))
+            self.assigns.append((stmt.name, (stmt.name,)))
             return
         if isinstance(stmt, ast.ClassDef):
             self.owner.extract_class(stmt, parent_qual=self.fact_args["qualname"])
@@ -375,7 +376,7 @@ class _FunctionExtractor:
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             deps = list(self.deps(stmt.iter))
             if isinstance(stmt.iter, ast.Set) or self._is_set_call(stmt.iter):
-                deps.append(f"s:set-order:{stmt.lineno}")
+                deps.append(("set-order",))
             self._assign_target(stmt.target, tuple(deps), stmt.lineno)
             self.walk_body(stmt.body)
             self.walk_body(stmt.orelse)
@@ -390,11 +391,6 @@ class _FunctionExtractor:
         if isinstance(stmt, ast.Expr):
             self.deps(stmt.value, discarded=True)
             return
-        if isinstance(stmt, (ast.If, ast.While)):
-            self.deps(stmt.test)
-            self.walk_body(stmt.body)
-            self.walk_body(stmt.orelse)
-            return
         if isinstance(stmt, ast.Try):
             self.walk_body(stmt.body)
             for handler in stmt.handlers:
@@ -402,19 +398,18 @@ class _FunctionExtractor:
             self.walk_body(stmt.orelse)
             self.walk_body(stmt.finalbody)
             return
-        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            return  # module-level imports handled by the owner
+        # everything else (if/while, imports, ...): children in source order
         for child in ast.iter_child_nodes(stmt):
             if isinstance(child, ast.expr):
                 self.deps(child)
             elif isinstance(child, ast.stmt):
                 self.walk_stmt(child)
 
-    def _assign_target(self, target: ast.expr, deps: tuple[str, ...],
+    def _assign_target(self, target: ast.expr, deps: tuple[Dep, ...],
                        lineno: int, *, augment: bool = False) -> None:
         if isinstance(target, ast.Name):
             if augment:
-                deps = deps + (f"n:{target.id}",)
+                deps = deps + (target.id,)
             self.assigns.append((target.id, deps))
         elif isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
@@ -432,7 +427,7 @@ class _FunctionExtractor:
                 # stats["k"] = tainted  — weak update: the container now
                 # carries the value's taint alongside whatever it held.
                 self.reads.add(chain[0])
-                self.assigns.append((chain[0], deps + (f"n:{chain[0]}",)))
+                self.assigns.append((chain[0], deps + (chain[0],)))
             elif chain is not None and chain[0] == "self" and len(chain) == 2:
                 self.self_attrs.append((chain[1], lineno, deps))
             else:
@@ -446,7 +441,7 @@ class _FunctionExtractor:
         return FunctionFact(
             calls=tuple(self.calls),
             assigns=tuple(self.assigns),
-            returns=tuple(sorted(self.returns)),
+            returns=tuple(sorted(self.returns, key=str)),
             self_attr_assigns=tuple(self.self_attrs),
             free_names=tuple(free),
             **self.fact_args,
@@ -454,12 +449,10 @@ class _FunctionExtractor:
 
 
 class _ModuleExtractor:
-    def __init__(self, tree: ast.AST, module: str, rel: str, pkgrel: str):
+    def __init__(self, tree: ast.AST, module: str):
         self.module = module
-        self.rel = rel
-        self.pkgrel = pkgrel
         self.functions: list[FunctionFact] = []
-        self.classes: list[ClassFact] = []
+        self.bases: dict[str, tuple[str, ...]] = {}
         self.imports: dict[str, str] = {}
         self._collect_imports(tree)
         body = _FunctionExtractor(self, "<module>", "<module>", None, 1, False, ())
@@ -489,12 +482,6 @@ class _ModuleExtractor:
                     local = alias.asname or alias.name
                     self.imports[local] = f"{base}.{alias.name}"
 
-    def resolve_chain(self, chain: tuple[str, ...] | None) -> str | None:
-        """Dotted name of ``a.b.c`` after applying the import table."""
-        if not chain:
-            return None
-        return resolve_with_imports(self.imports, chain)
-
     # -- defs --------------------------------------------------------------
     def extract_function(self, node, *, parent_qual: str | None = None,
                          cls: str | None = None) -> None:
@@ -513,16 +500,8 @@ class _ModuleExtractor:
         self.functions.append(fx.finish())
 
     def extract_class(self, node: ast.ClassDef, *, parent_qual: str) -> None:
-        bases = []
-        for base in node.bases:
-            chain = attr_chain(base if not isinstance(base, ast.Subscript)
-                               else base.value)
-            if chain:
-                bases.append(chain[-1])
-        methods = []
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                methods.append(item.name)
                 self.extract_function(item, parent_qual=node.name, cls=node.name)
             elif isinstance(item, ast.ClassDef):
                 self.extract_class(item, parent_qual=node.name)
@@ -534,20 +513,17 @@ class _ModuleExtractor:
                 fact = fx.finish()
                 if fact.calls or fact.assigns:
                     self.functions.append(fact)
-        self.classes.append(ClassFact(
-            name=node.name, lineno=node.lineno,
-            bases=tuple(bases), methods=tuple(methods),
-        ))
+        self.bases.setdefault(node.name, tuple(
+            name for name in map(simple_base_name, node.bases) if name))
 
 
 def extract_facts(tree: ast.AST, rel: str, pkgrel: str) -> ModuleFacts:
     """One-pass fact extraction for a parsed module."""
     module = module_name_for(rel)
-    mx = _ModuleExtractor(tree, module, rel, pkgrel)
+    mx = _ModuleExtractor(tree, module)
     return ModuleFacts(
         module=module, rel=rel, pkgrel=pkgrel,
-        functions=tuple(mx.functions), classes=tuple(mx.classes),
-        imports=mx.imports,
+        functions=tuple(mx.functions), bases=mx.bases, imports=mx.imports,
     )
 
 
@@ -559,24 +535,22 @@ class CallSite:
     """One resolved edge occurrence: caller calls ``target`` at a line."""
 
     caller: str        # function key "module:qualname"
-    target: str        # function key, or external dotted name
+    target: str        # function key
     rel: str           # caller's file
     lineno: int
-    external: bool
     deferred: bool     # reference handed to an executor/task, not a stack call
 
 
 class CallGraph:
     """Project-wide call graph over :class:`ModuleFacts`.
 
-    Function keys are ``"module:qualname"``. External targets (stdlib,
-    third-party) keep their dotted name and ``external=True`` on the
-    edge; reachability walks only project functions.
+    Function keys are ``"module:qualname"``. Only calls that resolve to
+    a project function make edges; external targets (stdlib,
+    third-party) stay on the :class:`CallFact` as its ``resolved`` name.
     """
 
     def __init__(self, modules: list[ModuleFacts]):
         self.modules = {m.module: m for m in modules}
-        self.by_rel = {m.rel: m for m in modules}
         self.functions: dict[str, FunctionFact] = {}
         self.facts_of: dict[str, ModuleFacts] = {}
         self._methods: dict[tuple[str, str], str] = {}   # (class, meth) -> key
@@ -588,8 +562,8 @@ class CallGraph:
                 self.facts_of[key] = mod
                 if fn.cls is not None and fn.qualname == f"{fn.cls}.{fn.name}":
                     self._methods[(fn.cls, fn.name)] = key
-            for cls in mod.classes:
-                self._class_bases.setdefault(cls.name, cls.bases)
+            for name, bases in mod.bases.items():
+                self._class_bases.setdefault(name, bases)
         # (class, attr) -> class of the value, for ``self.attr = Cls(...)``
         # assignments — lets ``self.store.incomplete()`` resolve through
         # the attribute's constructor type.
@@ -599,12 +573,8 @@ class CallGraph:
                 if fn.cls is None:
                     continue
                 for attr, _lineno, deps in fn.self_attr_assigns:
-                    for dep in deps:
-                        if not dep.startswith("c:"):
-                            continue
-                        call = fn.calls[int(dep[2:])]
-                        cls_name = (call.resolved or "").rpartition(".")[2] \
-                            or (call.resolved or "")
+                    for call in fn.calls_in(deps):
+                        cls_name = (call.resolved or "").rpartition(".")[2]
                         if cls_name in self._class_bases:
                             self._attr_class[(fn.cls, attr)] = cls_name
         self.edges: dict[str, list[CallSite]] = {}
@@ -622,35 +592,21 @@ class CallGraph:
             attr_cls = self._attr_class.get((fn.cls, chain[1]))
             if attr_cls is not None:
                 return self._resolve_method(attr_cls, chain[2])
-        if call.resolved:
-            target = call.resolved
-            # member import / module attribute: "pkg.mod.func"
-            if "." in target:
-                mod_name, _, attr = target.rpartition(".")
-                owner = self.modules.get(mod_name)
-                if owner is not None:
-                    key = f"{mod_name}:{attr}"
-                    if key in self.functions:
-                        return key
-                    # class constructor or re-export: try __init__
-                    key = f"{mod_name}:{attr}.__init__"
-                    if key in self.functions:
-                        return key
-                # import of a name re-exported through a package __init__
-                owner = self.modules.get(target)
-            else:
-                key = f"{mod.module}:{target}"
-                if key in self.functions:
-                    return key
-                # nested function of the caller
-                key = f"{mod.module}:{fn.qualname}.{target}"
-                if key in self.functions:
-                    return key
-                # class in same module -> constructor
-                key = f"{mod.module}:{target}.__init__"
-                if key in self.functions:
-                    return key
-        return None
+        target = call.resolved
+        if not target:
+            return None
+        if "." in target:
+            # member import / module attribute "pkg.mod.func", or a
+            # class constructor there
+            mod_name, _, attr = target.rpartition(".")
+            keys = (f"{mod_name}:{attr}", f"{mod_name}:{attr}.__init__")
+        else:
+            # same-module function, nested function of the caller, or
+            # same-module class constructor
+            keys = (f"{mod.module}:{target}",
+                    f"{mod.module}:{fn.qualname}.{target}",
+                    f"{mod.module}:{target}.__init__")
+        return next((key for key in keys if key in self.functions), None)
 
     def _resolve_method(self, cls: str, meth: str) -> str | None:
         seen: set[str] = set()
@@ -677,26 +633,20 @@ class CallGraph:
     def _edges_for(self, key: str, fn: FunctionFact):
         mod = self.facts_of[key]
         for call in fn.calls:
-            tail = call.chain[-1]
-            deferred_refs = tail in _EXECUTOR_WRAPPERS
             target = self.resolve_project(mod, fn, call)
             if target is not None:
-                yield CallSite(key, target, mod.rel, call.lineno,
-                               external=False, deferred=False)
-            elif call.resolved is not None:
-                yield CallSite(key, call.resolved, mod.rel, call.lineno,
-                               external=True, deferred=False)
-            if deferred_refs:
+                yield CallSite(key, target, mod.rel, call.lineno, deferred=False)
+            if call.chain[-1] in _EXECUTOR_WRAPPERS:
                 for ref in call.func_refs:
                     rkey = self.resolve_ref(mod, fn, ref)
                     if rkey is not None:
                         yield CallSite(key, rkey, mod.rel, call.lineno,
-                                       external=False, deferred=True)
+                                       deferred=True)
 
     # -- queries -----------------------------------------------------------
     def callees(self, key: str, *, deferred: bool = False) -> list[CallSite]:
         return [e for e in self.edges.get(key, ())
-                if not e.external and (deferred or not e.deferred)]
+                if deferred or not e.deferred]
 
     def reach(self, root: str, *, deferred: bool = False) -> dict[str, CallSite]:
         """``{reached key: first edge on a shortest path}`` from ``root``."""
@@ -741,8 +691,8 @@ class SinkSpec:
 
     ``kind`` labels the report; a sink matches a call when the resolved
     name is in ``resolved`` or the chain tail is in ``tails`` (with all
-    of ``require_kwargs`` present). ``args`` restricts which positional
-    / keyword values are checked (empty = all).
+    of ``require_kwargs`` present). ``kwargs_only`` restricts the check
+    to those keyword values (empty = every argument).
     """
 
     kind: str
@@ -761,13 +711,14 @@ class TaintFinding:
     lineno: int
     sink_kind: str
     kinds: tuple[str, ...]          # source kinds that arrived
-    via: str                        # human trail: "through helper f (x.py:3)"
-    function: str                   # enclosing function key
+    via: str                        # human trail: "arg 0 of flatten()"
 
 
 class TaintAnalysis:
     """Interprocedural taint over the def-use skeletons.
 
+    A taint set holds source kinds (``str``) and, while a function is
+    summarized, the indices (``int``) of the parameters that flow in.
     Summaries per function: ``ret_kinds`` (source kinds its return
     always carries), ``ret_params`` (parameter indices flowing to the
     return), ``param_sinks`` (parameter index -> sink hits below this
@@ -778,41 +729,33 @@ class TaintAnalysis:
     _MAX_ROUNDS = 12
 
     def __init__(self, graph: CallGraph, sinks: list[SinkSpec],
-                 sanitizer_globs: tuple[str, ...],
-                 scope_skip_globs: tuple[str, ...] = ()):
+                 sanitizer_globs: tuple[str, ...]):
         self.graph = graph
         self.sinks = sinks
         self.sanitizer_globs = sanitizer_globs
-        self.scope_skip_globs = scope_skip_globs
         self.ret_kinds: dict[str, frozenset[str]] = {}
         self.ret_params: dict[str, frozenset[int]] = {}
         self.param_sinks: dict[str, dict[int, list[tuple[str, str, int]]]] = {}
-        self._return_sink_names = set()
+        # function name -> kind of the first sink whose return it is
+        self._return_sinks: dict[str, str] = {}
         for sink in sinks:
-            self._return_sink_names |= set(sink.return_of)
+            for name in sink.return_of:
+                self._return_sinks.setdefault(name, sink.kind)
         self._fixpoint()
 
-    # -- module roles ------------------------------------------------------
     def _is_sanitizer_module(self, mod: ModuleFacts) -> bool:
-        return any(fnmatch(mod.rel, g) or fnmatch(mod.pkgrel, g)
-                   for g in self.sanitizer_globs)
-
-    def _in_scope(self, mod: ModuleFacts) -> bool:
-        if self._is_sanitizer_module(mod):
-            return False
-        return not any(fnmatch(mod.rel, g) or fnmatch(mod.pkgrel, g)
-                       for g in self.scope_skip_globs)
+        return matches_any(mod, self.sanitizer_globs)
 
     # -- name-level propagation inside one function ------------------------
     def _call_taint(self, key: str, fn: FunctionFact, call_idx: int,
-                    name_taint: dict[str, frozenset[str]],
-                    param_syms: dict[str, str]) -> frozenset[str]:
+                    name_taint: dict[str, frozenset],
+                    param_syms: dict[str, int]) -> frozenset:
         call = fn.calls[call_idx]
         mod = self.graph.facts_of[key]
         target = self.graph.resolve_project(mod, fn, call)
         arg_taints = [self._deps_taint(key, fn, deps, name_taint, param_syms)
                       for deps in call.arg_deps]
-        union_args: frozenset[str] = frozenset().union(*arg_taints) \
+        union_args: frozenset = frozenset().union(*arg_taints) \
             if arg_taints else frozenset()
         if target is not None:
             if self._is_sanitizer_module(self.graph.facts_of[target]):
@@ -846,21 +789,20 @@ class TaintAnalysis:
         # unknown external: conservative pass-through of argument taint
         return union_args
 
-    def _deps_taint(self, key: str, fn: FunctionFact, deps: tuple[str, ...],
-                    name_taint: dict[str, frozenset[str]],
-                    param_syms: dict[str, str]) -> frozenset[str]:
-        out: set[str] = set()
-        for token in deps:
-            if token.startswith("n:"):
-                name = token[2:]
-                out |= name_taint.get(name, frozenset())
-                if name in param_syms:
-                    out.add(param_syms[name])
-            elif token.startswith("c:"):
-                out |= self._cached_call_taint(key, fn, int(token[2:]),
-                                               name_taint, param_syms)
-            elif token.startswith("s:"):
-                out.add(token.split(":")[1])
+    def _deps_taint(self, key: str, fn: FunctionFact, deps: tuple[Dep, ...],
+                    name_taint: dict[str, frozenset],
+                    param_syms: dict[str, int]) -> frozenset:
+        out: set = set()
+        for dep in deps:
+            if isinstance(dep, str):
+                out |= name_taint.get(dep, frozenset())
+                if dep in param_syms:
+                    out.add(param_syms[dep])
+            elif isinstance(dep, int):
+                out |= self._cached_call_taint(key, fn, dep, name_taint,
+                                               param_syms)
+            else:
+                out.add(dep[0])
         return frozenset(out)
 
     def _cached_call_taint(self, key, fn, idx, name_taint, param_syms):
@@ -873,8 +815,8 @@ class TaintAnalysis:
 
     def _analyze_function(self, key: str, fn: FunctionFact):
         """(name_taint, param_syms) after intra-function fixpoint."""
-        param_syms = {name: f"@p{i}" for i, name in enumerate(fn.params)}
-        name_taint: dict[str, frozenset[str]] = {}
+        param_syms = {name: i for i, name in enumerate(fn.params)}
+        name_taint: dict[str, frozenset] = {}
         for _ in range(4):
             self._call_cache: dict = {}
             changed = False
@@ -900,26 +842,35 @@ class TaintAnalysis:
                 name_taint, param_syms = self._analyze_function(key, fn)
                 ret = self._deps_taint(key, fn, fn.returns, name_taint,
                                        param_syms)
-                kinds = frozenset(k for k in ret if not k.startswith("@p"))
-                params = frozenset(int(k[2:]) for k in ret if k.startswith("@p"))
+                kinds = frozenset(k for k in ret if isinstance(k, str))
+                params = frozenset(k for k in ret if isinstance(k, int))
                 if kinds != self.ret_kinds.get(key, frozenset()):
                     self.ret_kinds[key] = kinds
                     changed = True
                 if params != self.ret_params.get(key, frozenset()):
                     self.ret_params[key] = params
                     changed = True
-                sink_map = self._collect_param_sinks(key, fn, name_taint,
-                                                     param_syms)
+                sink_map = self._param_sink_map(key, fn, name_taint, param_syms)
                 if sink_map != self.param_sinks.get(key, {}):
                     self.param_sinks[key] = sink_map
                     changed = True
             if not changed:
                 break
 
-    def _sink_hits(self, fn: FunctionFact, call: CallFact,
-                   mod: ModuleFacts):
+    def _param_sink_map(self, key, fn, name_taint, param_syms):
+        """Parameter index -> the sinks its value reaches, in flow order."""
+        out: dict[int, list[tuple[str, str, int]]] = {}
+        for taint, sink_kind, rel, lineno, _, _ in self._sink_flows(
+                key, fn, name_taint, param_syms):
+            for idx in taint:
+                if isinstance(idx, int):
+                    hits = out.setdefault(idx, [])
+                    if (sink_kind, rel, lineno) not in hits:
+                        hits.append((sink_kind, rel, lineno))
+        return out
+
+    def _sink_hits(self, call: CallFact, target: str | None):
         """(sink, checked (label, deps) pairs) for a matching call."""
-        target = self.graph.resolve_project(mod, fn, call)
         resolved = call.resolved or ""
         tail = call.chain[-1]
         kw_names = {k for k, _ in call.kw_deps}
@@ -948,97 +899,52 @@ class TaintAnalysis:
                     pairs.append((f"{name}=", deps))
             yield sink, pairs
 
-    def _collect_param_sinks(self, key, fn, name_taint, param_syms):
-        mod = self.graph.facts_of[key]
-        out: dict[int, list[tuple[str, str, int]]] = {}
+    def _sink_flows(self, key, fn, name_taint, param_syms):
+        """Every value that reaches a sink in one function.
 
-        def note(sym_kinds, sink_kind, rel, lineno):
-            for kind in sym_kinds:
-                idx = int(kind[2:])
-                hits = out.setdefault(idx, [])
-                entry = (sink_kind, rel, lineno)
-                if entry not in hits:
-                    hits.append(entry)
+        Yields ``(taint, sink kind, sink file, sink line, line, via)``
+        for a sink call's checked arguments, for an argument bound to a
+        callee parameter that reaches a sink below it, and for a return
+        sink's return value; ``line`` is where the flow leaves ``fn``.
+        """
+        mod = self.graph.facts_of[key]
+
+        def taint(deps):
+            return self._deps_taint(key, fn, deps, name_taint, param_syms)
 
         for call in fn.calls:
-            for sink, pairs in self._sink_hits(fn, call, mod):
-                for _, deps in pairs:
-                    taint = self._deps_taint(key, fn, deps, name_taint,
-                                             param_syms)
-                    note({k for k in taint if k.startswith("@p")},
-                         sink.kind, mod.rel, call.lineno)
-            # propagate through callees' param_sinks
+            name = ".".join(call.chain)
             target = self.graph.resolve_project(mod, fn, call)
-            if target is None:
-                continue
+            for sink, pairs in self._sink_hits(call, target):
+                for label, deps in pairs:
+                    yield (taint(deps), sink.kind, mod.rel, call.lineno,
+                           call.lineno, f"{label} of {name}()")
             callee_sinks = self.param_sinks.get(target, {})
             for i, deps in enumerate(call.arg_deps):
                 if i not in callee_sinks:
                     continue
-                taint = self._deps_taint(key, fn, deps, name_taint, param_syms)
-                for sk, rel, ln in callee_sinks[i]:
-                    note({k for k in taint if k.startswith("@p")}, sk, rel, ln)
-        if fn.name in self._return_sink_names:
-            ret = self._deps_taint(key, fn, fn.returns, name_taint, param_syms)
-            note({k for k in ret if k.startswith("@p")},
-                 self._return_sink_kind(fn.name), mod.rel, fn.lineno)
-        return out
-
-    def _return_sink_kind(self, fn_name: str) -> str:
-        for sink in self.sinks:
-            if fn_name in sink.return_of:
-                return sink.kind
-        return "sink"
+                arg_taint = taint(deps)
+                for sink_kind, rel, lineno in callee_sinks[i]:
+                    yield (arg_taint, sink_kind, rel, lineno, call.lineno,
+                           f"arg {i} of {name}() reaches the sink at "
+                           f"{rel}:{lineno}")
+        sink_kind = self._return_sinks.get(fn.name)
+        if sink_kind is not None:
+            yield (taint(fn.returns), sink_kind, mod.rel, fn.lineno,
+                   fn.lineno, f"return value of {fn.qualname}")
 
     # -- findings ----------------------------------------------------------
     def findings(self) -> list[TaintFinding]:
         out: list[TaintFinding] = []
         for key, fn in self.graph.functions.items():
             mod = self.graph.facts_of[key]
-            if not self._in_scope(mod):
+            if self._is_sanitizer_module(mod):
                 continue
             name_taint, param_syms = self._analyze_function(key, fn)
-            real = lambda ts: tuple(sorted(  # noqa: E731
-                k for k in ts if not k.startswith("@p")))
-            for call in fn.calls:
-                for sink, pairs in self._sink_hits(fn, call, mod):
-                    for label, deps in pairs:
-                        kinds = real(self._deps_taint(
-                            key, fn, deps, name_taint, param_syms))
-                        if kinds:
-                            out.append(TaintFinding(
-                                rel=mod.rel, lineno=call.lineno,
-                                sink_kind=sink.kind, kinds=kinds,
-                                via=f"{label} of {'.'.join(call.chain)}()",
-                                function=key,
-                            ))
-                target = self.graph.resolve_project(mod, fn, call)
-                if target is None:
-                    continue
-                callee_sinks = self.param_sinks.get(target, {})
-                for i, deps in enumerate(call.arg_deps):
-                    if i not in callee_sinks:
-                        continue
-                    kinds = real(self._deps_taint(key, fn, deps, name_taint,
-                                                  param_syms))
-                    if not kinds:
-                        continue
-                    for sk, rel, ln in callee_sinks[i]:
-                        out.append(TaintFinding(
-                            rel=mod.rel, lineno=call.lineno, sink_kind=sk,
-                            kinds=kinds,
-                            via=(f"arg {i} of {'.'.join(call.chain)}() "
-                                 f"reaches the sink at {rel}:{ln}"),
-                            function=key,
-                        ))
-            if fn.name in self._return_sink_names:
-                kinds = real(self._deps_taint(key, fn, fn.returns, name_taint,
-                                              param_syms))
+            for taint, sink_kind, _, _, lineno, via in self._sink_flows(
+                    key, fn, name_taint, param_syms):
+                kinds = tuple(sorted(k for k in taint if isinstance(k, str)))
                 if kinds:
-                    out.append(TaintFinding(
-                        rel=mod.rel, lineno=fn.lineno,
-                        sink_kind=self._return_sink_kind(fn.name),
-                        kinds=kinds, via=f"return value of {fn.qualname}",
-                        function=key,
-                    ))
+                    out.append(TaintFinding(mod.rel, lineno, sink_kind,
+                                            kinds, via))
         return out

@@ -7,9 +7,15 @@ Three layers:
 * :class:`SourceFile` — a parsed module: source text, AST and per-line
   ``# simlint: off=<rule>`` suppressions (imports are resolved by
   :mod:`repro.analysis.flow`);
-* :class:`ProjectModel` — the cross-file view (class hierarchy,
-  dataclass inventory, scheme-registry instantiations) that the
-  project-level rules (scheme-registry, slots) query.
+* :class:`ProjectModel` — the cross-file view that the project-level
+  rules query: the class hierarchy, dataclass inventory and
+  scheme-registry instantiations, the flow layer's facts and call
+  graph, and :meth:`ProjectModel.violation` to anchor a finding at a
+  file and line.
+
+:func:`matches_any` tests a module against config globs and
+:func:`simple_base_name` reads a class base's name; the flow layer uses
+both.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from fnmatch import fnmatch
 from pathlib import Path
 
 __all__ = [
@@ -24,6 +31,8 @@ __all__ = [
     "ProjectModel",
     "SourceFile",
     "Violation",
+    "matches_any",
+    "simple_base_name",
 ]
 
 #: Per-line suppression: ``# simlint: off`` (all rules) or
@@ -100,11 +109,14 @@ class SourceFile:
             snippet=self.snippet(line),
         )
 
-    def matches(self, pattern: str) -> bool:
-        """fnmatch against the repo-relative or package-relative path."""
-        from fnmatch import fnmatch
 
-        return fnmatch(self.rel, pattern) or fnmatch(self.pkgrel, pattern)
+def matches_any(module, globs: tuple[str, ...]) -> bool:
+    """Does a module (anything with ``rel`` and ``pkgrel``) match a glob?
+
+    Each glob is tried against the repo-relative and the
+    package-relative path.
+    """
+    return any(fnmatch(module.rel, g) or fnmatch(module.pkgrel, g) for g in globs)
 
 
 def _package_relative(rel: str) -> str:
@@ -177,25 +189,25 @@ class ClassInfo:
         return False
 
 
-def _simple_base_name(base: ast.expr) -> str | None:
+def simple_base_name(base: ast.expr) -> str | None:
+    """``Base``, ``mod.Base`` and ``Base[T]`` all name ``Base``."""
     if isinstance(base, ast.Name):
         return base.id
     if isinstance(base, ast.Attribute):
         return base.attr
     if isinstance(base, ast.Subscript):  # Generic[...] style
-        return _simple_base_name(base.value)
+        return simple_base_name(base.value)
     return None
 
 
 def classify_class(source: SourceFile, node: ast.ClassDef) -> ClassInfo:
     info = ClassInfo(name=node.name, source=source, node=node)
     info.bases = [
-        name for name in (_simple_base_name(b) for b in node.bases) if name
+        name for name in (simple_base_name(b) for b in node.bases) if name
     ]
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
-        name = _simple_base_name(target) if not isinstance(target, ast.Name) else target.id
-        if name == "dataclass":
+        if simple_base_name(target) == "dataclass":
             info.is_dataclass = True
             if isinstance(deco, ast.Call):
                 for kw in deco.keywords:
@@ -215,11 +227,10 @@ def classify_class(source: SourceFile, node: ast.ClassDef) -> ClassInfo:
 class ProjectModel:
     """Cross-file facts: class hierarchy, dataclasses, registry calls.
 
-    The flow layer (call graph + taint, :mod:`repro.analysis.flow`)
-    hangs off this model lazily: ``facts`` extracts the per-module
-    dataflow skeletons, ``graph`` builds the project call graph once,
-    and ``taint(sinks)`` memoizes one taint fixpoint per sink set so
-    several rules can share it.
+    The flow layer (:mod:`repro.analysis.flow`) hangs off this model
+    lazily: ``facts`` extracts the per-module dataflow skeletons and
+    ``graph`` builds the project call graph once, so the flow rules
+    share both.
     """
 
     def __init__(self, files: list[SourceFile], config) -> None:
@@ -228,7 +239,6 @@ class ProjectModel:
         self._by_rel = {source.rel: source for source in files}
         self._facts: list | None = None
         self._graph = None
-        self._taint: dict[int, object] = {}
         self.classes: list[ClassInfo] = []
         self._by_name: dict[str, list[ClassInfo]] = {}
         for source in files:
@@ -254,8 +264,10 @@ class ProjectModel:
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                     self.registry_instantiated.add(node.func.id)
 
-    def source_for(self, rel: str) -> SourceFile | None:
-        return self._by_rel.get(rel)
+    def violation(self, rule: str, rel: str, line: int,
+                  message: str) -> Violation:
+        """A finding at ``line`` of the project file ``rel``."""
+        return self._by_rel[rel].violation(rule, line, message)
 
     @property
     def facts(self) -> list:
@@ -275,19 +287,6 @@ class ProjectModel:
 
             self._graph = CallGraph(self.facts)
         return self._graph
-
-    def taint(self, sinks: list):
-        """Memoized :class:`~repro.analysis.flow.TaintAnalysis` per sink set."""
-        key = id(sinks)
-        if key not in self._taint:
-            from repro.analysis.flow import TaintAnalysis
-
-            self._taint[key] = TaintAnalysis(
-                self.graph,
-                sinks,
-                sanitizer_globs=self.config.determinism_allow,
-            )
-        return self._taint[key]
 
     def lookup(self, name: str) -> list[ClassInfo]:
         return self._by_name.get(name, [])

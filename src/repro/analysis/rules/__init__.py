@@ -71,19 +71,7 @@ def all_rules(select: Iterable[str] = ()) -> dict[str, Rule]:
 
 
 # Import rule modules for their registration side effects.
-from repro.analysis.rules import (  # noqa: E402
-    api_stability,
-    async_safety,
-    determinism,
-    determinism_flow,
-    fork_safety,
-    hotpath,
-    scheme_registry,
-    slots,
-    stats_protocol,
-)
-
-_ = (
+from repro.analysis.rules import (  # noqa: E402, F401
     api_stability,
     async_safety,
     determinism,

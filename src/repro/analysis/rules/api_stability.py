@@ -25,7 +25,9 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.analysis.model import ClassInfo, ProjectModel, SourceFile, Violation
+from repro.analysis.model import (
+    ClassInfo, ProjectModel, SourceFile, Violation, matches_any,
+)
 from repro.analysis.rules import Rule, register_rule
 
 _SCHEMA_CONST = "API_SCHEMA"
@@ -116,20 +118,17 @@ class SimRequest:
             info.name
             for info in project.classes
             if info.is_dataclass
-            and any(
-                info.source.matches(glob)
-                for glob in project.config.api_types_modules
-            )
+            and matches_any(info.source, project.config.api_types_modules)
         }
 
     def check_file(
         self, source: SourceFile, project: ProjectModel
     ) -> Iterator[Violation]:
         config = project.config
-        if any(source.matches(glob) for glob in config.api_types_modules):
+        if matches_any(source, config.api_types_modules):
             yield from self._check_type_definitions(source, project)
             return
-        if any(source.matches(glob) for glob in config.api_construction_allow):
+        if matches_any(source, config.api_construction_allow):
             return
         yield from self._check_construction(source, project)
 

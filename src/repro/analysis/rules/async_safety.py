@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.analysis.model import ProjectModel, SourceFile, Violation
+from repro.analysis.model import ProjectModel, Violation, matches_any
 from repro.analysis.rules import Rule, register_rule
 
 #: Resolved call targets that block the calling thread.
@@ -94,7 +94,7 @@ async def handle(request):
         roots = [
             key
             for key, fn in graph.functions.items()
-            if fn.is_async and _in_scope(graph.facts_of[key], scope)
+            if fn.is_async and matches_any(graph.facts_of[key], scope)
         ]
         yield from self._blocking(project, graph, roots)
         yield from self._unawaited(project, graph)
@@ -107,8 +107,8 @@ async def handle(request):
             mod = graph.facts_of[root]
             # direct blocking calls and future-waits inside the coroutine
             for lineno, why in _blocking_sites(fn):
-                yield self._violation(
-                    project, mod.rel, lineno,
+                yield project.violation(
+                    self.name, mod.rel, lineno,
                     f"async def {fn.qualname} calls a blocking operation: {why}",
                 )
             # transitive: first hop out of the coroutine carries the report
@@ -129,8 +129,8 @@ async def handle(request):
                 seen_first_hops.add(hop_id)
                 lineno, why = sites[0]
                 trail = graph.describe_path(path)
-                yield self._violation(
-                    project, first.rel, first.lineno,
+                yield project.violation(
+                    self.name, first.rel, first.lineno,
                     f"async def {fn.qualname} reaches a blocking operation "
                     f"({why} at {graph.facts_of[target].rel}:{lineno}) "
                     f"via {trail}; route it through asyncio.to_thread or "
@@ -148,8 +148,8 @@ async def handle(request):
                 if target is None or not graph.functions[target].is_async:
                     continue
                 name = graph.functions[target].qualname
-                yield self._violation(
-                    project, mod.rel, call.lineno,
+                yield project.violation(
+                    self.name, mod.rel, call.lineno,
                     f"coroutine {name}() is never awaited (its body will "
                     "not run); await it or wrap it in "
                     "asyncio.create_task(...)",
@@ -158,7 +158,7 @@ async def handle(request):
     # -- executor-thread mutation of loop-shared attributes ---------------
     def _executor_state(self, project, graph, scope) -> Iterator[Violation]:
         for mod in graph.modules.values():
-            if not _in_scope(mod, scope):
+            if not matches_any(mod, scope):
                 continue
             # attrs assigned by coroutine methods, per class
             async_attrs: dict[str, dict[str, int]] = {}
@@ -186,8 +186,8 @@ async def handle(request):
                 shared = async_attrs.get(entry.cls, {})
                 for attr, lineno, _ in entry.self_attr_assigns:
                     if attr in shared:
-                        yield self._violation(
-                            project, graph.facts_of[key].rel, lineno,
+                        yield project.violation(
+                            self.name, graph.facts_of[key].rel, lineno,
                             f"{entry.qualname} runs on an executor thread "
                             f"but assigns self.{attr}, which coroutine code "
                             f"of {entry.cls} also assigns (line "
@@ -196,30 +196,13 @@ async def handle(request):
                             "call_soon_threadsafe",
                         )
 
-    # -- helpers -----------------------------------------------------------
-    def _violation(self, project, rel: str, lineno: int,
-                   message: str) -> Violation:
-        source = project.source_for(rel)
-        if source is not None:
-            return source.violation(self.name, lineno, message)
-        return Violation(self.name, rel, lineno, 0, message)
-
-
-def _in_scope(mod, scope: tuple[str, ...]) -> bool:
-    from fnmatch import fnmatch
-
-    return any(fnmatch(mod.rel, g) or fnmatch(mod.pkgrel, g) for g in scope)
-
 
 def _blocking_sites(fn) -> Iterator[tuple[int, str]]:
     """(lineno, why) for blocking operations in one function body."""
     submit_futures = {
         target
         for target, deps in fn.assigns
-        if any(
-            d.startswith("c:") and fn.calls[int(d[2:])].chain[-1] == "submit"
-            for d in deps
-        )
+        if any(call.chain[-1] == "submit" for call in fn.calls_in(deps))
     }
     for call in fn.calls:
         why = BLOCKING_SINKS.get(call.resolved or "")

@@ -30,7 +30,7 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.flow import attr_chain, resolve_with_imports
-from repro.analysis.model import ProjectModel, SourceFile, Violation
+from repro.analysis.model import ProjectModel, SourceFile, Violation, matches_any
 from repro.analysis.rules import Rule, register_rule
 
 _TIME = (
@@ -143,7 +143,7 @@ def sample_latency(events, now):
     def check_project(self, project: ProjectModel) -> Iterator[Violation]:
         allow = project.config.determinism_allow
         for source, facts in zip(project.files, project.facts):
-            if any(source.matches(glob) for glob in allow):
+            if matches_any(source, allow):
                 continue
             for node in ast.walk(source.tree):
                 if isinstance(node, ast.Call):

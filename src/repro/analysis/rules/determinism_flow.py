@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.analysis.flow import SinkSpec
+from repro.analysis.flow import SinkSpec, TaintAnalysis
 from repro.analysis.model import ProjectModel, Violation
 from repro.analysis.rules import Rule, register_rule
 
@@ -110,7 +110,8 @@ class Stats:
 """
 
     def check_project(self, project: ProjectModel) -> Iterator[Violation]:
-        analysis = project.taint(SINKS)
+        analysis = TaintAnalysis(project.graph, SINKS,
+                                 project.config.determinism_allow)
         for finding in analysis.findings():
             hints = "; ".join(
                 _KIND_HINTS.get(kind, kind) for kind in finding.kinds
@@ -122,9 +123,5 @@ class Stats:
                 "seed, or sanitize through an allowlisted obs/analysis "
                 "helper"
             )
-            source = project.source_for(finding.rel)
-            if source is not None:
-                yield source.violation(self.name, finding.lineno, message)
-            else:
-                yield Violation(self.name, finding.rel, finding.lineno, 0,
-                                message)
+            yield project.violation(self.name, finding.rel, finding.lineno,
+                                    message)

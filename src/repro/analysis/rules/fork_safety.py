@@ -119,19 +119,18 @@ def campaign(cells):
             role = "worker function" if i == 0 else f"argument {i}"
             # dataflow deps: direct handles and lambda captures
             for dep in deps:
-                if dep.startswith("n:") and dep[2:] in handles:
-                    yield self._violation(
-                        project, mod.rel, call.lineno,
-                        f"{site} {role} captures {dep[2:]!r}, a live "
-                        f"{handles[dep[2:]]} — workers must open handles "
+                if dep in handles:
+                    yield project.violation(
+                        self.name, mod.rel, call.lineno,
+                        f"{site} {role} captures {dep!r}, a live "
+                        f"{handles[dep]} — workers must open handles "
                         "themselves, cells carry plain data",
                     )
-                elif dep.startswith("c:"):
-                    inner = fn.calls[int(dep[2:])]
-                    kind = HANDLE_FACTORIES.get(inner.resolved or "")
+                elif isinstance(dep, int):
+                    kind = HANDLE_FACTORIES.get(fn.calls[dep].resolved or "")
                     if kind is not None:
-                        yield self._violation(
-                            project, mod.rel, call.lineno,
+                        yield project.violation(
+                            self.name, mod.rel, call.lineno,
                             f"{site} {role} is a freshly-created {kind}; "
                             "it cannot cross the process boundary",
                         )
@@ -142,8 +141,8 @@ def campaign(cells):
                 head, _, meth = worker.partition(".")
                 if head == "self" and fn.cls is not None:
                     for attr, kind in class_handle_attrs.get(fn.cls, {}).items():
-                        yield self._violation(
-                            project, mod.rel, call.lineno,
+                        yield project.violation(
+                            self.name, mod.rel, call.lineno,
                             f"{site} worker self.{meth} is a bound method of "
                             f"{fn.cls}, whose self.{attr} holds a live "
                             f"{kind}; pickling self ships the handle — use "
@@ -155,18 +154,12 @@ def campaign(cells):
                     free = graph.functions[key].free_names
                     for name in free:
                         if name in handles:
-                            yield self._violation(
-                                project, mod.rel, call.lineno,
+                            yield project.violation(
+                                self.name, mod.rel, call.lineno,
                                 f"{site} worker {worker!r} closes over "
                                 f"{name!r}, a live {handles[name]} — open "
                                 "it inside the worker instead",
                             )
-
-    def _violation(self, project, rel, lineno, message) -> Violation:
-        source = project.source_for(rel)
-        if source is not None:
-            return source.violation(self.name, lineno, message)
-        return Violation(self.name, rel, lineno, 0, message)
 
 
 def _handle_names(fn) -> dict[str, str]:
@@ -178,12 +171,10 @@ def _handle_names(fn) -> dict[str, str]:
             if target in out:
                 continue
             for dep in deps:
-                kind = None
-                if dep.startswith("c:"):
-                    call = fn.calls[int(dep[2:])]
-                    kind = HANDLE_FACTORIES.get(call.resolved or "")
-                elif dep.startswith("n:") and dep[2:] in out:
-                    kind = out[dep[2:]]
+                if isinstance(dep, int):
+                    kind = HANDLE_FACTORIES.get(fn.calls[dep].resolved or "")
+                else:
+                    kind = out.get(dep)
                 if kind is not None:
                     out[target] = kind
                     changed = True
@@ -197,11 +188,8 @@ def _pool_names(fn) -> set[str]:
     """Local names bound to a process-pool instance."""
     out: set[str] = set()
     for target, deps in fn.assigns:
-        for dep in deps:
-            if dep.startswith("c:"):
-                call = fn.calls[int(dep[2:])]
-                if call.chain[-1] in _POOL_FACTORIES:
-                    out.add(target)
+        if any(call.chain[-1] in _POOL_FACTORIES for call in fn.calls_in(deps)):
+            out.add(target)
     return out
 
 
@@ -212,10 +200,8 @@ def _class_handle_attrs(mod) -> dict[str, dict[str, str]]:
         if fn.cls is None:
             continue
         for attr, _lineno, deps in fn.self_attr_assigns:
-            for dep in deps:
-                if dep.startswith("c:"):
-                    call = fn.calls[int(dep[2:])]
-                    kind = HANDLE_FACTORIES.get(call.resolved or "")
-                    if kind is not None:
-                        out.setdefault(fn.cls, {})[attr] = kind
+            for call in fn.calls_in(deps):
+                kind = HANDLE_FACTORIES.get(call.resolved or "")
+                if kind is not None:
+                    out.setdefault(fn.cls, {})[attr] = kind
     return out

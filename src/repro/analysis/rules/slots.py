@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.analysis.model import ProjectModel, SourceFile, Violation
+from repro.analysis.model import ProjectModel, SourceFile, Violation, matches_any
 from repro.analysis.rules import Rule, register_rule
 
 _EXEMPT_BASES = {
@@ -63,7 +63,7 @@ class TraceRecord:
     def check_file(
         self, source: SourceFile, project: ProjectModel
     ) -> Iterator[Violation]:
-        if not any(source.matches(glob) for glob in project.config.slots_modules):
+        if not matches_any(source, project.config.slots_modules):
             return
         for info in project.classes:
             if info.source is not source:

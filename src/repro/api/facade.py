@@ -22,6 +22,7 @@ hook and ``run`` span), so the two differ only in what they call.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import ExitStack
 
@@ -182,15 +183,27 @@ def dse_request(
 # validation (shared by constructors, server decode path and the CLI)
 # ----------------------------------------------------------------------
 def _check_common(request) -> None:
+    # A wire payload can carry any JSON value here.
+    for name in ("accesses_per_core", "scale", "seed"):
+        value = getattr(request, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise RequestError(f"{name} must be an integer (got {value!r})")
+    if not isinstance(request.deadline_s, (int, float)):
+        raise RequestError(f"deadline_s must be a number (got {request.deadline_s!r})")
     if request.accesses_per_core <= 0:
         raise RequestError(
             f"accesses_per_core must be positive (got {request.accesses_per_core})"
         )
     if request.scale < 1:
         raise RequestError(f"scale must be >= 1 (got {request.scale})")
-    if request.deadline_s < 0:
+    if request.scale & (request.scale - 1):
+        # every cache capacity divides by it and must stay a power of two
+        raise RequestError(f"scale must be a power of two (got {request.scale})")
+    if request.seed < 0:
+        raise RequestError(f"seed must be >= 0 (got {request.seed})")
+    if not 0 <= request.deadline_s < math.inf:
         raise RequestError(
-            f"deadline_s must be >= 0 (got {request.deadline_s}); "
+            f"deadline_s must be finite and >= 0 (got {request.deadline_s}); "
             "0 means no deadline"
         )
 

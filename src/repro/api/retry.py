@@ -19,9 +19,9 @@ Resubmission is safe by construction, not by hope:
 
 Backoff jitter is a pure function of ``(request key, attempt)`` via
 SHA-256 — the same derandomized-jitter idiom as
-``repro.harness.faults.RetryPolicy`` — so two reruns of a test schedule
-identical sleeps (the project's determinism lint bans wall-clock and
-unseeded randomness).
+``repro.harness.faults.FaultPolicy.backoff`` — so two reruns of a test
+schedule identical sleeps (the project's determinism lint bans
+wall-clock and unseeded randomness).
 """
 
 from __future__ import annotations

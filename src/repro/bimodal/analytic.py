@@ -17,7 +17,7 @@ the claim that the deployed design reaches an average tag latency of
 This module reproduces those closed-form results so they can be tested
 against the paper's quoted numbers and evaluated for arbitrary
 configurations; :meth:`~repro.bimodal.cache.BiModalCache.average_tag_latency`
-is the measured counterpart.
+evaluates the same model at the measured rates.
 """
 
 from __future__ import annotations
@@ -68,15 +68,6 @@ class TagLatencyModel:
             locator_hit_rate * self.locator_latency
             + (1.0 - locator_hit_rate) * miss
         )
-
-    def colocated_tag_miss_cycles(self, colocated_rbh: float) -> float:
-        """t_tag_miss with tags co-located in data rows (lower RBH).
-
-        Used to quantify the paper's ">30% t_tag_miss reduction" from
-        the dedicated metadata bank: evaluate both layouts at their
-        measured row-buffer hit rates.
-        """
-        return self.tag_miss_cycles(colocated_rbh)
 
 
 def breakeven_locator_hit_rate(

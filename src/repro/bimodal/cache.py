@@ -29,6 +29,7 @@ from repro.common.config import DRAMCacheGeometry
 from repro.common.stats import Counter, Histogram, RateStat
 from repro.dram.controller import MemoryController
 from repro.dramcache.base import DRAMCacheBase
+from repro.bimodal.analytic import TagLatencyModel
 from repro.bimodal.dueling import SetDuelingController
 from repro.bimodal.global_state import GlobalStateController
 from repro.bimodal.metadata import MetadataLayout
@@ -484,15 +485,12 @@ class BiModalCache(DRAMCacheBase):
         """Average tag access latency (Section III-D4's t_tag_access)."""
         if self.locator is None or not self.locator.lookups.total:
             return 0.0
-        hit_rate = self.locator.hit_rate
-        t_hit = self.locator.latency_cycles
-        # t_tag_miss from the measured metadata RBH and DRAM timings.
-        t = self.geometry.timing
-        bursts = self.layout.metadata_bursts
-        col = t.cl + bursts * t.burst_cycles
-        rbh = self.metadata_rbh.rate
-        t_miss = rbh * col + (1 - rbh) * (t.trp + t.trcd + col)
-        return hit_rate * t_hit + (1 - hit_rate) * t_miss
+        model = TagLatencyModel(
+            self.geometry.timing,
+            locator_latency=self.locator.latency_cycles,
+            metadata_bursts=self.layout.metadata_bursts,
+        )
+        return model.tag_access_cycles(self.locator.hit_rate, self.metadata_rbh.rate)
 
     def reset_stats(self) -> None:
         super().reset_stats()

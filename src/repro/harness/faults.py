@@ -284,7 +284,8 @@ def cell_timeout(seconds: float | None):
         raise CellTimeoutError(f"cell exceeded {seconds:g}s wall-clock budget")
 
     previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    # A longer budget overflows the host timer; TIMEOUT_MAX is centuries.
+    signal.setitimer(signal.ITIMER_REAL, min(seconds, threading.TIMEOUT_MAX))
     try:
         yield
     finally:

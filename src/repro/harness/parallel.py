@@ -37,6 +37,7 @@ import os
 import shutil
 import sys
 import tempfile
+import threading
 import time
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
@@ -462,8 +463,10 @@ def _pool_cells(engine: _GridEngine, pending: list[int], max_workers: int) -> No
             while i in unfinished:
                 wait_start = time.perf_counter()
                 wait_s = _effective_timeout(engine.policy.timeout_s)
+                # A longer wait overflows the host's lock timer.
+                timeout = None if wait_s is None else min(wait_s, threading.TIMEOUT_MAX)
                 try:
-                    value, wall = futures[i].result(timeout=wait_s)
+                    value, wall = futures[i].result(timeout=timeout)
                 except FuturesTimeoutError:
                     # Deadline spent (not a slow cell): abort the grid —
                     # the finally block below kills the pool and workers.

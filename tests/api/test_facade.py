@@ -60,6 +60,39 @@ class TestValidation:
     def test_jobs_auto_resolves_to_zero(self):
         assert api.grid_request("fig10", jobs="auto").jobs == 0
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda **kw: api.sim_request("alloy", "Q1", **kw),
+            lambda **kw: api.grid_request("fig10", **kw),
+            lambda **kw: api.dse_request(**kw),
+        ],
+        ids=["sim", "grid", "dse"],
+    )
+    @pytest.mark.parametrize(
+        "setting, needle",
+        [
+            ({"scale": 3}, r"scale must be a power of two \(got 3\)"),
+            ({"scale": 24}, r"scale must be a power of two \(got 24\)"),
+            ({"seed": -1}, r"seed must be >= 0 \(got -1\)"),
+            ({"deadline_s": float("nan")}, r"deadline_s must be finite .*got nan"),
+            ({"deadline_s": float("inf")}, r"deadline_s must be finite .*got inf"),
+            ({"scale": 16.0}, r"scale must be an integer \(got 16.0\)"),
+            ({"seed": "1"}, r"seed must be an integer \(got '1'\)"),
+            ({"accesses_per_core": "300"}, r"accesses_per_core must be an integer"),
+            ({"deadline_s": "5"}, r"deadline_s must be a number \(got '5'\)"),
+        ],
+        ids=[
+            "scale3", "scale24", "seed", "deadline-nan", "deadline-inf",
+            "scale-float", "seed-str", "accesses-str", "deadline-str",
+        ],
+    )
+    def test_bad_common_setting_is_refused(self, build, setting, needle):
+        """Each would otherwise fail every cell after the run starts, or
+        raise a TypeError that is not a refusal."""
+        with pytest.raises(api.RequestError, match=needle):
+            build(**setting)
+
     def test_experiment_catalog_backs_validation(self):
         # Every catalogued id must build a valid request with defaults.
         for name in api.experiment_ids():

@@ -32,7 +32,7 @@ class TestPaperNumbers:
         relative to co-located tags via its higher RBH (their Fig. 9b
         RBH gap of ~0.5 in absolute terms delivers the >30%)."""
         separate = model.tag_miss_cycles(metadata_rbh=0.75)
-        colocated = model.colocated_tag_miss_cycles(colocated_rbh=0.25)
+        colocated = model.tag_miss_cycles(metadata_rbh=0.25)
         assert (colocated - separate) / colocated > 0.30
 
 

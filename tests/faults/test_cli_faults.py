@@ -15,7 +15,8 @@ import sys
 import pytest
 
 import repro
-from repro.__main__ import EXIT_CELL_FAILURES, main
+from repro.__main__ import main
+from repro.api.errors import EXIT_PARTIAL
 from repro.harness import faults
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -102,7 +103,7 @@ class TestGracefulDegradation:
             tmp_path,
             extra_env=faults.injection_env({1: "raise"}),
         )
-        assert proc.returncode == EXIT_CELL_FAILURES
+        assert proc.returncode == EXIT_PARTIAL
         assert "FAILED" not in proc.stdout  # table shows completed rows only
         assert "1 failed cell(s)" in proc.stderr
         assert "InjectedFault" in proc.stderr
@@ -122,6 +123,6 @@ class TestGracefulDegradation:
         with faults.inject({1: "raise"}):
             rc = main(RUN_ARGS)
         captured = capsys.readouterr()
-        assert rc == EXIT_CELL_FAILURES
+        assert rc == EXIT_PARTIAL
         assert "Q1" in captured.out
         assert "failed cell(s)" in captured.err

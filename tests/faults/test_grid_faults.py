@@ -34,6 +34,12 @@ def _hang(x):
     return x * x
 
 
+def _nap(x):
+    """Slow enough that the parent waits on the future with its budget."""
+    time.sleep(0.05)
+    return x * x
+
+
 @pytest.fixture(autouse=True)
 def clean_fault_env(monkeypatch):
     for name in (
@@ -113,6 +119,14 @@ class TestSerialTimeout:
         assert results == [1, None, 9]
         assert collector.failures[0].exc_type == "CellTimeoutError"
 
+    def test_budget_past_the_host_timer_runs_every_cell(self, monkeypatch):
+        # 1e12 s overflows setitimer; the armed timer is capped instead.
+        monkeypatch.setenv(faults.TIMEOUT_ENV, "1e12")
+        with faults.collect_failures() as collector:
+            results = run_grid(_nap, range(3), jobs=1)
+        assert results == [0, 1, 4]
+        assert not collector
+
 
 class TestPoolIsolation:
     def test_worker_exception_isolates_one_cell(self):
@@ -155,3 +169,11 @@ class TestPoolIsolation:
         assert results == [1, 4, None]
         assert collector.failures[0].exc_type == "CellTimeoutError"
         assert collector.failures[0].index == 2
+
+    def test_budget_past_the_host_timer_runs_every_cell(self, monkeypatch):
+        # 1e12 s overflows Future.result's lock wait; the wait is capped.
+        monkeypatch.setenv(faults.TIMEOUT_ENV, "1e12")
+        with faults.collect_failures() as collector:
+            results = run_grid(_nap, range(3), jobs=2)
+        assert results == [0, 1, 4]
+        assert not collector

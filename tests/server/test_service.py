@@ -366,3 +366,35 @@ class TestCrashRecovery:
 
         local = facade.run_grid(request)
         assert result.rows == local.rows, "recovered grid diverged"
+
+
+class TestBadSettings:
+    def test_bad_setting_is_a_bad_request_answer(self):
+        """Refused before any cell runs, and answered, not dropped."""
+        settings = {"r1": {"seed": -1}, "r2": {"scale": 3}, "r3": {"seed": "1"}}
+
+        async def scenario():
+            server, host, port = await start_server()
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    for rid, setting in settings.items():
+                        wire = api.to_wire(api.grid_request(
+                            "fig10", mixes=("Q1",), accesses_per_core=300))
+                        wire.update(setting)
+                        writer.write((json.dumps(
+                            {"id": rid, "verb": "grid", "request": wire}) + "\n").encode())
+                    await writer.drain()
+                    lines = [await reader.readline() for _ in settings]
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+            finally:
+                await server.aclose()
+            return lines
+
+        answers = [parse_response_line(line) for line in run_async(scenario())]
+        assert sorted(rid for rid, _, _ in answers) == sorted(settings)
+        for rid, kind, payload in answers:
+            assert kind == "error", rid
+            assert payload.code == "bad-request", rid

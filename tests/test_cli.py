@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.__main__ import _EXPERIMENTS, main
+from repro import api
+from repro.__main__ import main
 
 import repro.harness.experiments as experiments
 
@@ -14,9 +15,9 @@ def test_list_runs(capsys):
 
 
 def test_every_listed_experiment_exists():
-    for name, (attr, _, cores, _) in _EXPERIMENTS.items():
-        assert hasattr(experiments, attr), name
-        assert cores in (4, 8, 16)
+    for name, spec in api.experiment_catalog().items():
+        assert hasattr(experiments, spec.attr), f"{name} -> {spec.attr} missing"
+        assert spec.default_cores in (4, 8, 16)
 
 
 def _usage_exit(capsys, argv) -> str:
@@ -123,6 +124,12 @@ class TestSubcommands:
     def test_dse_bad_sample_rate(self, capsys):
         assert main(["dse", "--sample-rate", "0"]) == 2
         assert "sample_rate" in capsys.readouterr().err
+
+    def test_dse_negative_seed_is_a_usage_error(self, capsys):
+        assert main(["dse", "--mixes", "Q23", "--accesses", "300", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0 (got -1)\n"
+        assert captured.out == ""
 
     def test_backend_flag_is_gone(self, capsys):
         err = _usage_exit(capsys, ["run", "fig2", "--backend", "scalar"])

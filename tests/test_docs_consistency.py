@@ -1,22 +1,17 @@
 """Documentation/implementation consistency checks.
 
-These tests keep DESIGN.md's experiment index, the CLI registry, the
-benchmark files and the experiment functions in lock-step, so the
-documentation can be trusted as a map of the code.
+These tests keep DESIGN.md's experiment index, the benchmark files and
+the experiment functions in lock-step, so the documentation can be
+trusted as a map of the code. (``tests/test_cli.py`` checks that every
+catalogued experiment has its function.)
 """
 
 import importlib.util
 from pathlib import Path
 
 import repro.harness.experiments as experiments
-from repro.__main__ import _EXPERIMENTS
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-def test_every_cli_experiment_exists():
-    for name, (attr, _, _, _) in _EXPERIMENTS.items():
-        assert hasattr(experiments, attr), f"{name} -> {attr} missing"
 
 
 def test_design_md_bench_targets_exist():
