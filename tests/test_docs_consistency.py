@@ -2,16 +2,29 @@
 
 These tests keep DESIGN.md's experiment index, the benchmark files and
 the experiment functions in lock-step, so the documentation can be
-trusted as a map of the code. (``tests/test_cli.py`` checks that every
-catalogued experiment has its function.)
+trusted as a map of the code.
 """
 
 import importlib.util
 from pathlib import Path
 
+from repro import api
+from repro.__main__ import main
+
 import repro.harness.experiments as experiments
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def test_every_cli_experiment_exists(capsys):
+    # Every name `repro list` prints resolves to an experiment function.
+    assert main(["list"]) == 0
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    catalog = api.experiment_catalog()
+    assert listed == list(catalog)
+    for name in listed:
+        attr = catalog[name].attr
+        assert hasattr(experiments, attr), f"{name} -> {attr} missing"
 
 
 def test_design_md_bench_targets_exist():
