@@ -64,7 +64,7 @@ import json, sys
 workload, result = sys.argv[1], json.loads(sys.argv[2])
 if result["correct"] is not True or result["failed"] != 0:
     sys.exit(f"repobench {workload}: outputs differ from the reference: {result}")
-bound = 2 * {"sweep": 2.35, "antt": 2.48, "dse": 2.41}[workload]
+bound = 2 * {"sweep": 2.21, "antt": 2.24, "dse": 2.30}[workload]
 wall = result["metrics"]["wall_s"]["value"]
 if wall > bound:
     sys.exit(f"repobench {workload}: wall_s {wall:.2f} exceeds {bound:.2f} reference s")

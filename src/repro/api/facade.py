@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import ExitStack
+from dataclasses import fields
 
 from repro.api import catalog
 from repro.api.errors import ERR_DEADLINE, RequestError
@@ -91,6 +92,11 @@ def _resolve_jobs(jobs: int | str | None) -> int:
     return jobs
 
 
+def _mix_tuple(mixes):
+    # A lone name stays whole, for the validator to refuse, not split.
+    return mixes if isinstance(mixes, str) else tuple(mixes or ())
+
+
 def sim_request(
     scheme: str,
     mix: str,
@@ -137,7 +143,7 @@ def grid_request(
     _reject_backend(backend)
     request = GridRequest(
         experiment=experiment,
-        mixes=tuple(mixes or ()),
+        mixes=_mix_tuple(mixes),
         cores=cores or 0,
         accesses_per_core=accesses_per_core,
         seed=seed,
@@ -165,7 +171,7 @@ def dse_request(
     """A validated :class:`DseRequest` (the only sanctioned constructor)."""
     _reject_backend(backend)
     request = DseRequest(
-        mixes=tuple(mixes or ()),
+        mixes=_mix_tuple(mixes),
         cores=cores,
         accesses_per_core=accesses_per_core,
         seed=seed,
@@ -182,14 +188,34 @@ def dse_request(
 # ----------------------------------------------------------------------
 # validation (shared by constructors, server decode path and the CLI)
 # ----------------------------------------------------------------------
+# A request field's declared type, as the value test and the words
+# that name it in a refusal.
+_DECLARED = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "tuple[str, ...]": (tuple, "a list of names"),
+}
+
+
+def _check_types(request) -> None:
+    """Refuse a field whose value is not of its declared type.
+
+    A wire payload can carry any JSON value in any field, and the
+    comparisons that follow would raise ``TypeError`` on the wrong one.
+    """
+    for field in fields(request):
+        kind, label = _DECLARED[field.type]
+        value = getattr(request, field.name)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, kind)
+            or (kind is tuple and not all(isinstance(v, str) for v in value))
+        ):
+            raise RequestError(f"{field.name} must be {label} (got {value!r})")
+
+
 def _check_common(request) -> None:
-    # A wire payload can carry any JSON value here.
-    for name in ("accesses_per_core", "scale", "seed"):
-        value = getattr(request, name)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise RequestError(f"{name} must be an integer (got {value!r})")
-    if not isinstance(request.deadline_s, (int, float)):
-        raise RequestError(f"deadline_s must be a number (got {request.deadline_s!r})")
     if request.accesses_per_core <= 0:
         raise RequestError(
             f"accesses_per_core must be positive (got {request.accesses_per_core})"
@@ -213,6 +239,7 @@ def validate_sim(request: SimRequest) -> None:
     from repro.harness.schemes import UnknownSchemeError, get_scheme
     from repro.workloads.mixes import mixes_for_cores
 
+    _check_types(request)
     try:
         get_scheme(request.scheme)
     except UnknownSchemeError as exc:
@@ -240,6 +267,7 @@ def validate_grid(request: GridRequest) -> None:
     """Reject a bad :class:`GridRequest` before any simulation starts."""
     from repro.workloads.mixes import mixes_for_cores
 
+    _check_types(request)
     try:
         spec = catalog.get_experiment(request.experiment)
     except KeyError as exc:
@@ -273,6 +301,7 @@ def validate_dse(request: DseRequest) -> None:
     """Reject a bad :class:`DseRequest` before any estimation starts."""
     from repro.workloads.mixes import mixes_for_cores
 
+    _check_types(request)
     if request.cores not in _VALID_CORES:
         raise RequestError(f"cores must be 4, 8 or 16 (got {request.cores})")
     if request.jobs < 0:

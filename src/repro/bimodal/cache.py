@@ -155,11 +155,10 @@ class BiModalCache(DRAMCacheBase):
         self._interval = self.global_ctrl.interval
         self._interval_ticks = 0
         # Location tables, fully materialized: one flat list lookup per
-        # access instead of a memoized method call. num_sets is a few
-        # thousand entries even at full capacity.
-        num_sets = self.addr_map.num_sets
-        self._data_locs = [self.layout.data_location(i) for i in range(num_sets)]
-        self._meta_locs = [self.layout.metadata_location(i) for i in range(num_sets)]
+        # access instead of a method call. num_sets is a few thousand
+        # entries even at full capacity.
+        self._data_locs = self.layout.data_locations
+        self._meta_locs = self.layout.metadata_locations
         # --- instrumentation -------------------------------------------
         self.metadata_rbh = RateStat()  # tag-read row-buffer hits (Fig 9b)
         self.small_access = RateStat()  # hit = access served by small block

@@ -54,24 +54,40 @@ class MetadataLayout:
         return (self.meta_bytes_per_set + 63) // 64
 
     # ------------------------------------------------------------------
-    # BiModalCache tabulates both maps once per build (_data_locs,
-    # _meta_locs), so neither memoizes.
-    def data_location(self, set_index: int) -> tuple[int, int, int]:
-        """(channel, bank, row) of a set's 2 KB data page."""
-        ordinal = set_index // self.channels
+    # Each map has one definition, its table: BiModalCache reads the
+    # tables per access, and the per-set methods read them too.
+    @cached_property
+    def data_locations(self) -> list[tuple[int, int, int]]:
+        """(channel, bank, row) of every set's 2 KB data page, by set."""
+        channels = self.channels
         banks = self.data_banks_per_channel
         first = 0 if self.colocated else 1  # bank 0 holds the metadata
-        return set_index % self.channels, first + ordinal % banks, ordinal // banks
+        return [
+            (s % channels, first + s // channels % banks, s // channels // banks)
+            for s in range(self.num_sets)
+        ]
 
-    def metadata_location(self, set_index: int) -> tuple[int, int, int]:
-        """(channel, bank, row) of a set's metadata.
+    @cached_property
+    def metadata_locations(self) -> list[tuple[int, int, int]]:
+        """(channel, bank, row) of every set's metadata, by set.
 
         Separate mode: dedicated bank 0 of the *next* channel, densely
         packed. Co-located mode: the set's own data row (tags share the
         page with data, as in Loh-Hill/AlloyCache layouts).
         """
         if self.colocated:
-            return self.data_location(set_index)
-        meta_channel = (set_index % self.channels + 1) % self.channels
-        ordinal = set_index // self.channels
-        return meta_channel, 0, ordinal // self.sets_per_metadata_page
+            return self.data_locations
+        channels = self.channels
+        per_page = self.sets_per_metadata_page
+        return [
+            ((s % channels + 1) % channels, 0, s // channels // per_page)
+            for s in range(self.num_sets)
+        ]
+
+    def data_location(self, set_index: int) -> tuple[int, int, int]:
+        """(channel, bank, row) of a set's 2 KB data page."""
+        return self.data_locations[set_index]
+
+    def metadata_location(self, set_index: int) -> tuple[int, int, int]:
+        """(channel, bank, row) of a set's metadata."""
+        return self.metadata_locations[set_index]

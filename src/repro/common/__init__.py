@@ -18,7 +18,7 @@ from repro.common.config import (
     SystemConfig,
     system_config,
 )
-from repro.common.stats import Counter, Histogram, RateStat, RunningMean
+from repro.common.stats import Counter, Histogram, MeanStat, RateStat, RunningMean
 from repro.common.tables import (
     CPU_FREQ_HZ,
     PAPER_TABLE3_LATENCY_CYCLES,
@@ -46,6 +46,7 @@ __all__ = [
     "system_config",
     "Counter",
     "Histogram",
+    "MeanStat",
     "RateStat",
     "RunningMean",
     "CPU_FREQ_HZ",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Counter", "RunningMean", "Histogram", "RateStat"]
+__all__ = ["Counter", "MeanStat", "RunningMean", "Histogram", "RateStat"]
 
 
 @dataclass(slots=True)
@@ -28,11 +28,30 @@ class Counter:
 
 
 @dataclass(slots=True)
-class RunningMean:
-    """Streaming mean/min/max without storing samples."""
+class MeanStat:
+    """Count and total of samples, for their mean; no extremes.
+
+    The caches' hit/miss and the off-chip controller's read latencies:
+    their hot paths add to ``count`` and ``total`` inline.
+    """
 
     count: int = 0
     total: float = 0.0
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def reset(self) -> None:
+        self.count = 0
+        self.total = 0.0
+
+
+@dataclass(slots=True)
+class RunningMean(MeanStat):
+    """A :class:`MeanStat` plus min/max, all four kept by :meth:`add`
+    (the ``repro.obs.metrics`` distributions)."""
+
     minimum: float = float("inf")
     maximum: float = float("-inf")
 
@@ -43,10 +62,6 @@ class RunningMean:
             self.minimum = sample
         if sample > self.maximum:
             self.maximum = sample
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
     def reset(self) -> None:
         self.count = 0

@@ -13,8 +13,11 @@ multiprogrammed and standalone runs of every scheme reuse one
 generation of the mix's merged trace. A runner splits that trace once,
 on its first drive, and every later drive reuses the split.
 
-The drive keeps each core's interval state in local lists and reads
-only ``.complete`` from ``cache.access``; its totals become
+Per record, the drive tracks only each core's stall cycles, records
+served and warm-up mark; a record's arrival clock is its heap key, and
+it reads only ``.complete`` from ``cache.access``. A core's
+instructions, reads and writes are summed from its stream's columns
+once per drive, and its totals become
 :class:`~repro.cores.interval.IntervalCore` records at the end.
 ``tests/cores/oracle.py`` keeps the per-record method loop as its
 reference.
@@ -95,7 +98,8 @@ class MultiProgramRunner:
                 footprint_scale=self.footprint_scale,
                 intensity_scale=self.intensity_scale,
             )
-        streams = [iter(self._programs[i]) for i in program_indices]
+        programs = [self._programs[i] for i in program_indices]
+        streams = [iter(program) for program in programs]
         ncores = len(program_indices)
 
         # The heap is keyed on each core's *next access arrival time*
@@ -103,62 +107,64 @@ class MultiProgramRunner:
         # system in global time order even when core clocks diverge —
         # a low-intensity core running far ahead must never stamp bank
         # state that earlier-in-time requests from slower cores then
-        # queue behind.
+        # queue behind. The key is the arrival clock itself, and each
+        # core has one entry, so the (clock, slot) keys are unique and
+        # replacing the top pops in the same order as pop plus push.
         base_cpi = self.core_config.base_cpi
         mlp = self.core_config.memory_level_parallelism
         heappop = heapq.heappop
-        heappush = heapq.heappush
+        heapreplace = heapq.heapreplace
         access = cache.access
         heap: list[tuple[float, int, tuple]] = []
         for slot in range(ncores):
             record = next(streams[slot], None)
             if record is not None:
-                heappush(heap, (record[2] * base_cpi, slot, record))
+                heapq.heappush(heap, (record[2] * base_cpi, slot, record))
         # Warm-up protocol (Section IV): the core clocks ANTT is computed
         # from cover only each core's *own* measured region — the first
         # ``warmup_fraction`` of its accesses fills caches and trains
         # predictors. Per-core marks matter because heterogeneous paces
         # mean cores cross their warm-up points at very different global
-        # times. Cache statistics reset once, at the aggregate boundary.
+        # times. Cache statistics reset once, at the aggregate boundary
+        # (a zero mark never matches: counts are >= 1 when compared).
         total = self.accesses_per_core * ncores
         global_warm = int(total * self.warmup_fraction)
         per_core_warm = int(self.accesses_per_core * self.warmup_fraction)
         served_total = 0
-        # Per-core interval state (repro.cores.interval); writes = served - reads.
+        # Per-core interval state (repro.cores.interval).
         cycles = [0.0] * ncores
-        instructions = [0] * ncores
         stalls = [0.0] * ncores
-        reads = [0] * ncores
         served = [0] * ncores
         cycle_marks = [0.0] * ncores
         while heap:
-            _, slot, record = heappop(heap)
-            address, is_write, icount = record
-            instructions[slot] += icount
-            clock = cycles[slot] + icount * base_cpi
+            clock, slot, (address, is_write, _) = heap[0]
             now = int(clock)
             complete = access(address, now, is_write=is_write).complete
             if not is_write:
                 stall = (complete - now) / mlp
                 clock += stall
                 stalls[slot] += stall
-                reads[slot] += 1
-            cycles[slot] = clock
             served_total += 1
-            served[slot] += 1
-            if per_core_warm and served[slot] == per_core_warm:
+            done = served[slot] + 1
+            served[slot] = done
+            if done == per_core_warm:
                 cycle_marks[slot] = clock
-            if global_warm and served_total == global_warm:
+            if served_total == global_warm:
                 cache.reset_stats()
             nxt = next(streams[slot], None)
-            if nxt is not None:
-                heappush(heap, (clock + nxt[2] * base_cpi, slot, nxt))
+            if nxt is None:
+                cycles[slot] = clock
+                heappop(heap)
+            else:
+                heapreplace(heap, (clock + nxt[2] * base_cpi, slot, nxt))
         config = self.core_config
-        totals = zip(program_indices, cycles, instructions, stalls, reads, served)
-        cores = [
-            IntervalCore(index, config, core_cycles, insts, stalled, nreads, nserved - nreads)
-            for index, core_cycles, insts, stalled, nreads, nserved in totals
-        ]
+        cores = []
+        for index, program, core_cycles, stalled in zip(program_indices, programs, cycles, stalls):
+            _, is_write, icount = program.columns()
+            writes = int(is_write.sum())
+            reads = len(is_write) - writes
+            core = IntervalCore(index, config, core_cycles, int(icount.sum()), stalled, reads, writes)
+            cores.append(core)
         return RunResult(
             per_core_cycles=[c - mark for c, mark in zip(cycles, cycle_marks)],
             cores=cores,

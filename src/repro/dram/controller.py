@@ -13,6 +13,10 @@ granularity:
   in-flight access to complete;
 * *bank/bus contention* is inherent in the bank busy-until and shared
   data-bus occupancy of the device.
+
+It tracks each channel's in-flight completion times, its reads' count
+and total latency (``read_latency``) and its writes' count. Reads and
+writes share one queue model and reach the device by its own names.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.common.config import DRAMGeometry, DRAMTimingConfig
-from repro.common.stats import RunningMean
+from repro.common.stats import MeanStat
 from repro.dram.device import DRAMDevice
 
 __all__ = ["MemoryController"]
@@ -33,8 +37,10 @@ class MemoryController:
         "device",
         "_queue_depth",
         "_inflight",
+        "_channel_shift",
+        "_channel_mask",
+        "_channels",
         "read_latency",
-        "reads",
         "writes",
     )
 
@@ -51,53 +57,51 @@ class MemoryController:
         self.device = DRAMDevice(geometry, timings, name=name)
         self._queue_depth = queue_depth
         self._inflight: list[deque[int]] = [deque() for _ in range(geometry.channels)]
-        self.read_latency = RunningMean()
-        self.reads = 0
+        # A request joins the queue of the channel its address decodes to.
+        self._channel_shift = self.device._cbr_shift
+        self._channel_mask = self.device._channel_mask
+        self._channels = geometry.channels
+        self.read_latency = MeanStat()
         self.writes = 0
 
-    def _queue_delayed_time(self, channel: int, now: int) -> int:
-        """Arrival time adjusted for command-queue occupancy."""
+    def _queued(self, issue, address: int, now: int, bursts: int) -> int:
+        """Run ``issue`` (a device access) through its channel's queue.
+
+        A request arriving at a full queue waits for the oldest in-flight
+        access to complete; its own completion then joins the queue.
+        """
+        channel = ((address >> self._channel_shift) & self._channel_mask) % self._channels
         queue = self._inflight[channel]
         while queue and queue[0] <= now:
             queue.popleft()
-        if len(queue) >= self._queue_depth:
-            now = queue[len(queue) - self._queue_depth]
-        return now
-
-    def _track(self, channel: int, completion: int) -> None:
-        queue = self._inflight[channel]
-        queue.append(completion)
-        if len(queue) > 4 * self._queue_depth:
+        depth = self._queue_depth
+        if len(queue) >= depth:
+            now = queue[len(queue) - depth]
+        end = issue(address, now, bursts)
+        queue.append(end)
+        if len(queue) > 4 * depth:
             # Bound memory: drop the oldest half; they are long complete
             # relative to any future arrival that could consult them.
-            for _ in range(2 * self._queue_depth):
+            for _ in range(2 * depth):
                 queue.popleft()
+        return end
 
     def read_fast(self, address: int, now: int, bursts: int = 1) -> int:
         """Read ``bursts`` * 64 B; returns the data-end time (flat path)."""
-        channel = self.device.channel_of(address)
-        start = self._queue_delayed_time(channel, now)
-        end = self.device.read_fast(address, start, bursts)
-        self._track(channel, end)
-        self.reads += 1
-        latency = end - now
+        end = self._queued(self.device.read_fast, address, now, bursts)
         mean = self.read_latency
         mean.count += 1
-        mean.total += latency
-        if latency < mean.minimum:
-            mean.minimum = latency
-        if latency > mean.maximum:
-            mean.maximum = latency
+        mean.total += end - now
         return end
 
     def write_fast(self, address: int, now: int, bursts: int = 1) -> int:
         """Posted write: timing matters only for contention, not latency."""
-        channel = self.device.channel_of(address)
-        start = self._queue_delayed_time(channel, now)
-        end = self.device.write_fast(address, start, bursts)
-        self._track(channel, end)
         self.writes += 1
-        return end
+        return self._queued(self.device.write_fast, address, now, bursts)
+
+    @property
+    def reads(self) -> int:
+        return self.read_latency.count
 
     @property
     def bytes_transferred(self) -> int:
@@ -109,7 +113,6 @@ class MemoryController:
     def reset_stats(self) -> None:
         self.device.reset_stats()
         self.read_latency.reset()
-        self.reads = 0
         self.writes = 0
 
     def report_metrics(self, registry, *, prefix: str = "offchip") -> None:

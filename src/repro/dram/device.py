@@ -176,13 +176,6 @@ class DRAMDevice:
             bank %= self._nbk
         return DRAMLocation(channel=channel, bank=bank, row=row, column=column)
 
-    def channel_of(self, address: int) -> int:
-        """Channel index only (memory-controller queue lookup)."""
-        channel = (address >> self._cbr_shift) & self._channel_mask
-        if self._mod_channels:
-            channel %= self._nch
-        return channel
-
     # ------------------------------------------------------------------
     # the timing kernel
     # ------------------------------------------------------------------

@@ -6,6 +6,10 @@ operation: :meth:`DRAMCacheBase.access`. The returned completion time *is*
 the LLSC miss penalty the paper's Figure 8(c) compares; hit/miss, off-chip
 traffic and wasted-fetch accounting use one shared stats vocabulary so the
 harness can tabulate all schemes uniformly.
+
+Per access a cache tracks its hit or miss and, for a read, the count
+and total latency of ``hit_latency`` or ``miss_latency``; their pooled
+mean is ``avg_read_latency``. Off-chip bytes are counted per transfer.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.common.config import DRAMCacheGeometry
-from repro.common.stats import RateStat, RunningMean
+from repro.common.addressing import SUB_BLOCK_BITS
+from repro.common.stats import MeanStat, RateStat
 from repro.dram.controller import MemoryController
 from repro.dram.device import DRAMDevice
 
@@ -58,9 +63,8 @@ class DRAMCacheBase(ABC):
             geometry.geometry, geometry.timing, name=f"{self.name}-stack"
         )
         self.hit_stat = RateStat()
-        self.read_latency = RunningMean()
-        self.hit_latency = RunningMean()
-        self.miss_latency = RunningMean()
+        self.hit_latency = MeanStat()
+        self.miss_latency = MeanStat()
         # Off-chip traffic accounting (bytes).
         self.offchip_fetched_bytes = 0
         self.offchip_writeback_bytes = 0
@@ -79,11 +83,15 @@ class DRAMCacheBase(ABC):
         # Fast-path scratch: hit/miss of the access in flight, set by
         # the subclass inside _access_fast before it returns.
         self._hit = False
-        # Hoisted off-chip helpers for the tail trains.
+        # Hoisted off-chip helpers for the tail trains: the beat spread,
+        # the device's address split (row-rank-bank-mc-column mask/shift
+        # fields, as DRAMDevice.decode applies them) and its kernel.
         device = offchip.device
         self._offchip_spread = device.timings.burst_cycles
-        self._offchip_row_beats = device.geometry.page_size // 64
-        self._offchip_decode = device.decode
+        self._offchip_split = (
+            device._column_mask, device._column_bits, device._channel_mask,
+            device._channel_bits, device._nch, device._bank_mask, device._bank_bits, device._nbk,
+        )
         self._offchip_access = device.access_direct_fast
 
     # ------------------------------------------------------------------
@@ -104,37 +112,25 @@ class DRAMCacheBase(ABC):
     def access_fast(self, address: int, now: int, is_write: bool = False) -> int:
         """Flat access path: returns the completion time as a plain int.
 
-        Read latency statistics feed the average-LLSC-miss-penalty
-        comparison; writes are posted (they occupy resources but their
-        completion does not stall the core). The hit/miss of the access
-        is left in ``self._hit`` by the scheme's ``_access_fast``.
+        A read adds its latency to the hit or the miss mean, which feed
+        the average-LLSC-miss-penalty comparison; writes are posted (they
+        occupy resources but their completion does not stall the core).
+        The hit/miss of the access is left in ``self._hit`` by the
+        scheme's ``_access_fast``.
         """
         pending = self._pending
         if pending and pending[0][0] <= now:
             self._drain_posted(now)
         complete = self._access_fast(address, now, is_write)
-        hit = self._hit
-        hit_stat = self.hit_stat
-        if hit:
-            hit_stat.hits += 1
+        if self._hit:
+            self.hit_stat.hits += 1
+            mean = self.hit_latency
         else:
-            hit_stat.misses += 1
+            self.hit_stat.misses += 1
+            mean = self.miss_latency
         if not is_write:
-            latency = complete - now
-            mean = self.read_latency
             mean.count += 1
-            mean.total += latency
-            if latency < mean.minimum:
-                mean.minimum = latency
-            if latency > mean.maximum:
-                mean.maximum = latency
-            mean = self.hit_latency if hit else self.miss_latency
-            mean.count += 1
-            mean.total += latency
-            if latency < mean.minimum:
-                mean.minimum = latency
-            if latency > mean.maximum:
-                mean.maximum = latency
+            mean.total += complete - now
         return complete
 
     @abstractmethod
@@ -219,15 +215,19 @@ class DRAMCacheBase(ABC):
         self.offchip_fetched_bytes += bursts * 64
         if bursts > 1:
             spread = self._offchip_spread
-            row_beats = self._offchip_row_beats
+            (column_mask, column_bits, channel_mask, channel_bits, nch,
+             bank_mask, bank_bits, nbk) = self._offchip_split
             pending = self._pending
             seq = self._pending_seq
             self._pending_seq = seq + bursts - 1
             beat = 1
             while beat < bursts:
-                loc = self._offchip_decode(address + 64 * beat)
-                beats = min(bursts - beat, row_beats - loc.column)
-                train = (loc.channel, loc.bank, loc.row, beats)
+                bits = (address >> SUB_BLOCK_BITS) + beat
+                beats = min(bursts - beat, column_mask + 1 - (bits & column_mask))
+                bits >>= column_bits
+                channel = (bits & channel_mask) % nch
+                bits >>= channel_bits
+                train = (channel, (bits & bank_mask) % nbk, bits >> bank_bits, beats)
                 heapq.heappush(pending, (end + beat * spread, seq, None, train))
                 seq += beats
                 beat += beats
@@ -255,8 +255,13 @@ class DRAMCacheBase(ABC):
 
     @property
     def avg_read_latency(self) -> float:
-        """Average LLSC miss penalty in CPU cycles (paper Fig. 8c)."""
-        return self.read_latency.mean
+        """Average LLSC miss penalty in CPU cycles (paper Fig. 8c).
+
+        Pooled exactly: both totals sum integer latencies far below 2**53.
+        """
+        hit, miss = self.hit_latency, self.miss_latency
+        count = hit.count + miss.count
+        return (hit.total + miss.total) / count if count else 0.0
 
     def offchip_traffic_bytes(self) -> int:
         return self.offchip_fetched_bytes + self.offchip_writeback_bytes
@@ -275,7 +280,6 @@ class DRAMCacheBase(ABC):
         measured region of the run.
         """
         self.hit_stat.reset()
-        self.read_latency.reset()
         self.hit_latency.reset()
         self.miss_latency.reset()
         self.offchip_fetched_bytes = 0

@@ -98,6 +98,57 @@ class TestValidation:
         for name in api.experiment_ids():
             assert api.grid_request(name).experiment == name
 
+    @pytest.mark.parametrize(
+        "kind, setting, needle",
+        [
+            ("sim", {"scheme": ["alloy"]}, r"scheme must be a string \(got \['alloy'\]\)"),
+            ("sim", {"mix": ["Q1"]}, r"mix must be a string \(got \['Q1'\]\)"),
+            ("sim", {"cores": "4"}, r"cores must be an integer \(got '4'\)"),
+            ("sim", {"window": "16"}, r"window must be an integer \(got '16'\)"),
+            ("sim", {"warmup_fraction": "0.5"}, r"warmup_fraction must be a number"),
+            ("grid", {"experiment": ["fig10"]}, r"experiment must be a string"),
+            ("grid", {"mixes": "Q1"}, r"mixes must be a list of names \(got 'Q1'\)"),
+            ("grid", {"cores": "4"}, r"cores must be an integer \(got '4'\)"),
+            ("grid", {"jobs": "2"}, r"jobs must be an integer \(got '2'\)"),
+            ("dse", {"mixes": "Q1"}, r"mixes must be a list of names \(got 'Q1'\)"),
+            ("dse", {"cores": "4"}, r"cores must be an integer \(got '4'\)"),
+            ("dse", {"jobs": "2"}, r"jobs must be an integer \(got '2'\)"),
+            ("dse", {"sample_rate": "1"}, r"sample_rate must be a number \(got '1'\)"),
+            ("dse", {"max_frontier": "8"}, r"max_frontier must be an integer"),
+        ],
+        ids=[
+            "sim-scheme", "sim-mix", "sim-cores", "sim-window", "sim-warmup",
+            "grid-experiment", "grid-mixes", "grid-cores", "grid-jobs",
+            "dse-mixes", "dse-cores", "dse-jobs", "dse-sample-rate",
+            "dse-max-frontier",
+        ],
+    )
+    def test_mistyped_field_is_refused(self, kind, setting, needle):
+        """A wire payload carries any JSON value: each field is refused by
+        type before a comparison would raise TypeError on it."""
+        build, validate = {
+            "sim": (lambda: api.sim_request("alloy", "Q1"), api.validate_sim),
+            "grid": (lambda: api.grid_request("fig10"), api.validate_grid),
+            "dse": (api.dse_request, api.validate_dse),
+        }[kind]
+        wire = api.to_wire(build())
+        wire.update(setting)
+        with pytest.raises(api.RequestError, match=needle):
+            validate(api.from_wire(wire))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: api.grid_request("fig10", mixes="Q1"),
+            lambda: api.dse_request(mixes="Q1"),
+        ],
+        ids=["grid", "dse"],
+    )
+    def test_lone_mix_name_is_not_split(self, build):
+        """A string is refused as one value, not as one mix per letter."""
+        with pytest.raises(api.RequestError, match=r"mixes must be a list of names"):
+            build()
+
 
 class TestDseValidation:
     def test_bad_cores(self):

@@ -6,6 +6,7 @@ with a fixed latency. The ``cpi`` and ``stall_fraction`` checks stay on
 the ``IntervalCore`` record.
 """
 
+import numpy as np
 import pytest
 
 import repro.cores.multiprog as multiprog
@@ -13,6 +14,7 @@ from repro.common.config import CoreConfig
 from repro.cores.interval import IntervalCore
 from repro.cores.multiprog import MultiProgramRunner
 from repro.dramcache.base import DRAMCacheAccess
+from repro.workloads.generator import TraceChunk
 from repro.workloads.mixes import get_mix
 
 CONFIG = CoreConfig(base_cpi=0.5, memory_level_parallelism=2.0)
@@ -37,12 +39,19 @@ class StubCache:
 def drive(monkeypatch):
     """Run one program of ``(address, is_write, icount)`` records.
 
-    Returns the core's record, the arrival stamps the cache saw and the
-    run's measured cycles.
+    The records become the program's :class:`TraceChunk`, the stream
+    type the runner reads. Returns the core's record, the arrival stamps
+    the cache saw and the run's measured cycles.
     """
 
     def run(records, *, latency=0, warmup_fraction=0.0):
-        monkeypatch.setattr(multiprog, "program_streams", lambda *a, **kw: [records])
+        addresses, writes, icounts = zip(*records)
+        chunk = TraceChunk(
+            np.array(addresses, dtype=np.uint64),
+            np.array(writes, dtype=bool),
+            np.array(icounts, dtype=np.uint32),
+        )
+        monkeypatch.setattr(multiprog, "program_streams", lambda *a, **kw: [chunk])
         cache = StubCache(latency)
         runner = MultiProgramRunner(
             get_mix("Q1"),

@@ -37,15 +37,16 @@ class _StubCache(DRAMCacheBase):
 class TestAccounting:
     def test_read_latency_tracked(self):
         cache = _StubCache()
-        cache.access(0x1000, 0)
-        assert cache.read_latency.count == 1
+        result = cache.access(0x1000, 0)
         assert cache.miss_latency.count == 1
+        assert cache.miss_latency.total == result.latency
         assert cache.hit_latency.count == 0
+        assert cache.avg_read_latency == result.latency
 
     def test_write_latency_not_tracked(self):
         cache = _StubCache()
         cache.access(0x1000, 0, is_write=True)
-        assert cache.read_latency.count == 0
+        assert cache.hit_latency.count == cache.miss_latency.count == 0
         assert cache.hit_stat.total == 1
 
     def test_wasted_fraction(self):

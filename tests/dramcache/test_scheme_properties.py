@@ -63,7 +63,7 @@ def test_contract_invariants(scheme, seq):
         reads += 1
         now = again.complete + 5
     assert cache.hit_stat.total == reads + writes
-    assert cache.read_latency.count == reads
+    assert cache.hit_latency.count + cache.miss_latency.count == reads
     # off-chip accounting never goes negative / inconsistent
     assert cache.offchip_fetched_bytes >= 0
     assert cache.offchip_wasted_bytes <= cache.offchip_fetched_bytes + 512 * 64
@@ -82,3 +82,26 @@ def test_determinism_per_scheme(scheme):
         return latencies
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_avg_read_latency_is_the_exact_mean_since_reset(scheme):
+    """``avg_read_latency``, pooled from the hit and miss means, equals
+    the mean of ``complete - now`` over every read after the last
+    ``reset_stats()``, compared exactly."""
+    cache = fresh_cache(scheme)
+    now = 0
+    latencies = []
+    for i in range(1_200):
+        if i in (300, 700):
+            cache.reset_stats()
+            latencies = []
+        now += 13
+        is_write = i % 5 == 0
+        # Every third access streams to a new line; the rest reuse 256.
+        line = 4096 + i if i % 3 == 0 else (i * 977) % 256
+        complete = cache.access_fast(line * 64, now, is_write)
+        if not is_write:
+            latencies.append(complete - now)
+    assert cache.hit_latency.count and cache.miss_latency.count
+    assert cache.avg_read_latency == sum(latencies) / len(latencies)

@@ -368,33 +368,58 @@ class TestCrashRecovery:
         assert result.rows == local.rows, "recovered grid diverged"
 
 
+def _grid_line_answers(settings: dict) -> list:
+    """Send, on one connection, a raw grid line per ``settings`` entry:
+    a valid request's wire form with that entry's fields laid over it.
+    Returns the parsed answers."""
+
+    async def scenario():
+        server, host, port = await start_server()
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                for rid, setting in settings.items():
+                    wire = api.to_wire(api.grid_request(
+                        "fig10", mixes=("Q1",), accesses_per_core=300))
+                    wire.update(setting)
+                    writer.write((json.dumps(
+                        {"id": rid, "verb": "grid", "request": wire}) + "\n").encode())
+                await writer.drain()
+                lines = [await reader.readline() for _ in settings]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+        finally:
+            await server.aclose()
+        return lines
+
+    return [parse_response_line(line) for line in run_async(scenario())]
+
+
 class TestBadSettings:
     def test_bad_setting_is_a_bad_request_answer(self):
         """Refused before any cell runs, and answered, not dropped."""
         settings = {"r1": {"seed": -1}, "r2": {"scale": 3}, "r3": {"seed": "1"}}
-
-        async def scenario():
-            server, host, port = await start_server()
-            try:
-                reader, writer = await asyncio.open_connection(host, port)
-                try:
-                    for rid, setting in settings.items():
-                        wire = api.to_wire(api.grid_request(
-                            "fig10", mixes=("Q1",), accesses_per_core=300))
-                        wire.update(setting)
-                        writer.write((json.dumps(
-                            {"id": rid, "verb": "grid", "request": wire}) + "\n").encode())
-                    await writer.drain()
-                    lines = [await reader.readline() for _ in settings]
-                finally:
-                    writer.close()
-                    await writer.wait_closed()
-            finally:
-                await server.aclose()
-            return lines
-
-        answers = [parse_response_line(line) for line in run_async(scenario())]
+        answers = _grid_line_answers(settings)
         assert sorted(rid for rid, _, _ in answers) == sorted(settings)
         for rid, kind, payload in answers:
             assert kind == "error", rid
             assert payload.code == "bad-request", rid
+
+
+class TestMistypedFields:
+    def test_mistyped_field_is_a_bad_request_answer(self):
+        """A field of the wrong JSON type is answered, not dropped with a
+        traceback on the server."""
+        settings = {
+            "r1": {"jobs": "2"},
+            "r2": {"mixes": "Q1"},
+            "r3": {"cores": "4"},
+            "r4": {"experiment": ["fig10"]},
+        }
+        answers = _grid_line_answers(settings)
+        assert sorted(rid for rid, _, _ in answers) == sorted(settings)
+        for rid, kind, payload in answers:
+            assert kind == "error", rid
+            assert payload.code == "bad-request", rid
+            assert "must be" in payload.message, rid
