@@ -18,18 +18,18 @@ Resubmission is safe by construction, not by hope:
   attempt would have produced.
 
 Backoff jitter is a pure function of ``(request key, attempt)`` via
-SHA-256 — the same derandomized-jitter idiom as
-``repro.harness.faults.FaultPolicy.backoff`` — so two reruns of a test
-schedule identical sleeps (the project's determinism lint bans
-wall-clock and unseeded randomness).
+SHA-256 — the schedule of :func:`repro.common.backoff.backoff_delay`,
+which ``repro.harness.faults.FaultPolicy.backoff`` shares — so two
+reruns of a test schedule identical sleeps (the project's determinism
+lint bans wall-clock and unseeded randomness).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from repro.api.errors import RETRYABLE_CODES, ServiceError
+from repro.common.backoff import backoff_delay
 
 __all__ = ["RetryPolicy", "request_key"]
 
@@ -69,10 +69,4 @@ class RetryPolicy:
 
     def delay_s(self, key: str, attempt: int) -> float:
         """Deterministic backoff before retry number ``attempt`` (1-based)."""
-        raw = self.backoff_s * (2 ** max(0, attempt - 1))
-        return min(self.backoff_cap_s, raw * (1.0 + _jitter_fraction(key, attempt)))
-
-
-def _jitter_fraction(key: str, attempt: int) -> float:
-    digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
-    return int.from_bytes(digest[:4], "big") / 2**32
+        return backoff_delay(key, attempt, self.backoff_s, self.backoff_cap_s)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro.common.addressing import AddressMap
 from repro.common.config import DRAMCacheGeometry
 from repro.common.stats import Counter, Histogram, RateStat
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 from repro.dramcache.base import DRAMCacheBase
 from repro.bimodal.analytic import TagLatencyModel
 from repro.bimodal.dueling import SetDuelingController
@@ -72,7 +72,7 @@ class BiModalCache(DRAMCacheBase):
     def __init__(
         self,
         geometry: DRAMCacheGeometry,
-        offchip: MemoryController,
+        offchip: DRAMDevice,
         config: BiModalConfig | None = None,
     ) -> None:
         super().__init__(geometry, offchip)

@@ -31,7 +31,7 @@ class Counter:
 class MeanStat:
     """Count and total of samples, for their mean; no extremes.
 
-    The caches' hit/miss and the off-chip controller's read latencies:
+    The caches' hit/miss and main memory's read latencies:
     their hot paths add to ``count`` and ``total`` inline.
     """
 

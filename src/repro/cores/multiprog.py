@@ -40,7 +40,7 @@ from repro.workloads.trace_cache import program_streams
 __all__ = ["RunResult", "MultiProgramRunner"]
 
 CacheFactory = Callable[[], DRAMCacheBase]
-"""Builds a fresh DRAM cache *with its own off-chip controller behind it*."""
+"""Builds a fresh DRAM cache *with its own off-chip memory behind it*."""
 
 
 @dataclass

@@ -1,10 +1,5 @@
-"""DRAM substrate: the timing device and the memory controller."""
+"""DRAM substrate: the timing device, which is also main memory."""
 
-from repro.dram.controller import MemoryController
-from repro.dram.device import DRAMDevice, DRAMLocation
+from repro.dram.device import DRAMDevice
 
-__all__ = [
-    "MemoryController",
-    "DRAMDevice",
-    "DRAMLocation",
-]
+__all__ = ["DRAMDevice"]

@@ -1,10 +1,13 @@
-"""A complete DRAM device: channels, banks and address interleaving.
+"""A complete DRAM device: channels, banks, address interleaving and,
+for main memory, the command queue.
 
 Used twice in the system:
 
-* as **off-chip main memory** (DDR3-1600H) where requests carry physical
-  addresses decoded with the paper's ``row-rank-bank-mc-column``
-  interleaving (Table IV) — ranks are folded into the bank dimension; and
+* as **off-chip main memory** (DDR3-1600H): requests carry physical
+  addresses that :meth:`DRAMDevice.read_fast` / :meth:`write_fast`
+  decode with the paper's ``row-rank-bank-mc-column`` interleaving
+  (Table IV; ranks are folded into the bank dimension) and pass through
+  the channel's command queue; and
 * as the **stacked DRAM** of the cache, where organizations compute their
   own (channel, bank, row) placement (e.g. the Bi-Modal metadata bank) and
   use :meth:`DRAMDevice.access_direct_fast`.
@@ -28,41 +31,52 @@ row-open) time and leaves the row-buffer outcome (0 hit / 1 closed /
 
 The model is open-page with in-order service at each bank: a request
 waits for the bank's previous command, then pays CAS (hit), ACT + CAS
-(closed) or PRE + ACT + CAS (conflict). ``tests/dram/test_kernel_validation.py``
-checks every entry point against the command-level ``ReferenceBank``
-oracle in ``tests/dram/oracle.py``.
+(closed) or PRE + ACT + CAS (conflict). Nothing is reordered, so a
+later row hit never overtakes an earlier row miss (no FR-FCFS
+scheduling). ``tests/dram/test_kernel_validation.py`` checks every
+entry point against the command-level ``ReferenceBank`` oracle, and
+every address placement against the oracle's interleaving formula,
+both in ``tests/dram/oracle.py``.
 
-Address decode is pure mask/shift: the field widths are precomputed in
-``__init__`` and the modulo fold for non-power-of-two channel/bank
-counts is skipped entirely when the count is a power of two.
+Main memory
+-----------
+This module owns the address map, written twice as pure mask/shift
+(field widths precomputed in ``__init__``; the modulo fold for
+non-power-of-two channel/bank counts skipped for powers of two):
+:meth:`_queued` places one request and :meth:`tail_trains` the tail
+beats of a multi-burst fetch.
+
+``read_fast`` and ``write_fast`` model the Table IV command queue as a
+bounded in-flight window per channel: a request arriving at a channel
+with ``QUEUE_DEPTH`` accesses in flight waits for the oldest of them to
+complete. Direct accesses, and so the tail beats, bypass the window.
+The device counts reads with their latency (``read_latency``, queue
+wait included) and writes; ``reset_stats`` clears those counters but
+not the window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 
 from repro.common.addressing import SUB_BLOCK_BITS, log2_int
 from repro.common.config import DRAMGeometry, DRAMTimingConfig
+from repro.common.stats import MeanStat
 
-__all__ = ["DRAMLocation", "DRAMDevice"]
+__all__ = ["QUEUE_DEPTH", "DRAMDevice"]
 
 # Per-channel refresh stagger in cycles: bank ``i`` of every channel
 # refreshes ``i * 97`` cycles after bank 0.
 _REFRESH_STAGGER = 97
 
-
-@dataclass(slots=True)
-class DRAMLocation:
-    """Decoded placement of an address."""
-
-    channel: int
-    bank: int
-    row: int
-    column: int  # 64B-burst index within the row
+#: Command-queue entries per channel (Table IV): the in-flight window
+#: of ``read_fast`` / ``write_fast``.
+QUEUE_DEPTH = 256
 
 
 class DRAMDevice:
-    """Flat timing kernel + row-rank-bank-mc-column interleaving."""
+    """Flat timing kernel, row-rank-bank-mc-column interleaving and the
+    per-channel command queue."""
 
     __slots__ = (
         "name",
@@ -97,7 +111,10 @@ class DRAMDevice:
         "_cbr_shift",
         "_mod_channels",
         "_mod_banks",
+        "_inflight",
         "bytes_transferred",
+        "read_latency",
+        "writes",
         "last_outcome",
         "last_data_start",
     )
@@ -151,30 +168,16 @@ class DRAMDevice:
         # Non-power-of-two counts need a modulo fold after masking.
         self._mod_channels = (1 << self._channel_bits) != nch
         self._mod_banks = (1 << self._bank_bits) != nbk
+        # Command queue: completion times of each channel's accesses.
+        self._inflight: list[deque[int]] = [deque() for _ in range(nch)]
         self.bytes_transferred = 0
+        self.read_latency = MeanStat()
+        self.writes = 0
         # Kernel scratch: outcome (0 hit / 1 closed / 2 conflict) and
         # data-start of the most recent timed access, for per-access
         # instrumentation (metadata RBH) and tests.
         self.last_outcome = 0
         self.last_data_start = 0
-
-    # ------------------------------------------------------------------
-    # address decoding (off-chip use)
-    # ------------------------------------------------------------------
-    def decode(self, address: int) -> DRAMLocation:
-        """Split an address: LSB -> column, channel (mc), bank, row."""
-        bits = address >> SUB_BLOCK_BITS
-        column = bits & self._column_mask
-        bits >>= self._column_bits
-        channel = bits & self._channel_mask
-        bits >>= self._channel_bits
-        bank = bits & self._bank_mask
-        row = bits >> self._bank_bits
-        if self._mod_channels:
-            channel %= self._nch
-        if self._mod_banks:
-            bank %= self._nbk
-        return DRAMLocation(channel=channel, bank=bank, row=row, column=column)
 
     # ------------------------------------------------------------------
     # the timing kernel
@@ -262,11 +265,14 @@ class DRAMDevice:
     # ------------------------------------------------------------------
     # timed accesses (plain-int results, no allocation)
     # ------------------------------------------------------------------
-    def read_fast(self, address: int, now: int, bursts: int = 1) -> int:
-        """Read ``bursts`` consecutive 64 B beats; returns data-end time.
+    def _queued(self, address: int, now: int, bursts: int) -> int:
+        """Decode ``address`` and time it behind its channel's queue.
 
-        Multi-burst reads stay within one row for any transfer that does
-        not cross a page boundary (the paper's big blocks never do).
+        A request arriving at a full queue waits for the oldest
+        in-flight access to complete; its own completion then joins the
+        queue. Multi-burst accesses stay within one row for any transfer
+        that does not cross a page boundary (the paper's big blocks
+        never do).
         """
         bits = address >> self._cbr_shift
         channel = bits & self._channel_mask
@@ -277,15 +283,60 @@ class DRAMDevice:
             channel %= self._nch
         if self._mod_banks:
             bank %= self._nbk
+        queue = self._inflight[channel]
+        while queue and queue[0] <= now:
+            queue.popleft()
+        if len(queue) >= QUEUE_DEPTH:
+            now = queue[len(queue) - QUEUE_DEPTH]
         # The private name, not access_direct_fast: a wrapper that
         # patches the public methods by name then records this access
-        # once, as a read, not a second time as a direct access.
-        return self._timed_fast(channel, bank, row, now, bursts)
+        # once, as a read or write, not a second time as a direct access.
+        end = self._timed_fast(channel, bank, row, now, bursts)
+        queue.append(end)
+        if len(queue) > 4 * QUEUE_DEPTH:
+            # Bound memory: drop the oldest half; they are long complete
+            # relative to any future arrival that could consult them.
+            for _ in range(2 * QUEUE_DEPTH):
+                queue.popleft()
+        return end
 
-    # Writes get the same row-buffer management as reads in this model.
-    # The second name keeps write call sites readable and lets wrappers
-    # that patch device methods by name record the two apart.
-    write_fast = read_fast
+    def read_fast(self, address: int, now: int, bursts: int = 1) -> int:
+        """Read ``bursts`` consecutive 64 B beats; returns data-end time."""
+        end = self._queued(address, now, bursts)
+        mean = self.read_latency
+        mean.count += 1
+        mean.total += end - now
+        return end
+
+    def write_fast(self, address: int, now: int, bursts: int = 1) -> int:
+        """Posted write: timing matters only for contention, not latency."""
+        self.writes += 1
+        return self._queued(address, now, bursts)
+
+    def tail_trains(self, address: int, bursts: int) -> list[tuple[int, int, int, int]]:
+        """Place beats ``1 .. bursts - 1`` of a fetch from ``address``.
+
+        Returns one ``(channel, bank, row, beats)`` train per row the
+        beats touch, in beat order: ``beats`` consecutive beats share
+        that row.
+        """
+        column_mask = self._column_mask
+        trains = []
+        beat = 1
+        while beat < bursts:
+            bits = (address >> SUB_BLOCK_BITS) + beat
+            beats = min(bursts - beat, column_mask + 1 - (bits & column_mask))
+            bits >>= self._column_bits
+            channel = bits & self._channel_mask
+            bits >>= self._channel_bits
+            bank = bits & self._bank_mask
+            if self._mod_channels:
+                channel %= self._nch
+            if self._mod_banks:
+                bank %= self._nbk
+            trains.append((channel, bank, bits >> self._bank_bits, beats))
+            beat += beats
+        return trains
 
     # Access an explicitly placed row (stacked-DRAM cache use, off-chip
     # tail beats): the kernel itself, with no frame in between.
@@ -363,7 +414,12 @@ class DRAMDevice:
     def total_precharges(self) -> int:
         return sum(self._precharges)
 
+    @property
+    def reads(self) -> int:
+        return self.read_latency.count
+
     def reset_stats(self) -> None:
+        """Clear the counters; bank, bus and queue state stay."""
         banks = self._nch * self._nbk
         self._rb_hits = [0] * banks
         self._rb_misses = [0] * banks
@@ -372,6 +428,16 @@ class DRAMDevice:
         self._refreshes = [0] * banks
         self._bus_busy = [0] * self._nch
         self.bytes_transferred = 0
+        self.read_latency.reset()
+        self.writes = 0
+
+    def report_metrics(self, registry, *, prefix: str = "offchip") -> None:
+        """Pull-based observability tap (span boundaries, not hot path)."""
+        registry.add(f"{prefix}.reads", self.reads)
+        registry.add(f"{prefix}.writes", self.writes)
+        registry.add(f"{prefix}.bytes", self.bytes_transferred)
+        registry.gauge(f"{prefix}.rbh", self.row_buffer_hit_rate())
+        registry.gauge(f"{prefix}.avg_read_latency", self.read_latency.mean)
 
 
 def _ceil_pow2(value: int) -> int:

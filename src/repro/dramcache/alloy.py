@@ -16,7 +16,7 @@ same regions a load instruction streams through).
 from __future__ import annotations
 
 from repro.common.config import DRAMCacheGeometry
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 from repro.dramcache.base import DRAMCacheBase
 
 __all__ = ["MAPPredictor", "AlloyCache"]
@@ -71,7 +71,7 @@ class AlloyCache(DRAMCacheBase):
 
     name = "alloy"
 
-    def __init__(self, geometry: DRAMCacheGeometry, offchip: MemoryController) -> None:
+    def __init__(self, geometry: DRAMCacheGeometry, offchip: DRAMDevice) -> None:
         super().__init__(geometry, offchip)
         rows = geometry.capacity // geometry.geometry.page_size
         self.num_slots = rows * _TADS_PER_ROW

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.common.config import DRAMCacheGeometry
 from repro.common.stats import RateStat
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 from repro.dramcache.lohhill import LohHillCache, _TAG_BURSTS, _TAG_COMPARE_CYCLES
 from repro.sram.cache import SetAssociativeCache
 
@@ -34,7 +34,7 @@ class ATCache(LohHillCache):
     def __init__(
         self,
         geometry: DRAMCacheGeometry,
-        offchip: MemoryController,
+        offchip: DRAMDevice,
         *,
         tag_cache_sets: int | None = None,
         tag_cache_assoc: int = 16,

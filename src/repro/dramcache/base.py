@@ -7,6 +7,11 @@ the LLSC miss penalty the paper's Figure 8(c) compares; hit/miss, off-chip
 traffic and wasted-fetch accounting use one shared stats vocabulary so the
 harness can tabulate all schemes uniformly.
 
+Main memory is one :class:`~repro.dram.device.DRAMDevice`: a fetch's
+critical beat and every writeback pass through its command queue
+(``read_fast`` / ``write_fast``), and the tail beats of a multi-burst
+fetch are placed by the device and posted straight to its kernel.
+
 Per access a cache tracks its hit or miss and, for a read, the count
 and total latency of ``hit_latency`` or ``miss_latency``; their pooled
 mean is ``avg_read_latency``. Off-chip bytes are counted per transfer.
@@ -21,9 +26,7 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 from repro.common.config import DRAMCacheGeometry
-from repro.common.addressing import SUB_BLOCK_BITS
 from repro.common.stats import MeanStat, RateStat
-from repro.dram.controller import MemoryController
 from repro.dram.device import DRAMDevice
 
 __all__ = ["DRAMCacheAccess", "DRAMCacheBase"]
@@ -46,8 +49,9 @@ class DRAMCacheBase(ABC):
     """Shared state and accounting for DRAM cache organizations.
 
     Subclasses implement :meth:`_access_fast` and use the provided
-    ``self.dram`` (stacked device) and ``self.offchip`` (memory
-    controller) plus the accounting helpers.
+    ``self.dram`` (stacked device) and ``self.offchip`` (main memory,
+    a :class:`DRAMDevice` shared by the caches of one system) plus the
+    accounting helpers.
     """
 
     name = "base"
@@ -55,7 +59,7 @@ class DRAMCacheBase(ABC):
     def __init__(
         self,
         geometry: DRAMCacheGeometry,
-        offchip: MemoryController,
+        offchip: DRAMDevice,
     ) -> None:
         self.geometry = geometry
         self.offchip = offchip
@@ -83,16 +87,10 @@ class DRAMCacheBase(ABC):
         # Fast-path scratch: hit/miss of the access in flight, set by
         # the subclass inside _access_fast before it returns.
         self._hit = False
-        # Hoisted off-chip helpers for the tail trains: the beat spread,
-        # the device's address split (row-rank-bank-mc-column mask/shift
-        # fields, as DRAMDevice.decode applies them) and its kernel.
-        device = offchip.device
-        self._offchip_spread = device.timings.burst_cycles
-        self._offchip_split = (
-            device._column_mask, device._column_bits, device._channel_mask,
-            device._channel_bits, device._nch, device._bank_mask, device._bank_bits, device._nbk,
-        )
-        self._offchip_access = device.access_direct_fast
+        # Hoisted off-chip helpers for the tail trains: the beat spread
+        # and the kernel, which the beats reach past the command queue.
+        self._offchip_spread = offchip.timings.burst_cycles
+        self._offchip_access = offchip.access_direct_fast
 
     # ------------------------------------------------------------------
     # public API
@@ -207,30 +205,24 @@ class DRAMCacheBase(ABC):
         between them the way an FR-FCFS scheduler interleaves a long
         cacheline fill with competing traffic. Total bytes moved and
         bus occupancy are unchanged. The tail is posted as one train
-        per off-chip row it touches, each holding the sequence numbers
-        its beats would take as separate entries (see
+        per off-chip row it touches (placed by
+        :meth:`DRAMDevice.tail_trains`), each holding the sequence
+        numbers its beats would take as separate entries (see
         :meth:`_drain_posted`).
         """
-        end = self.offchip.read_fast(address, now, 1)
+        offchip = self.offchip
+        end = offchip.read_fast(address, now, 1)
         self.offchip_fetched_bytes += bursts * 64
         if bursts > 1:
             spread = self._offchip_spread
-            (column_mask, column_bits, channel_mask, channel_bits, nch,
-             bank_mask, bank_bits, nbk) = self._offchip_split
             pending = self._pending
-            seq = self._pending_seq
-            self._pending_seq = seq + bursts - 1
+            # Beat b of the fetch takes sequence number seq + b.
+            seq = self._pending_seq - 1
+            self._pending_seq = seq + bursts
             beat = 1
-            while beat < bursts:
-                bits = (address >> SUB_BLOCK_BITS) + beat
-                beats = min(bursts - beat, column_mask + 1 - (bits & column_mask))
-                bits >>= column_bits
-                channel = (bits & channel_mask) % nch
-                bits >>= channel_bits
-                train = (channel, (bits & bank_mask) % nbk, bits >> bank_bits, beats)
-                heapq.heappush(pending, (end + beat * spread, seq, None, train))
-                seq += beats
-                beat += beats
+            for train in offchip.tail_trains(address, bursts):
+                heapq.heappush(pending, (end + beat * spread, seq + beat, None, train))
+                beat += train[3]
         return end
 
     def _writeback_offchip(self, address: int, now: int, *, bursts: int) -> None:

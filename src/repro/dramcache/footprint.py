@@ -32,7 +32,7 @@ import operator
 from repro.common.config import DRAMCacheGeometry
 from repro.common.stats import RateStat
 from repro.common.tables import sram_latency_cycles
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 from repro.dramcache.base import DRAMCacheBase
 
 __all__ = ["FootprintPredictor", "FootprintCache"]
@@ -108,7 +108,7 @@ class FootprintCache(DRAMCacheBase):
     def __init__(
         self,
         geometry: DRAMCacheGeometry,
-        offchip: MemoryController,
+        offchip: DRAMDevice,
         *,
         associativity: int = 8,
         enable_bypass: bool = True,

@@ -11,7 +11,7 @@ Figure 3 and Table I attribute to this scheme.
 from __future__ import annotations
 
 from repro.common.config import DRAMCacheGeometry
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 from repro.dramcache.base import DRAMCacheBase
 
 __all__ = ["LohHillCache"]
@@ -43,7 +43,7 @@ class LohHillCache(DRAMCacheBase):
 
     name = "lohhill"
 
-    def __init__(self, geometry: DRAMCacheGeometry, offchip: MemoryController) -> None:
+    def __init__(self, geometry: DRAMCacheGeometry, offchip: DRAMDevice) -> None:
         super().__init__(geometry, offchip)
         self.num_sets = geometry.capacity // geometry.geometry.page_size
         self._sets: dict[int, _Set] = {}

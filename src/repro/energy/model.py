@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 from repro.dramcache.base import DRAMCacheBase
 
 __all__ = ["EnergyParams", "EnergyBreakdown", "EnergyModel"]
@@ -94,7 +94,7 @@ class EnergyModel:
     def measure(
         self,
         cache: DRAMCacheBase,
-        offchip: MemoryController,
+        offchip: DRAMDevice,
         *,
         sram_lookups: int | None = None,
     ) -> EnergyBreakdown:
@@ -103,9 +103,9 @@ class EnergyModel:
             locator = getattr(cache, "locator", None)
             sram_lookups = locator.lookups.total if locator is not None else 0
         stacked_bursts = cache.dram.bytes_transferred / 64
-        offchip_bursts = offchip.device.bytes_transferred / 64
+        offchip_bursts = offchip.bytes_transferred / 64
         return EnergyBreakdown(
-            offchip_activate=offchip.device.total_activations() * p.offchip_activate_nj,
+            offchip_activate=offchip.total_activations() * p.offchip_activate_nj,
             offchip_transfer=offchip_bursts * p.offchip_burst_nj,
             stacked_activate=cache.dram.total_activations() * p.stacked_activate_nj,
             stacked_transfer=stacked_bursts * p.stacked_burst_nj,

@@ -114,8 +114,12 @@ def fig8b_hit_rate(
 ) -> list[dict]:
     """Figure 8(b): DRAM cache hit rates of Alloy, fixed-512B and Bi-Modal.
 
-    The paper reports average hit-rate gains over AlloyCache of 29%
-    (fixed 512 B) and 38% (Bi-Modal, via better space utilization).
+    Each row holds the three hit rates and two comparisons with
+    AlloyCache. Despite their names, ``fixed512_gain_pct`` and
+    ``bimodal_gain_pct`` are miss-rate reductions,
+    ``improvement_percent(1 - alloy, 1 - scheme)``, not the hit-rate
+    gains the paper reports over AlloyCache (29% for fixed 512 B and 38%
+    for Bi-Modal, via better space utilization); no column holds those.
     """
     setup = setup or ExperimentSetup()
     names = mix_names or list(mixes_for_cores(setup.num_cores))

@@ -30,7 +30,6 @@ composes:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import signal
@@ -39,6 +38,8 @@ import time
 import traceback as traceback_module
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+
+from repro.common.backoff import backoff_delay
 
 __all__ = [
     "RETRIES_ENV",
@@ -230,13 +231,7 @@ class FaultPolicy:
         """
         if self.backoff_s <= 0:
             return 0.0
-        raw = self.backoff_s * (2 ** max(0, attempt - 1))
-        return min(_BACKOFF_CAP_S, raw * (1.0 + _jitter_fraction(index, attempt)))
-
-
-def _jitter_fraction(index: int, attempt: int) -> float:
-    digest = hashlib.sha256(f"{index}:{attempt}".encode()).digest()
-    return int.from_bytes(digest[:4], "big") / 2**32
+        return backoff_delay(index, attempt, self.backoff_s, _BACKOFF_CAP_S)
 
 
 def _int_env(name: str, default: int) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.bimodal.cache import BiModalConfig
 from repro.common.config import SystemConfig, system_config
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 from repro.dramcache.base import DRAMCacheBase
 from repro.obs import SectionTimer, get_metrics, get_tracer
 from repro.workloads.generator import TraceChunk
@@ -106,15 +106,15 @@ class ExperimentSetup:
         )
 
 
-def build_offchip(system: SystemConfig) -> MemoryController:
-    return MemoryController(system.offchip_geometry, system.offchip_timing)
+def build_offchip(system: SystemConfig) -> DRAMDevice:
+    return DRAMDevice(system.offchip_geometry, system.offchip_timing, name="offchip")
 
 
 def build_cache(
     scheme: str,
     system: SystemConfig,
     *,
-    offchip: MemoryController | None = None,
+    offchip: DRAMDevice | None = None,
     bimodal_config: BiModalConfig | None = None,
     scale: int = SCALE,
     adaptation_interval: int = 10_000,

@@ -8,7 +8,7 @@ through this one table, so adding an organization is a single
 
 Builders receive a :class:`SchemeBuildContext` carrying everything the
 old ``build_cache`` signature threaded through keyword arguments
-(system config, shared off-chip controller, bimodal config override,
+(system config, shared off-chip memory device, bimodal config override,
 capacity scale, adaptation interval) and return a ready
 :class:`~repro.dramcache.base.DRAMCacheBase`.
 """
@@ -20,7 +20,7 @@ from collections.abc import Callable
 
 from repro.bimodal.cache import BiModalCache, BiModalConfig
 from repro.common.config import SystemConfig
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 from repro.dramcache.alloy import AlloyCache
 from repro.dramcache.atcache import ATCache
 from repro.dramcache.base import DRAMCacheBase
@@ -45,7 +45,7 @@ class SchemeBuildContext:
     """Everything a scheme builder may need to construct its cache."""
 
     system: SystemConfig
-    offchip: MemoryController
+    offchip: DRAMDevice
     bimodal_config: BiModalConfig | None = None
     scale: int = 16
     adaptation_interval: int = 10_000

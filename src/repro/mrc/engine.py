@@ -44,32 +44,20 @@ def sample_addresses(addresses, rate: float, seed: int) -> list[int]:
     """Deterministic 4 KB-frame subset of an address stream.
 
     Keeps an address iff ``hash(frame, seed)``'s top 24 bits fall under
-    ``rate·2^24`` — a pure function of (address, seed), identical on the
-    numpy and scalar paths (the scalar fallback reproduces uint64
-    wraparound with explicit masking).
+    ``rate·2^24`` — a pure function of (address, seed). Any sequence of
+    non-negative ints is taken as a uint64 array and hashed vectorized.
     """
+    a = np.asarray(addresses, dtype=np.uint64)
     if rate >= 1.0:
-        return addresses.tolist() if hasattr(addresses, "tolist") else list(addresses)
+        return a.tolist()
     threshold = int(rate * (1 << 24))
     salt = (seed * _SEED_MIX) & _MASK64
-    if isinstance(addresses, np.ndarray):
-        a = addresses.astype(np.uint64, copy=False)
-        h = (a >> np.uint64(_FRAME_BITS)) ^ np.uint64(salt)
-        h = (h ^ (h >> np.uint64(30))) * np.uint64(_MIX_A)
-        h = (h ^ (h >> np.uint64(27))) * np.uint64(_MIX_B)
-        h = h ^ (h >> np.uint64(31))
-        keep = ((h >> np.uint64(40)) & np.uint64(0xFFFFFF)) < threshold
-        return a[keep].tolist()
-    kept = []
-    append = kept.append
-    for address in addresses:
-        h = (int(address) >> _FRAME_BITS) ^ salt
-        h = ((h ^ (h >> 30)) * _MIX_A) & _MASK64
-        h = ((h ^ (h >> 27)) * _MIX_B) & _MASK64
-        h = h ^ (h >> 31)
-        if ((h >> 40) & 0xFFFFFF) < threshold:
-            append(int(address))
-    return kept
+    h = (a >> np.uint64(_FRAME_BITS)) ^ np.uint64(salt)
+    h = (h ^ (h >> np.uint64(30))) * np.uint64(_MIX_A)
+    h = (h ^ (h >> np.uint64(27))) * np.uint64(_MIX_B)
+    h = h ^ (h >> np.uint64(31))
+    keep = ((h >> np.uint64(40)) & np.uint64(0xFFFFFF)) < threshold
+    return a[keep].tolist()
 
 
 def record_pass_metrics(total: int, sampled: int, walks: int) -> None:

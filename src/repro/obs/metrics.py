@@ -1,7 +1,7 @@
 """Process-wide registry of named counters, gauges and distributions.
 
 Simulator components already keep their own counters (``RateStat``,
-``MeanStat`` and plain ints on the caches and controllers); the
+``MeanStat`` and plain ints on the caches and main memory); the
 registry is the *reporting* side — a flat, name-addressed bag every
 layer dumps into at drive/run granularity so the tracer and exporters
 see one vocabulary. Taps are pull-based: nothing in a per-record hot

@@ -64,6 +64,31 @@ class TestBackoff:
         policy = RetryPolicy()
         assert policy.delay_s("key-one", 1) != policy.delay_s("key-two", 1)
 
+    def test_one_schedule_for_requests_and_grid_cells(self):
+        """Client retries and grid-cell retries share one schedule: the
+        same key, attempt, base and cap give the same delay, and the
+        pinned delays are the ones both policies gave when each kept
+        its own copy of the formula."""
+        from repro.harness.faults import FaultPolicy
+
+        cells = FaultPolicy(retries=3, backoff_s=0.05)
+        requests = RetryPolicy(backoff_s=0.05, backoff_cap_s=5.0)
+        assert [cells.backoff(7, n) for n in (1, 2, 3)] == [
+            requests.delay_s("7", n) for n in (1, 2, 3)
+        ]
+        assert [cells.backoff(7, n).hex() for n in (1, 2, 3)] == [
+            "0x1.794d725266667p-4",
+            "0x1.3e0bb5f733334p-3",
+            "0x1.b4f9e764ccccdp-3",
+        ]
+        capped = RetryPolicy(backoff_s=0.3, backoff_cap_s=2.0)
+        assert [capped.delay_s("k", n).hex() for n in (1, 2, 3, 4)] == [
+            "0x1.6faa8ce6ccccdp-2",
+            "0x1.2673b85a66666p+0",
+            "0x1.5482f58accccdp+0",
+            "0x1.0000000000000p+1",
+        ]
+
 
 class TestRequestKey:
     def test_equal_requests_share_a_key(self):

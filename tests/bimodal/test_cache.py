@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bimodal.cache import BiModalCache, BiModalConfig
 from repro.common.config import DRAMCacheGeometry, DRAMGeometry, DRAMTimingConfig
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 from tests.bimodal.oracle import record_block_touch
 
 
@@ -17,7 +17,7 @@ def make_cache(**config_overrides) -> BiModalCache:
         capacity=1 << 20,  # 1 MB: 512 sets of 2 KB
         geometry=DRAMGeometry(channels=2, banks_per_channel=8, page_size=2048),
     )
-    offchip = MemoryController(
+    offchip = DRAMDevice(
         DRAMGeometry(channels=1, banks_per_channel=16, page_size=2048),
         DRAMTimingConfig.ddr3_1600h(),
     )
@@ -384,7 +384,7 @@ def test_space_utilization_counts_the_whole_big_block(set_size, big_block_size):
         capacity=set_size,  # a single set
         geometry=DRAMGeometry(channels=1, banks_per_channel=2, page_size=set_size),
     )
-    offchip = MemoryController(
+    offchip = DRAMDevice(
         DRAMGeometry(channels=1, banks_per_channel=16, page_size=2048),
         DRAMTimingConfig.ddr3_1600h(),
     )

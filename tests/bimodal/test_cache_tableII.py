@@ -3,7 +3,7 @@
 
 from repro.bimodal.cache import BiModalCache, BiModalConfig
 from repro.common.config import DRAMCacheGeometry, DRAMGeometry, DRAMTimingConfig
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 
 
 def make_cache(**overrides) -> BiModalCache:
@@ -11,7 +11,7 @@ def make_cache(**overrides) -> BiModalCache:
         capacity=1 << 20,
         geometry=DRAMGeometry(channels=2, banks_per_channel=8, page_size=2048),
     )
-    offchip = MemoryController(
+    offchip = DRAMDevice(
         DRAMGeometry(channels=1, banks_per_channel=16, page_size=2048),
         DRAMTimingConfig.ddr3_1600h(),
     )

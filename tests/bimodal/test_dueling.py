@@ -6,7 +6,7 @@ from repro.bimodal.dueling import SetDuelingController
 from repro.bimodal.sets import allowed_states
 from repro.bimodal.cache import BiModalCache, BiModalConfig
 from repro.common.config import DRAMCacheGeometry, DRAMGeometry, DRAMTimingConfig
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 
 STATES = allowed_states(2048, 512)
 
@@ -93,7 +93,7 @@ class TestCacheIntegration:
             capacity=1 << 19,
             geometry=DRAMGeometry(channels=2, banks_per_channel=8, page_size=2048),
         )
-        offchip = MemoryController(
+        offchip = DRAMDevice(
             DRAMGeometry(channels=1, banks_per_channel=16, page_size=2048),
             DRAMTimingConfig.ddr3_1600h(),
         )

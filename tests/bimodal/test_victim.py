@@ -5,7 +5,7 @@ import pytest
 from repro.bimodal.victim import VictimBuffer, VictimProbeWrapper
 from repro.bimodal.cache import BiModalCache, BiModalConfig
 from repro.common.config import DRAMCacheGeometry, DRAMGeometry, DRAMTimingConfig
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 
 
 def make_cache() -> BiModalCache:
@@ -13,7 +13,7 @@ def make_cache() -> BiModalCache:
         capacity=1 << 19,
         geometry=DRAMGeometry(channels=2, banks_per_channel=8, page_size=2048),
     )
-    offchip = MemoryController(
+    offchip = DRAMDevice(
         DRAMGeometry(channels=1, banks_per_channel=16, page_size=2048),
         DRAMTimingConfig.ddr3_1600h(),
     )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.config import DRAMCacheGeometry, DRAMGeometry, DRAMTimingConfig
 from repro.cores.multiprog import MultiProgramRunner
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 from repro.dramcache.alloy import AlloyCache
 from repro.workloads.mixes import get_mix
 
@@ -14,7 +14,7 @@ def alloy_factory():
         capacity=1 << 20,
         geometry=DRAMGeometry(channels=2, banks_per_channel=8, page_size=2048),
     )
-    offchip = MemoryController(
+    offchip = DRAMDevice(
         DRAMGeometry(channels=1, banks_per_channel=16, page_size=2048),
         DRAMTimingConfig.ddr3_1600h(),
     )

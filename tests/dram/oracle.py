@@ -1,4 +1,4 @@
-"""Command-level reference model for validating the bank timing.
+"""Reference models for validating the DRAM device.
 
 ``ReferenceBank`` simulates one DRAM bank at command granularity
 (PRE/ACT/CAS with explicit inter-command constraints). It is
@@ -8,15 +8,50 @@ deliberately slow and simple: it is the oracle that
 randomized request sequences (and ``test_reference_validation.py``
 one bank against), which is the kind of evidence a timing model needs
 before anyone trusts the numbers built on top of it.
+
+``decode`` is the main-memory address map written as plain integer
+arithmetic from the geometry: the placement that the device's
+mask/shift copies (``read_fast``/``write_fast`` and ``tail_trains``)
+must reproduce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.config import DRAMTimingConfig
+from repro.common.config import DRAMGeometry, DRAMTimingConfig
 
-__all__ = ["ReferenceAccess", "ReferenceBank"]
+__all__ = ["DRAMLocation", "ReferenceAccess", "ReferenceBank", "decode"]
+
+
+@dataclass(frozen=True, slots=True)
+class DRAMLocation:
+    """Decoded placement of an address."""
+
+    channel: int
+    bank: int
+    row: int
+    column: int  # 64 B-burst index within the row
+
+
+def decode(geometry: DRAMGeometry, address: int) -> DRAMLocation:
+    """Row-rank-bank-mc-column interleaving (Table IV), LSB first.
+
+    Above the 64 B offset come the column, then the channel (mc), the
+    bank and the row. The channel and bank fields are as wide as the
+    next power of two of their counts, and a non-power-of-two count
+    folds the field's value with a modulo.
+    """
+    columns = geometry.page_size // 64
+    channel_span = 1 << (geometry.channels - 1).bit_length()
+    bank_span = 1 << (geometry.banks_per_channel - 1).bit_length()
+    burst = address // 64
+    column = burst % columns
+    rest = burst // columns
+    channel = rest % channel_span % geometry.channels
+    rest //= channel_span
+    bank = rest % bank_span % geometry.banks_per_channel
+    return DRAMLocation(channel, bank, rest // bank_span, column)
 
 
 @dataclass(frozen=True, slots=True)

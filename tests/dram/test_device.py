@@ -5,42 +5,68 @@ from hypothesis import given, strategies as st
 
 from repro.common.config import DRAMGeometry, DRAMTimingConfig
 from repro.dram.device import DRAMDevice
+from tests.dram.oracle import decode
+
+GEOMETRY = DRAMGeometry(channels=2, banks_per_channel=8, page_size=2048)
 
 
 @pytest.fixture
 def device():
-    geo = DRAMGeometry(channels=2, banks_per_channel=8, page_size=2048)
-    return DRAMDevice(geo, DRAMTimingConfig.ddr3_1600h())
+    return DRAMDevice(GEOMETRY, DRAMTimingConfig.ddr3_1600h())
 
 
 class TestDecode:
-    def test_consecutive_blocks_share_row(self, device):
+    """The interleaving formula that the device's placement is checked
+    against (``test_kernel_validation``, ``test_tail_trains_follow_decode``)."""
+
+    def test_consecutive_blocks_share_row(self):
         """Column bits sit below the channel bits, so a 512B span stays
         in one row (big-block fetches need a single activation)."""
-        locs = [device.decode(0x10000 + 64 * i) for i in range(8)]
+        locs = [decode(GEOMETRY, 0x10000 + 64 * i) for i in range(8)]
         assert len({(l.channel, l.bank, l.row) for l in locs}) == 1
         assert [l.column for l in locs] == list(range(locs[0].column, locs[0].column + 8))
 
-    def test_rows_interleave_channels(self, device):
+    def test_rows_interleave_channels(self):
         page = 2048
-        a = device.decode(0x0)
-        b = device.decode(page)
+        a = decode(GEOMETRY, 0x0)
+        b = decode(GEOMETRY, page)
         assert a.channel != b.channel
 
-    def test_fields_in_range(self, device):
-        loc = device.decode((1 << 33) + 12345)
+    def test_fields_in_range(self):
+        loc = decode(GEOMETRY, (1 << 33) + 12345)
         assert 0 <= loc.channel < 2
         assert 0 <= loc.bank < 8
         assert loc.row >= 0
 
     @given(address=st.integers(min_value=0, max_value=(1 << 34) - 1))
     def test_decode_total(self, address):
-        geo = DRAMGeometry(channels=2, banks_per_channel=8, page_size=2048)
-        device = DRAMDevice(geo, DRAMTimingConfig.ddr3_1600h())
-        loc = device.decode(address)
-        assert 0 <= loc.channel < geo.channels
-        assert 0 <= loc.bank < geo.banks_per_channel
-        assert 0 <= loc.column < geo.page_size // 64
+        loc = decode(GEOMETRY, address)
+        assert 0 <= loc.channel < GEOMETRY.channels
+        assert 0 <= loc.bank < GEOMETRY.banks_per_channel
+        assert 0 <= loc.column < GEOMETRY.page_size // 64
+
+
+@given(
+    channels=st.integers(1, 5),
+    banks=st.integers(1, 9),
+    page_size=st.sampled_from([512, 2048]),
+    address=st.integers(0, 1 << 24),
+    bursts=st.integers(1, 70),
+)
+def test_tail_trains_follow_decode(channels, banks, page_size, address, bursts):
+    """``tail_trains`` groups beats 1.. of a fetch by the row that
+    ``decode`` places each beat in, in beat order."""
+    geometry = DRAMGeometry(
+        channels=channels, banks_per_channel=banks, page_size=page_size
+    )
+    device = DRAMDevice(geometry, DRAMTimingConfig.ddr3_1600h())
+    beats = [
+        (loc.channel, loc.bank, loc.row)
+        for loc in (decode(geometry, address + 64 * i) for i in range(1, bursts))
+    ]
+    trains = device.tail_trains(address, bursts)
+    assert [(c, b, r) for c, b, r, n in trains for _ in range(n)] == beats
+    assert all(a[:3] != b[:3] for a, b in zip(trains, trains[1:]))
 
 
 class TestTimedAccess:
@@ -87,6 +113,10 @@ class TestTimedAccess:
 def test_non_power_of_two_channels_wrap():
     geo = DRAMGeometry(channels=3, banks_per_channel=4, page_size=2048)
     device = DRAMDevice(geo, DRAMTimingConfig.ddr3_1600h())
+    busy = [0] * 3
     for i in range(64):
-        loc = device.decode(i * 2048)
+        loc = decode(geo, i * 2048)
         assert 0 <= loc.channel < 3
+        device.read_fast(i * 2048, 0)
+        busy[loc.channel] += device.timings.burst_cycles
+        assert device._bus_busy == busy

@@ -7,8 +7,10 @@ command schedule, refresh staggered 97 cycles per bank like the device)
 plus a per-channel data-bus horizon. Randomized sequences drive every
 entry point:
 
-* ``read_fast`` / ``write_fast`` (address decoded by ``device.decode``,
-  which ``test_device.TestDecode`` pins separately);
+* ``read_fast`` / ``write_fast``, each address placed by the oracle's
+  interleaving formula ``decode`` (``test_device.TestDecode`` pins its
+  properties), on geometries with power-of-two and other channel and
+  bank counts;
 * ``access_direct_fast`` with burst-sized transfers and with AlloyCache's
   72 B tag-and-data ``transfer_cycles``;
 * ``activate_direct`` followed by ``column_direct_fast``, the Bi-Modal
@@ -24,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import DRAMGeometry, DRAMTimingConfig
 from repro.dram.device import DRAMDevice
-from tests.dram.oracle import ReferenceBank
+from tests.dram.oracle import ReferenceBank, decode
 
 REFRESH_STAGGER = 97
 ALLOY_TAD_CYCLES = 5
@@ -121,8 +123,8 @@ def _assert_state_matches(device: DRAMDevice, oracle: _Oracle, where) -> None:
 
 _OPS = st.tuples(
     st.sampled_from(["read", "write", "direct", "alloy", "act_col"]),
-    st.integers(0, 1),  # channel
-    st.integers(0, 3),  # bank
+    st.integers(0, 2),  # channel (folded into the geometry)
+    st.integers(0, 4),  # bank (folded into the geometry)
     st.integers(0, 5),  # row (direct) / address seed (decoded)
     st.integers(1, 4),  # bursts
     st.integers(-40, 200),  # arrival gap (posted ops may arrive late)
@@ -136,15 +138,19 @@ _OPS = st.tuples(
 @given(
     ops=st.lists(_OPS, min_size=1, max_size=60),
     timing_kind=st.sampled_from(["stacked", "ddr3"]),
+    channels=st.sampled_from([1, 2, 3]),
+    banks=st.sampled_from([3, 4, 5]),
 )
-def test_every_entry_point_matches_reference_oracle(ops, timing_kind):
+def test_every_entry_point_matches_reference_oracle(ops, timing_kind, channels, banks):
     timings = _timings(timing_kind)
-    geometry = DRAMGeometry(channels=2, banks_per_channel=4, page_size=2048)
+    geometry = DRAMGeometry(channels=channels, banks_per_channel=banks, page_size=2048)
     device = DRAMDevice(geometry, timings)
     oracle = _Oracle(geometry, timings)
     burst = timings.burst_cycles
     now = 0
     for step, (kind, channel, bank, seed, bursts, gap, col_delay, jump) in enumerate(ops):
+        channel %= channels
+        bank %= banks
         now = max(0, now + gap)
         if jump is not None:
             target, delta = jump
@@ -152,8 +158,8 @@ def test_every_entry_point_matches_reference_oracle(ops, timing_kind):
             now = max(now, k * timings.trefi + target * REFRESH_STAGGER + delta)
         where = (step, kind, now)
         if kind in ("read", "write"):
-            address = (seed * 131) << 13  # spread across rows/banks/channels
-            loc = device.decode(address)
+            address = (seed * 131) << 11  # spread across rows/banks/channels
+            loc = decode(geometry, address)
             fast = device.read_fast if kind == "read" else device.write_fast
             end = fast(address, now, bursts)
             want = oracle.access(loc.channel, loc.bank, loc.row, now, bursts, bursts * burst)

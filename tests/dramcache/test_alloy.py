@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.common.config import DRAMCacheGeometry, DRAMGeometry, DRAMTimingConfig
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 from repro.dramcache.alloy import AlloyCache, MAPPredictor
 
 
@@ -14,7 +14,7 @@ def make_cache() -> AlloyCache:
         capacity=1 << 20,
         geometry=DRAMGeometry(channels=2, banks_per_channel=8, page_size=2048),
     )
-    offchip = MemoryController(
+    offchip = DRAMDevice(
         DRAMGeometry(channels=1, banks_per_channel=16, page_size=2048),
         DRAMTimingConfig.ddr3_1600h(),
     )

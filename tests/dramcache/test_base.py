@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import DRAMCacheGeometry, DRAMGeometry, DRAMTimingConfig
-from repro.dram.controller import MemoryController
 from repro.dram.device import DRAMDevice
 from repro.dramcache.base import DRAMCacheBase
+from tests.dram.oracle import decode
 
 
 class _StubCache(DRAMCacheBase):
@@ -22,7 +22,7 @@ class _StubCache(DRAMCacheBase):
             capacity=1 << 20,
             geometry=DRAMGeometry(channels=1, banks_per_channel=4, page_size=2048),
         )
-        offchip = MemoryController(
+        offchip = DRAMDevice(
             DRAMGeometry(channels=1, banks_per_channel=4, page_size=2048),
             DRAMTimingConfig.ddr3_1600h(),
         )
@@ -125,8 +125,9 @@ class _RecordingDevice(DRAMDevice):
     """DRAMDevice that logs every timed access to a shared list.
 
     The kernel has two names: ``read_fast``/``write_fast`` call
-    ``_timed_fast``, while the tail trains and stacked posts call
-    ``access_direct_fast`` directly, so both names log.
+    ``_timed_fast`` behind the command queue, while the tail trains and
+    stacked posts call ``access_direct_fast`` directly, so both names
+    log.
     """
 
     __slots__ = ("log",)
@@ -153,9 +154,8 @@ class _ScriptedCache(DRAMCacheBase):
         offchip_geometry = DRAMGeometry(
             channels=channels, banks_per_channel=2, page_size=page_size
         )
-        offchip = MemoryController(offchip_geometry, _TIMINGS)
-        offchip.device = _RecordingDevice(offchip_geometry, _TIMINGS, name="offchip")
-        offchip.device.log = self.log
+        offchip = _RecordingDevice(offchip_geometry, _TIMINGS, name="offchip")
+        offchip.log = self.log
         geometry = DRAMCacheGeometry(
             capacity=1 << 20,
             geometry=DRAMGeometry(channels=1, banks_per_channel=4, page_size=2048),
@@ -171,17 +171,22 @@ class _ScriptedCache(DRAMCacheBase):
 class _PerBeatReference(_ScriptedCache):
     """Reference posting: one heap entry per tail beat, popped one by one.
 
-    Each beat is a plain ``read_fast`` call on the off-chip device; the
-    production tail trains must reproduce its calls and order exactly.
+    Each beat is an ``access_direct_fast`` call on the off-chip device,
+    at the row the oracle's ``decode`` places it in (tail beats bypass
+    the command queue); the production tail trains must reproduce its
+    calls and order exactly.
     """
 
     def _fetch_offchip(self, address, now, *, bursts):
-        end = self.offchip.read_fast(address, now, 1)
+        offchip = self.offchip
+        end = offchip.read_fast(address, now, 1)
         self.offchip_fetched_bytes += bursts * 64
-        read_tail = self.offchip.device.read_fast
         for i in range(1, bursts):
             when = end + i * _SPREAD
-            self._post_call(when, read_tail, address + 64 * i, when, 1)
+            loc = decode(offchip.geometry, address + 64 * i)
+            self._post_call(
+                when, offchip.access_direct_fast, loc.channel, loc.bank, loc.row, when, 1
+            )
         return end
 
     def _drain_posted(self, now):
@@ -203,7 +208,7 @@ def _run_script(cache: _ScriptedCache, script, flush_at) -> list[int]:
     Callbacks and stacked-DRAM posts land exactly on a tail beat's
     stamp. A fetch's early callback is posted *before* the fetch (so
     with a smaller seq) at one of the fetch's own beats, located by
-    timing the critical beat on a copy of the controller.
+    timing the critical beat on a copy of the off-chip device.
     """
     clock = 0
     beat_times = [0]
@@ -239,12 +244,11 @@ def _run_script(cache: _ScriptedCache, script, flush_at) -> list[int]:
 
 
 def _state(cache: _ScriptedCache) -> tuple:
-    """Both devices' full state plus the controller's counters."""
-    devices = tuple(
+    """Both devices' full state: banks, buses, queues and counters."""
+    return tuple(
         {slot: getattr(device, slot) for slot in DRAMDevice.__slots__}
-        for device in (cache.offchip.device, cache.dram)
+        for device in (cache.offchip, cache.dram)
     )
-    return devices, cache.offchip.reads, cache.offchip.writes
 
 
 _ADDRESS = st.integers(0, 1 << 15)

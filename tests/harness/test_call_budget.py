@@ -38,17 +38,17 @@ PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 #: and alloy on Q1 cover the way-locator hit path, its miss path and
 #: the baseline scheme.
 DRIVE_BUDGET = {
-    ("alloy", "Q2"): 9.66,
-    ("lohhill", "Q2"): 11.65,
-    ("atcache", "Q2"): 12.82,
+    ("alloy", "Q2"): 8.90,
+    ("lohhill", "Q2"): 10.91,
+    ("atcache", "Q2"): 12.08,
     ("footprint", "Q2"): 7.84,
     ("bimodal", "Q2"): 6.63,
     ("wayloc-only", "Q2"): 6.33,
     ("bimodal-only", "Q2"): 9.74,
     ("fixed512", "Q2"): 9.44,
     ("bimodal", "Q1"): 7.28,
-    ("bimodal", "Q7"): 13.11,
-    ("alloy", "Q1"): 9.46,
+    ("bimodal", "Q7"): 13.09,
+    ("alloy", "Q1"): 8.72,
 }
 
 #: ``MultiProgramRunner.run_antt`` calls per record on Q7, the ``antt``
@@ -57,8 +57,8 @@ DRIVE_BUDGET = {
 ANTT_MIX = "Q7"
 ANTT_RECORDS = 2 * RECORDS
 ANTT_BUDGET = {
-    "alloy": 11.00,
-    "bimodal": 13.32,
+    "alloy": 10.20,
+    "bimodal": 13.31,
 }
 
 DRIVE_CELLS = [(scheme, "Q2") for scheme in available_schemes()] + [

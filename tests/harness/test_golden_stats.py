@@ -35,16 +35,16 @@ The design-space exploration's timing runs (``repro dse``) build
 Bi-Modal caches with 256 B–1 KB big blocks, whose fills move up to
 sixteen off-chip beats. ``tests/golden/dse_points.json`` pins six such
 points on Q23 and Q1, built as ``repro.mrc.dse.dse_sim_cell`` builds
-them: the full stats plus the off-chip controller and device counters
-that the posted tail beats of each fill write.
+them: the full stats plus the off-chip memory's counters that the
+posted tail beats of each fill write.
 
 At the default capacity no Loh-Hill or ATCache set fills its 29 ways
 within these traces, so the files above never reach a tags-in-DRAM
 eviction. ``tests/golden/tags_in_dram.json`` drives lohhill, atcache
 and footprint on Q1 and Q2 with the stacked cache shrunk to 256 KB and
 512 KB, where full-set LRU choices, dirty writebacks and tag-cache
-evictions all happen. It pins the full stats, the off-chip
-controller's counters and, for atcache, the tag cache's own counts.
+evictions all happen. It pins the full stats, the off-chip memory's
+counters and, for atcache, the tag cache's own counts.
 
 To regenerate after an *intentional* simulation-semantics change::
 
@@ -197,8 +197,8 @@ def _dse_case(point: DesignPoint, mix: str) -> dict:
             "writes": offchip.writes,
             "bytes_transferred": offchip.bytes_transferred,
             "row_buffer_hit_rate": offchip.row_buffer_hit_rate(),
-            "activations": offchip.device.total_activations(),
-            "precharges": offchip.device.total_precharges(),
+            "activations": offchip.total_activations(),
+            "precharges": offchip.total_precharges(),
             "read_latency_mean": offchip.read_latency.mean,
         },
     }

@@ -1,20 +1,42 @@
-"""Per-ghost reference loops: the oracle for the shared ghost pass.
+"""Reference loops: the oracles for the shared ghost pass and sampling.
 
-These are the ghost loops ``repro.mrc.ghost`` ran before it shared its
-columns across ghosts. Each ghost decodes every address itself, each
-bi-modal ghost trains its own region-utilization tracker, and the
+The ghost loops are the ones ``repro.mrc.ghost`` ran before it shared
+its columns across ghosts. Each ghost decodes every address itself,
+each bi-modal ghost trains its own region-utilization tracker, and the
 warm-up reset is a counter compared on every record. They live only
 here, independent of the production kernels, so that
 tests/mrc/test_shared_pass.py can hold the shared pass to them row for
 row.
+
+``sample_addresses_scalar`` is the frame hash of
+``repro.mrc.engine.sample_addresses`` written one address at a time in
+Python ints, with explicit masking for uint64 wraparound, for
+tests/mrc/test_engine.py to hold the vectorized hash to.
 """
 
 from __future__ import annotations
 
 from repro.bimodal.sets import allowed_states
 from repro.common.addressing import log2_int
+from repro.mrc.engine import _FRAME_BITS, _MASK64, _MIX_A, _MIX_B, _SEED_MIX
 
 TRACKER_ENTRIES = 4096
+
+
+def sample_addresses_scalar(addresses, rate: float, seed: int) -> list[int]:
+    """Keep an address iff its frame hash's top 24 bits fall under
+    ``rate·2^24`` (the same hash, one Python int at a time)."""
+    threshold = int(rate * (1 << 24))
+    salt = (seed * _SEED_MIX) & _MASK64
+    kept = []
+    for address in addresses:
+        h = (int(address) >> _FRAME_BITS) ^ salt
+        h = ((h ^ (h >> 30)) * _MIX_A) & _MASK64
+        h = ((h ^ (h >> 27)) * _MIX_B) & _MASK64
+        h = h ^ (h >> 31)
+        if ((h >> 40) & 0xFFFFFF) < threshold:
+            kept.append(int(address))
+    return kept
 
 
 class GhostCache:

@@ -6,7 +6,7 @@ import pytest
 from repro.harness.runner import ExperimentSetup
 from repro.mrc.engine import sample_addresses
 from repro.mrc.ghost import AdaptiveGhost, LRUGhost, ghost_pass
-from tests.mrc.oracle import GhostCache
+from tests.mrc.oracle import GhostCache, sample_addresses_scalar
 
 SETUP = ExperimentSetup(num_cores=4, accesses_per_core=1500)
 
@@ -31,11 +31,12 @@ class TestSampling:
         )
 
     def test_scalar_path_matches_numpy_path(self, addresses):
-        # The list input exercises the explicit-mask scalar fallback;
-        # both must select the identical sub-stream.
-        vectorized = sample_addresses(addresses, 0.3, seed=5)
-        scalar = sample_addresses(addresses.tolist(), 0.3, seed=5)
-        assert vectorized == scalar
+        # The scalar oracle reproduces uint64 wraparound with explicit
+        # masks; the vectorized hash must select the identical
+        # sub-stream, from an array or from a list.
+        scalar = sample_addresses_scalar(addresses.tolist(), 0.3, seed=5)
+        assert sample_addresses(addresses, 0.3, seed=5) == scalar
+        assert sample_addresses(addresses.tolist(), 0.3, seed=5) == scalar
 
     def test_kept_fraction_tracks_rate(self):
         # Many distinct 4 KB frames so the binomial estimate is tight.

@@ -109,16 +109,13 @@ class TestLayerTaps:
 
     def test_controller_report_metrics(self):
         from repro.common.config import system_config
-        from repro.dram.controller import MemoryController
+        from repro.harness.runner import build_offchip
 
-        config = system_config(4)
-        controller = MemoryController(
-            config.offchip_geometry, config.offchip_timing
-        )
-        controller.read_fast(0, 0)
-        controller.write_fast(4096, 10)
+        offchip = build_offchip(system_config(4))
+        offchip.read_fast(0, 0)
+        offchip.write_fast(4096, 10)
         reg = MetricsRegistry()
-        controller.report_metrics(reg)
+        offchip.report_metrics(reg)
         snap = reg.snapshot()
         assert snap["offchip.reads"] == 1
         assert snap["offchip.writes"] == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.config import DRAMCacheGeometry, DRAMGeometry, DRAMTimingConfig
-from repro.dram.controller import MemoryController
+from repro.dram.device import DRAMDevice
 from repro.dramcache.alloy import AlloyCache
 from repro.prefetch.nextn import PREF_BYPASS, PREF_NORMAL, NextNPrefetcher
 
@@ -13,7 +13,7 @@ def make_alloy():
         capacity=1 << 20,
         geometry=DRAMGeometry(channels=2, banks_per_channel=8, page_size=2048),
     )
-    offchip = MemoryController(
+    offchip = DRAMDevice(
         DRAMGeometry(channels=1, banks_per_channel=16, page_size=2048),
         DRAMTimingConfig.ddr3_1600h(),
     )
